@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import inspect
 import math
-from bisect import bisect_left, insort
+import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -96,26 +96,62 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     Each iteration either certifies the optimistic top-k set or collapses the
     wider of the critical pair; every strong query lands on a distinct item,
     so the loop runs at most n iterations.
+
+    The tentative-in set (the k largest upper bounds, ties to the lower index)
+    is kept incrementally: a collapse only lowers one item's upper bound, so
+    at most that item swaps places with the best tentative-out item.  The
+    worst tentative-in item comes from a lazy heap of ``(lower, index)``.
+    The best tentative-out item, by ``(-upper, index)``, is either the first
+    one in the initial sort that still has its initial bound, or the top of a
+    lazy heap of items that were queried or swapped out.  Stale entries are
+    recognised because bounds only ever move inward.  Set-up costs one
+    O(n log n) sort; each strong call costs O(log n).
     """
     lower, upper = state.lower, state.upper
     n = lower.size
     trace: list[int] = []
     if k == n:
         return np.arange(n), trace
+    order = np.lexsort((np.arange(n), -upper))
+    inside = np.zeros(n, dtype=bool)
+    inside[order[:k]] = True
+    in_heap = list(zip(lower[order[:k]].tolist(), order[:k].tolist()))
+    heapq.heapify(in_heap)
+    rest = order[k:]
+    rest_upper = upper[rest]
+    head = 0
+    out_heap: list[tuple[float, int]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
     for _ in range(n + 1):
-        u_k = np.partition(upper, n - k)[n - k]
-        mask = upper > u_k
-        short = k - int(np.count_nonzero(mask))
-        if short > 0:
-            mask[np.flatnonzero(upper == u_k)[:short]] = True
-        i = int(np.argmin(np.where(mask, lower, np.inf)))
-        j = int(np.argmax(np.where(mask, -np.inf, upper)))
+        while not (inside[in_heap[0][1]] and in_heap[0][0] == lower[in_heap[0][1]]):
+            heappop(in_heap)
+        # an item passed over here is inside, or was queried and so entered
+        # out_heap whenever it is outside
+        while head < rest.size and (
+            inside[rest[head]] or upper[rest[head]] != rest_upper[head]
+        ):
+            head += 1
+        while out_heap and (inside[out_heap[0][1]] or out_heap[0][0] != -upper[out_heap[0][1]]):
+            heappop(out_heap)
+        i = in_heap[0][1]
+        j = int(rest[head]) if head < rest.size else out_heap[0][1]
+        if out_heap and out_heap[0] < (-upper[j], j):
+            j = out_heap[0][1]
         if lower[i] >= upper[j]:
-            return np.flatnonzero(mask), trace
+            return np.flatnonzero(inside), trace
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
         value = strong.query(x)
         state.collapse_to(x, value)
         trace.append(x)
+        if not inside[x]:
+            heappush(out_heap, (-float(upper[x]), x))
+        elif (-upper[x], x) > (-upper[j], j):
+            inside[x] = False
+            inside[j] = True
+            heappush(out_heap, (-float(upper[x]), x))
+            heappush(in_heap, (float(lower[j]), j))
+        else:
+            heappush(in_heap, (float(lower[x]), x))
     raise AssertionError("adaptive certification did not terminate")
 
 
@@ -248,7 +284,9 @@ class AdaptiveCertify(BaseCertifier):
     (smallest lower bound among the k largest upper bounds) against the best
     tentative-out item (largest upper bound outside); collapse whichever of
     the two has the wider interval until dominance certifies the set.  Only
-    initially ambiguous items can ever be queried, each at most once.
+    initially ambiguous items can ever be queried, each at most once.  Past
+    the weak phase, the strong loop costs one O(n log n) sort plus O(log n)
+    per strong call.
     """
 
     def __init__(
@@ -282,6 +320,35 @@ class AdaptiveCertify(BaseCertifier):
         return self._report(k, selected, weak_state, work, trace, weak_pulls)
 
 
+class _KthLargestOfRising:
+    """The exact k-th largest of values that only ever rise.
+
+    Keeps the threshold and how many values lie strictly above it.  Only a
+    rise across the threshold is counted, and only the one that brings that
+    count to k moves the threshold (up to the smallest value above it), so
+    only threshold moves rescan the values.
+    """
+
+    def __init__(self, values: np.ndarray, k: int):
+        self.values = values
+        self.k = k
+        self.threshold = kth_largest(values, k)
+        self.above = int(np.count_nonzero(values > self.threshold))
+
+    def rise(self, x: int, old: float, new: float) -> float:
+        """Record that values[x] rose from old to new; returns the threshold."""
+        self.values[x] = new
+        t = self.threshold
+        if old <= t < new:
+            self.above += 1
+            if self.above == self.k:
+                values = self.values
+                t = float(np.min(values, where=values > t, initial=np.inf))
+                self.threshold = t
+                self.above = int(np.count_nonzero(values > t))
+        return t
+
+
 class AdaptiveCertifyWeak(BaseCertifier):
     """Two-phase fully adaptive certification.
 
@@ -290,6 +357,11 @@ class AdaptiveCertifyWeak(BaseCertifier):
     weak budget one pull at a time on the ambiguous item with the widest
     interval (skipping items that reached ``w_max``).  Phase II freezes the
     intervals and runs the adaptive strong loop on them.
+
+    Each adaptive pull costs O(log n): the widest ambiguous item comes from a
+    heap, and the k-th largest lower and upper bounds that define the
+    ambiguous set are tracked exactly, rescanning all n bounds only on the
+    pulls that move one of them.
     """
 
     def __init__(
@@ -358,8 +430,10 @@ class AdaptiveCertifyWeak(BaseCertifier):
                 variances = m2_arr / (w_min - 1)
                 radii = np.sqrt(2.0 * variances * log_term / w_min) + 3.0 * support * log_term / w_min
 
-        lower = np.clip(means_arr - radii, 0.0, 1.0).tolist()
-        upper = np.clip(means_arr + radii, 0.0, 1.0).tolist()
+        lower_arr = np.clip(means_arr - radii, 0.0, 1.0)
+        upper_arr = np.clip(means_arr + radii, 0.0, 1.0)
+        lower = lower_arr.tolist()
+        upper = upper_arr.tolist()
         means = means_arr.tolist()
         m2 = m2_arr.tolist()
         counts = [w_min] * n
@@ -374,31 +448,38 @@ class AdaptiveCertifyWeak(BaseCertifier):
                 anytime_subgaussian_radius(sigma, c, delta_x) for c in range(1, w_min + 2)
             ]
 
-        sorted_lower = sorted(lower)
-        sorted_upper = sorted(upper)
-        kth_pos = n - k
-        stamps = [0] * n
-        dead = [False] * n
-        heap = [(lower[x] - upper[x], x, 0) for x in range(n) if counts[x] < w_max]
+        # Only the k-th largest bounds l_k and u_k are read.  -upper only
+        # rises, and its (n - k + 1)-th largest is -u_k.
+        kth_lower = _KthLargestOfRising(lower_arr.copy(), k)
+        kth_neg_upper = _KthLargestOfRising(-upper_arr, n - k + 1)
+        l_k, u_k = kth_lower.threshold, -kth_neg_upper.threshold
+        # Items are pulled by ascending (lower - upper, index), from a heap
+        # holding each as the int ((2**63 - bits(upper - lower)) << shift) |
+        # index.  The bit pattern of a double >= 0 orders like the double, so
+        # these ints order like the pairs; an int is smaller and faster to
+        # compare than a tuple.  l_k only rises and u_k only falls, so an item
+        # that is clear once stays clear: it starts outside the heap, or
+        # leaves it at the top.
+        shift = n.bit_length()
+        index_mask = (1 << shift) - 1
+        live = np.flatnonzero((lower_arr <= u_k) & (upper_arr >= l_k))
+        if w_min == w_max:
+            live = live[:0]
+        width_bits = (upper_arr[live] - lower_arr[live]).view(np.int64).tolist()
+        heap = [(((1 << 63) - b) << shift) | x for b, x in zip(width_bits, live.tolist())]
         heapq.heapify(heap)
+        pack_double, unpack_int = struct.Struct("<d").pack, struct.Struct("<q").unpack
         pull = weak.pull
-        heappush, heappop = heapq.heappush, heapq.heappop
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
 
         while budget_left > 0:
             while heap:
-                entry = heap[0]
-                x = entry[1]
-                if entry[2] != stamps[x] or dead[x]:
-                    heappop(heap)
-                    continue
-                if lower[x] > sorted_upper[kth_pos] or upper[x] < sorted_lower[kth_pos]:
-                    dead[x] = True
-                    heappop(heap)
-                    continue
-                break
+                x = heap[0] & index_mask
+                if lower[x] <= u_k and upper[x] >= l_k:
+                    break
+                heappop(heap)
             else:
                 break
-            heappop(heap)
 
             value = pull(x)
             c = counts[x] + 1
@@ -434,16 +515,16 @@ class AdaptiveCertifyWeak(BaseCertifier):
                 lo = hi = old_hi if new_lo > old_hi else old_lo
                 conflicts += 1
             if lo != old_lo:
-                del sorted_lower[bisect_left(sorted_lower, old_lo)]
-                insort(sorted_lower, lo)
+                l_k = kth_lower.rise(x, old_lo, lo)
                 lower[x] = lo
             if hi != old_hi:
-                del sorted_upper[bisect_left(sorted_upper, old_hi)]
-                insort(sorted_upper, hi)
+                u_k = -kth_neg_upper.rise(x, -old_hi, -hi)
                 upper[x] = hi
-            stamps[x] += 1
             if c < w_max:
-                heappush(heap, (lo - hi, x, stamps[x]))
+                bits = unpack_int(pack_double(hi - lo))[0]
+                heapreplace(heap, (((1 << 63) - bits) << shift) | x)
+            else:
+                heappop(heap)
             budget_left -= 1
 
         state = IntervalState.from_bounds(lower, upper, pulls=counts, means=means)

@@ -238,12 +238,24 @@ def _fixed_radii(method: CiMethod, counts: np.ndarray, variances, delta_x: float
         variances = np.asarray(variances, dtype=np.float64)
         return np.sqrt(2.0 * variances * log_term / counts) + 3.0 * method.support_range * log_term / counts
     if isinstance(method, AnytimeEmpiricalBernstein):
+        check_probability(delta_x, "delta_x")
         variances = np.asarray(variances, dtype=np.float64)
+        whole = counts.astype(np.int64)
         out = np.empty_like(counts)
-        for i in range(counts.size):
-            stats = StreamStats(count=int(counts[i]), mean=0.0, m2=0.0)
-            stats.m2 = variances[i] * max(int(counts[i]) - 1, 0)
-            out[i] = anytime_radius(stats, delta_x, method.support_range)
+        support = method.support_range
+        # per distinct count, the same operations anytime_radius applies to a
+        # StreamStats with m2 = variance * (count - 1)
+        for c in np.unique(whole).tolist():
+            if c < 1:
+                raise ValueError("anytime radius needs at least one pull")
+            at = whole == c
+            delta_w = epoch_delta(delta_x, c)
+            if c == 1:
+                out[at] = support * math.sqrt(math.log(2.0 / delta_w) / 2.0)
+                continue
+            log_term = math.log(3.0 / delta_w)
+            variance = variances[at] * (c - 1) / (c - 1)
+            out[at] = np.sqrt(2.0 * variance * log_term / c) + 3.0 * support * log_term / c
         return out
     raise TypeError(f"unknown CI method {method!r}")
 

@@ -154,14 +154,18 @@ class IntervalState:
         new_hi = old_hi if old_hi <= upper else upper
         conflict = new_lo > new_hi
         if conflict:
-            point = old_hi if lower > old_hi else old_lo
-            new_lo = new_hi = point
+            new_lo = new_hi = old_hi if lower > old_hi else old_lo
+        # false only when a bound is NaN; checked before anything is written
+        if not (old_lo <= new_lo <= new_hi <= old_hi):
+            raise ValueError(
+                f"non-monotone update of item {item}: [{old_lo}, {old_hi}] -> [{new_lo}, {new_hi}]"
+            )
+        if conflict:
             self.conflicts += 1
         self.lower[item] = new_lo
         self.upper[item] = new_hi
         if new_lo == new_hi:
             self.collapsed[item] = True
-        assert self.lower[item] >= old_lo and self.upper[item] <= old_hi
         return bool(conflict)
 
     def collapse_to(self, item: int, value: float) -> bool:

@@ -105,7 +105,8 @@ class WeakOracle:
 
         Requires all items to sit at the same stream position (the uniform
         weak phase).  Blocks are cached by position since regeneration is
-        deterministic anyway.
+        deterministic anyway, and are returned read-only so that no caller
+        can change what a replayed pass observes.
         """
         count = check_int(count, "count", minimum=1)
         t0 = self._counts[0]
@@ -126,6 +127,7 @@ class WeakOracle:
                 )
                 if self.clamp:
                     np.clip(cached, 0.0, 1.0, out=cached)
+            cached.flags.writeable = False
             self._block_cache[key] = cached
         return cached
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topkcert.certify import (
     ALGORITHMS,
@@ -10,6 +12,8 @@ from topkcert.certify import (
     BruteForceCertify,
     ScreenThenCertify,
     ThresholdCertify,
+    _ace_loop,
+    _KthLargestOfRising,
     ace,
     ace_w,
     brute_force_certify,
@@ -18,7 +22,9 @@ from topkcert.certify import (
 )
 from topkcert.confidence import (
     DeltaBudget,
+    StreamStats,
     SubGaussian,
+    anytime_radius,
     anytime_subgaussian_radius,
     build_fixed_intervals,
 )
@@ -119,6 +125,75 @@ class TestScreenThenCertify:
                 assert report.selected == _truth(inst)
 
 
+def _reference_ace_loop(state, k, strong):
+    """The O(n)-per-call adaptive strong loop, recomputed from definitions.
+
+    Every call partitions the upper bounds for the tentative-in set and scans
+    both sides for the critical pair.
+    """
+    lower, upper = state.lower, state.upper
+    n = lower.size
+    trace = []
+    if k == n:
+        return np.arange(n), trace
+    for _ in range(n + 1):
+        u_k = np.partition(upper, n - k)[n - k]
+        mask = upper > u_k
+        short = k - int(np.count_nonzero(mask))
+        if short > 0:
+            mask[np.flatnonzero(upper == u_k)[:short]] = True
+        i = int(np.argmin(np.where(mask, lower, np.inf)))
+        j = int(np.argmax(np.where(mask, -np.inf, upper)))
+        if lower[i] >= upper[j]:
+            return np.flatnonzero(mask), trace
+        x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
+        value = strong.query(x)
+        state.collapse_to(x, value)
+        trace.append(x)
+    raise AssertionError("adaptive certification did not terminate")
+
+
+def _assert_ace_loop_matches_reference(state, k, values):
+    inst = Instance(values=values, k=k)
+    ref_state, new_state = state.copy(), state.copy()
+    ref_selected, ref_trace = _reference_ace_loop(ref_state, k, StrongOracle(inst))
+    selected, trace = _ace_loop(new_state, k, StrongOracle(inst))
+    assert trace == ref_trace
+    np.testing.assert_array_equal(selected, ref_selected)
+    np.testing.assert_array_equal(new_state.lower, ref_state.lower)
+    np.testing.assert_array_equal(new_state.upper, ref_state.upper)
+    np.testing.assert_array_equal(new_state.collapsed, ref_state.collapsed)
+    assert new_state.conflicts == ref_state.conflicts
+
+
+@st.composite
+def _ace_loop_cases(draw):
+    """Random interval states, strong values, and k in [1, n - 1].
+
+    Intervals are midpoint +- radius clipped to [0, 1], so many bounds sit at
+    exactly 0 or 1; with ``levels`` set, midpoints, radii and strong values
+    are quantised to a few levels, so bounds and values tie across items.
+    Unless ``consistent``, strong values are drawn independently of the
+    intervals and contradict some of them, which makes conflicts occur.
+    """
+    n = draw(st.integers(2, 24))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    levels = draw(st.sampled_from([None, 2, 4, 8]))
+    if levels is None:
+        unit = st.floats(0.0, 1.0)
+    else:
+        unit = st.integers(0, levels).map(lambda i: i / levels)
+    mid = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    radius = 0.6 * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    values = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    lower = np.clip(mid - radius, 0.0, 1.0)
+    upper = np.clip(mid + radius, 0.0, 1.0)
+    consistent = draw(st.booleans())
+    if consistent:
+        values = np.clip(values, lower, upper)
+    return IntervalState.from_bounds(lower, upper), k, values
+
+
 class TestAdaptiveCertify:
     def test_queries_stay_inside_initial_ambiguous_set(self):
         for seed in range(25):
@@ -151,6 +226,20 @@ class TestAdaptiveCertify:
             outside = np.setdiff1d(np.arange(inst.n), inside)
             assert final.lower[inside].min() >= final.upper[outside].max()
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_ace_loop_cases())
+    def test_loop_matches_reference_on_random_states(self, case):
+        state, k, values = case
+        _assert_ace_loop_matches_reference(state, k, values)
+
+    @pytest.mark.parametrize("k", [1, 25, 499])
+    def test_loop_matches_reference_on_weak_states(self, k):
+        for seed in range(4):
+            inst = generate_gap_instance(GapInstanceSpec(n=500, k=k, seed=seed))
+            weak = WeakOracle(inst, sigma=0.1, seed=seed)
+            state = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 500), SubGaussian(0.1))
+            _assert_ace_loop_matches_reference(state, k, inst.values)
+
     def test_separated_intervals_certify_for_free(self):
         state = IntervalState.from_bounds(
             np.array([0.8, 0.6, 0.1]), np.array([0.9, 0.7, 0.2])
@@ -161,23 +250,32 @@ class TestAdaptiveCertify:
         assert report.selected == (0, 1)
 
 
-def _reference_adaptive_weak_phase(instance, seed, k, delta, w_min, w_max, budget, sigma):
+def _reference_adaptive_weak_phase(
+    instance, seed, k, delta, w_min, w_max, budget, sigma, method="subgaussian", clamp=False
+):
     """From-scratch reimplementation of the adaptive weak phase.
 
     Recomputes the ambiguous set and the boundary order statistics from
     definitions at every step; only pulls currently ambiguous items below the
-    per-item cap, widest interval first with index tie-break.
+    per-item cap, widest interval first with index tie-break.  ``method`` is
+    ``"subgaussian"`` (scale ``sigma``) or ``"anytime_empirical_bernstein"``
+    (support range 1).
     """
-    weak = WeakOracle(instance, sigma=sigma, seed=seed)
+
+    def radius(c, x):
+        if method == "subgaussian":
+            return anytime_subgaussian_radius(sigma, c, delta_x)
+        return anytime_radius(StreamStats(count=c, mean=means[x], m2=m2[x]), delta_x, 1.0)
+
+    weak = WeakOracle(instance, sigma=sigma, seed=seed, clamp=clamp)
     n = instance.n
     delta_x = delta / n
     obs = weak.pull_all(w_min)
     means = obs.mean(axis=1).tolist()
     m2 = (obs.var(axis=1, ddof=1) * (w_min - 1)).tolist()
     counts = [w_min] * n
-    r0 = anytime_subgaussian_radius(sigma, w_min, delta_x)
-    lower = [max(0.0, means[x] - r0) for x in range(n)]
-    upper = [min(1.0, means[x] + r0) for x in range(n)]
+    lower = [max(0.0, means[x] - radius(w_min, x)) for x in range(n)]
+    upper = [min(1.0, means[x] + radius(w_min, x)) for x in range(n)]
     sequence = []
     budget_left = budget - n * w_min
     while budget_left > 0:
@@ -196,7 +294,7 @@ def _reference_adaptive_weak_phase(instance, seed, k, delta, w_min, w_max, budge
         mu += d / c
         means[x] = mu
         m2[x] += d * (value - mu)
-        r = anytime_subgaussian_radius(sigma, c, delta_x)
+        r = radius(c, x)
         new_lo, new_hi = max(0.0, mu - r), min(1.0, mu + r)
         lo, hi = max(lower[x], new_lo), min(upper[x], new_hi)
         if lo > hi:
@@ -217,6 +315,27 @@ class _RecordingWeakOracle(WeakOracle):
         return super().pull(x)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=30),
+    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 4)), max_size=60),
+    st.integers(1, 30),
+)
+def test_kth_largest_tracker_matches_sorting_under_tied_rises(start, rises, k):
+    values = [level / 4 for level in start]
+    k = min(k, len(values))
+    tracker = _KthLargestOfRising(np.array(values), k)
+    for x, step in rises:
+        x %= len(values)
+        old = values[x]
+        new = min(1.0, old + step / 4)
+        if new == old:
+            continue
+        values[x] = new
+        tracker.rise(x, old, new)
+        assert tracker.threshold == sorted(values, reverse=True)[k - 1]
+
+
 class TestAdaptiveCertifyWeak:
     def test_phase_one_matches_reference_implementation(self):
         for seed in (0, 1, 2):
@@ -227,6 +346,36 @@ class TestAdaptiveCertifyWeak:
             )
             weak = _RecordingWeakOracle(inst, sigma=0.1, seed=seed)
             report = ace_w(weak, StrongOracle(inst), k=10, weak_budget=budget, w_min=6)
+            assert weak.single_pull_log == ref_seq
+            np.testing.assert_array_equal(report.weak_state.lower, np.asarray(ref_lo))
+            np.testing.assert_array_equal(report.weak_state.upper, np.asarray(ref_hi))
+            np.testing.assert_array_equal(report.weak_state.pulls, np.asarray(ref_counts))
+
+    @pytest.mark.parametrize(
+        "method, clamp, k, budget_per_item",
+        [
+            # clamped bounded intervals: many bounds tie at exactly 0 or 1
+            ("anytime_empirical_bernstein", True, 10, 150),
+            ("anytime_empirical_bernstein", True, 1, 150),
+            ("subgaussian", False, 1, 12),
+            ("subgaussian", False, 2, 12),
+        ],
+    )
+    def test_phase_one_matches_reference_with_ties_and_small_k(
+        self, method, clamp, k, budget_per_item
+    ):
+        n = 40
+        budget = n * budget_per_item
+        for seed in (0, 1, 2):
+            inst = generate_gap_instance(GapInstanceSpec(n=n, k=max(k, 2), seed=seed))
+            ref_seq, ref_lo, ref_hi, ref_counts = _reference_adaptive_weak_phase(
+                inst, seed, k=k, delta=0.05, w_min=6, w_max=budget, budget=budget,
+                sigma=0.1, method=method, clamp=clamp,
+            )
+            weak = _RecordingWeakOracle(inst, sigma=0.1, seed=seed, clamp=clamp)
+            report = ace_w(
+                weak, StrongOracle(inst), k=k, weak_budget=budget, w_min=6, ci_method=method
+            )
             assert weak.single_pull_log == ref_seq
             np.testing.assert_array_equal(report.weak_state.lower, np.asarray(ref_lo))
             np.testing.assert_array_equal(report.weak_state.upper, np.asarray(ref_hi))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from topkcert.confidence import (
+    AnytimeEmpiricalBernstein,
     DeltaBudget,
     EmpiricalBernstein,
     StreamStats,
@@ -17,6 +18,7 @@ from topkcert.confidence import (
     ci_method_from_config,
     epoch_delta,
     fixed_radius,
+    _fixed_radii,
     intersect_update,
 )
 from topkcert.core import Instance, coverage_event_holds
@@ -175,6 +177,25 @@ class TestAnytimeRadius:
                 r = np.sqrt(2 * var * log_term / w) + 3 * log_term / w
             violated |= np.abs(means[:, w - 1] - 0.5) > r
         assert violated.mean() <= delta_x
+
+
+class TestFixedRadii:
+    def test_anytime_bernstein_matches_scalar_radius_bitwise(self):
+        rng = np.random.default_rng(4)
+        counts = rng.choice([1, 2, 3, 7, 8, 12, 600], size=200)
+        variances = rng.random(200) * 0.1
+        variances[::7] = 0.0
+        method = AnytimeEmpiricalBernstein(support_range=0.7)
+        radii = _fixed_radii(method, counts, variances, 1e-4)
+        expected = [
+            anytime_radius(StreamStats(count=int(c), m2=v * max(int(c) - 1, 0)), 1e-4, 0.7)
+            for c, v in zip(counts, variances)
+        ]
+        np.testing.assert_array_equal(radii, np.asarray(expected))
+
+    def test_anytime_bernstein_needs_a_pull(self):
+        with pytest.raises(ValueError):
+            _fixed_radii(AnytimeEmpiricalBernstein(), np.array([3, 0]), np.zeros(2), 0.01)
 
 
 class TestBuildFixedIntervals:

@@ -232,6 +232,14 @@ class TestIntervalState:
             assert lo >= prev_lo and hi <= prev_hi and lo <= hi
             prev_lo, prev_hi = lo, hi
 
+    @pytest.mark.parametrize("lower, upper", [(float("nan"), 0.5), (0.3, float("nan"))])
+    def test_non_monotone_update_raises_and_leaves_state(self, lower, upper):
+        state = _state([(0.2, 0.8)])
+        with pytest.raises(ValueError, match="non-monotone"):
+            state.intersect_update(0, lower, upper)
+        assert state.interval(0) == Interval(0.2, 0.8)
+        assert state.conflicts == 0 and not state.collapsed[0]
+
     def test_from_bounds_rejects_inverted(self):
         with pytest.raises(ValueError):
             IntervalState.from_bounds(np.array([0.5]), np.array([0.4]))

@@ -81,6 +81,15 @@ class TestWeakOracle:
         with pytest.raises(ValueError):
             weak.pull_all(2)
 
+    def test_pull_all_block_is_read_only(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        block = weak.pull_all(4)
+        first = block.copy()
+        with pytest.raises(ValueError):
+            block[0, 0] = 99.0
+        weak.reset()
+        np.testing.assert_array_equal(weak.pull_all(4), first)
+
     def test_invalid_noise_model(self, instance):
         with pytest.raises(ValueError):
             WeakOracle(instance, noise="cauchy")
