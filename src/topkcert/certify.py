@@ -220,7 +220,7 @@ class BaseCertifier:
             ambiguous_final=int(amb_final.size),
             eps_max=eps,
             eps_max_ambiguous=epsilon_max(weak_state, amb0) if amb0.size else eps,
-            trace=tuple(int(x) for x in trace),
+            trace=tuple(map(int, trace)),
             interval_conflicts=int(work.conflicts),
             weak_state=weak_state,
         )
@@ -265,16 +265,17 @@ class ScreenThenCertify(BaseCertifier):
         u_k = kth_largest(weak_state.upper, k)
         clear_in = np.flatnonzero(weak_state.lower > u_k)
         amb = ambiguous_set(weak_state, k)
+        trace = amb.tolist()
+        query = strong.query
+        revealed = np.array([query(x) for x in trace], dtype=np.float64)
         work = weak_state.copy()
-        revealed = np.empty(amb.size)
-        for pos, x in enumerate(amb):
-            revealed[pos] = strong.query(int(x))
-            work.collapse_to(int(x), revealed[pos])
+        work.collapse_many(amb, revealed)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
-        chosen = amb[np.lexsort((amb, -revealed))[:need]]
+        # amb is ascending, so a stable sort breaks value ties by index
+        chosen = amb[np.argsort(-revealed, kind="stable")[:need]]
         selected = np.concatenate([clear_in, chosen])
-        return self._report(k, selected, weak_state, work, [int(x) for x in amb], weak_pulls)
+        return self._report(k, selected, weak_state, work, trace, weak_pulls)
 
 
 class AdaptiveCertify(BaseCertifier):
@@ -568,20 +569,19 @@ class ThresholdCertify(BaseCertifier):
         weak_state = self._weak_state(weak, initial_state, n)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
 
-        order = np.lexsort((np.arange(n), -weak_state.point_estimates()))
+        # stable, so equal estimates are queried by ascending index
+        order = np.argsort(-weak_state.point_estimates(), kind="stable")
         # largest weak upper bound over each suffix of the query order
         suffix_max = np.empty(n + 1)
         suffix_max[n] = -np.inf
         suffix_max[:n] = np.maximum.accumulate(weak_state.upper[order][::-1])[::-1]
 
-        work = weak_state.copy()
         trace: list[int] = []
         values: list[float] = []
         top_heap: list[float] = []
         for pos in range(n):
             x = int(order[pos])
             value = strong.query(x)
-            work.collapse_to(x, value)
             trace.append(x)
             values.append(value)
             heapq.heappush(top_heap, value)
@@ -590,7 +590,9 @@ class ThresholdCertify(BaseCertifier):
             if len(top_heap) == k and top_heap[0] >= suffix_max[pos + 1]:
                 break
         verified = np.asarray(trace, dtype=np.int64)
-        vals = np.asarray(values)
+        vals = np.asarray(values, dtype=np.float64)
+        work = weak_state.copy()
+        work.collapse_many(verified, vals)
         selected = verified[np.lexsort((verified, -vals))[:k]]
         return self._report(k, selected, weak_state, work, trace, weak_pulls)
 

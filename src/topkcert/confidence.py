@@ -217,17 +217,6 @@ def anytime_subgaussian_radius(sigma: float, count: int, delta_x: float) -> floa
     return sigma * math.sqrt(2.0 * math.log(2.0 / delta_w) / count)
 
 
-def anytime_radius_for(method: CiMethod, stats: StreamStats, delta_x: float) -> float:
-    """Time-uniform radius for whichever interval construction is configured."""
-    if isinstance(method, SubGaussian):
-        if stats.count < 1:
-            raise ValueError("anytime radius needs at least one pull")
-        return anytime_subgaussian_radius(method.sigma, stats.count, delta_x)
-    if isinstance(method, (EmpiricalBernstein, AnytimeEmpiricalBernstein)):
-        return anytime_radius(stats, delta_x, method.support_range)
-    raise TypeError(f"unknown CI method {method!r}")
-
-
 def _fixed_radii(method: CiMethod, counts: np.ndarray, variances, delta_x: float) -> np.ndarray:
     """Vectorized fixed_radius over per-item counts/variances."""
     counts = np.asarray(counts, dtype=np.float64)
@@ -280,7 +269,12 @@ def build_fixed_intervals(
     delta_x = budget.per_item
     obs = weak.pull_all(n_pulls)
     means = obs.mean(axis=1)
-    variances = obs.var(axis=1, ddof=1) if n_pulls >= 2 else np.zeros(weak.n_items)
+    # sub-Gaussian radii never read the sample variance, whose computation
+    # allocates an (n, n_pulls) temporary
+    if n_pulls >= 2 and not isinstance(method, SubGaussian):
+        variances = obs.var(axis=1, ddof=1)
+    else:
+        variances = np.zeros(weak.n_items)
     counts = np.full(weak.n_items, n_pulls, dtype=np.int64)
     if anytime:
         if isinstance(method, SubGaussian):

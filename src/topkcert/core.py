@@ -174,6 +174,36 @@ class IntervalState:
         self.collapsed[item] = True
         return conflict
 
+    def collapse_many(self, items, values) -> None:
+        """``collapse_to(items[i], values[i])`` for every i, vectorised.
+
+        Items must be distinct.  Bounds, conflict clamping, the ``conflicts``
+        count and the ``collapsed`` flags come out bit for bit as from the
+        sequential calls; a NaN raises before anything is written.
+        """
+        items = np.asarray(items, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        old_lo = self.lower[items]
+        old_hi = self.upper[items]
+        # the scalar comparisons of intersect_update with lower == upper == value
+        new_lo = np.where(old_lo >= values, old_lo, values)
+        new_hi = np.where(old_hi <= values, old_hi, values)
+        conflict = new_lo > new_hi
+        clamped = np.where(values > old_hi, old_hi, old_lo)
+        new_lo = np.where(conflict, clamped, new_lo)
+        new_hi = np.where(conflict, clamped, new_hi)
+        bad = ~((old_lo <= new_lo) & (new_lo <= new_hi) & (new_hi <= old_hi))
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise ValueError(
+                f"non-monotone update of item {items[at]}: [{old_lo[at]}, {old_hi[at]}] "
+                f"-> [{new_lo[at]}, {new_hi[at]}]"
+            )
+        self.conflicts += int(np.count_nonzero(conflict))
+        self.lower[items] = new_lo
+        self.upper[items] = new_hi
+        self.collapsed[items] = True
+
 
 def kth_largest(values: Sequence[float] | np.ndarray, k: int) -> float:
     """The k-th largest element, counting multiplicity."""
@@ -185,9 +215,16 @@ def kth_largest(values: Sequence[float] | np.ndarray, k: int) -> float:
 
 
 def true_top_k(instance: Instance) -> np.ndarray:
-    """Indices of the k largest values, ascending-index tie-break; sorted."""
-    order = np.lexsort((np.arange(instance.n), -instance.values))
-    return np.sort(order[: instance.k])
+    """Indices of the k largest values, ascending-index tie-break; sorted.
+
+    O(n): every value above the threshold, then the lowest-index ties at it.
+    """
+    values = instance.values
+    threshold = instance.threshold
+    chosen = values > threshold
+    ties = np.flatnonzero(values == threshold)
+    chosen[ties[: instance.k - int(np.count_nonzero(chosen))]] = True
+    return np.flatnonzero(chosen)
 
 
 def near_tie_mass(instance: Instance, eta: float) -> int:

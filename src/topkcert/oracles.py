@@ -57,15 +57,16 @@ class WeakOracle:
         self.clamp = bool(clamp)
         self.max_pulls = None if max_pulls is None else check_int(max_pulls, "max_pulls", minimum=0)
         self._keys = _hashing.item_keys(self.seed, instance.n)
-        self._keys_int = [int(key) for key in self._keys]
+        self._keys_int = self._keys.tolist()
         self._values = instance.values.tolist()
+        self._n = instance.n
         self._counts = [0] * instance.n
         self.total_pulls = 0
         self._block_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def n_items(self) -> int:
-        return len(self._values)
+        return self._n
 
     @property
     def pulls_per_item(self) -> np.ndarray:
@@ -78,6 +79,8 @@ class WeakOracle:
 
     def pull(self, x: int) -> float:
         """One observation of item x from its next stream position."""
+        if not 0 <= x < self._n:
+            raise ValueError(f"item must lie in [0, {self._n}), got {x}")
         t = self._counts[x]
         self._charge(1)
         self._counts[x] = t + 1
@@ -109,22 +112,20 @@ class WeakOracle:
         can change what a replayed pass observes.
         """
         count = check_int(count, "count", minimum=1)
+        n = self.n_items
         t0 = self._counts[0]
-        if any(c != t0 for c in self._counts):
+        if self._counts.count(t0) != n:
             raise ValueError("pull_all requires uniform per-item pull counts")
-        self._charge(self.n_items * count)
-        for x in range(self.n_items):
-            self._counts[x] = t0 + count
+        self._charge(n * count)
+        self._counts = [t0 + count] * n
         key = (t0, count)
         cached = self._block_cache.get(key)
         if cached is None:
+            values = self._instance.values
             if self.noise == "exact":
-                cached = np.tile(np.asarray(self._values)[:, None], (1, count))
+                cached = np.tile(values[:, None], (1, count))
             else:
-                cached = (
-                    np.asarray(self._values)[:, None]
-                    + _hashing.gaussian_matrix(self._keys, t0, count, self.sigma)
-                )
+                cached = _hashing.gaussian_matrix(self._keys, t0, count, self.sigma, values)
                 if self.clamp:
                     np.clip(cached, 0.0, 1.0, out=cached)
             cached.flags.writeable = False
@@ -141,21 +142,25 @@ class StrongOracle:
     """Exact value evaluator; every query is counted and traced."""
 
     def __init__(self, instance: Instance, cap: int | None = None):
-        self._instance = instance
+        self._values = instance.values.tolist()
+        self._n = instance.n
         self.cap = None if cap is None else check_int(cap, "cap", minimum=0)
         self.calls = 0
         self.trace: list[int] = []
 
     @property
     def n_items(self) -> int:
-        return self._instance.n
+        return self._n
 
     def query(self, x: int) -> float:
+        if not 0 <= x < self._n:
+            raise ValueError(f"item must lie in [0, {self._n}), got {x}")
         if self.cap is not None and self.calls >= self.cap:
             raise BudgetExceededError("strong", self.cap)
+        value = self._values[x]
         self.calls += 1
         self.trace.append(int(x))
-        return float(self._instance.values[x])
+        return value
 
     def reset(self) -> None:
         self.calls = 0

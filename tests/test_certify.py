@@ -452,6 +452,15 @@ class TestThresholdCertify:
             if coverage_event_holds(inst, report.weak_state):
                 assert report.selected == _truth(inst)
 
+    def test_tied_estimates_are_queried_by_index(self):
+        # identical intervals never stop the loop early, so every item is queried
+        rng = np.random.default_rng(14)
+        means = np.round(rng.random(50), 1)
+        inst = Instance(values=rng.random(50), k=5)
+        state = IntervalState.from_bounds(np.zeros(50), np.ones(50), means=means)
+        report = ta_certify(None, StrongOracle(inst), k=5, initial_state=state)
+        assert report.trace == tuple(sorted(range(50), key=lambda x: (-means[x], x)))
+
     def test_stopping_rule_certificate(self):
         # at the stop, the k-th largest verified value dominates every
         # unverified weak upper bound

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topkcert.core import (
     Instance,
@@ -240,6 +242,36 @@ class TestIntervalState:
         assert state.interval(0) == Interval(0.2, 0.8)
         assert state.conflicts == 0 and not state.collapsed[0]
 
+    def test_collapse_many_with_nan_raises_and_leaves_state(self):
+        state = _state([(0.2, 0.8), (0.1, 0.3), (0.4, 0.6)])
+        with pytest.raises(ValueError, match="non-monotone"):
+            state.collapse_many([0, 2, 1], [0.5, float("nan"), 0.9])
+        assert state.interval(0) == Interval(0.2, 0.8)
+        assert state.interval(1) == Interval(0.1, 0.3)
+        assert state.conflicts == 0 and not state.collapsed.any()
+
     def test_from_bounds_rejects_inverted(self):
         with pytest.raises(ValueError):
             IntervalState.from_bounds(np.array([0.5]), np.array([0.4]))
+
+
+# quantised levels make ties, exact 0 and 1, and reveals outside the interval common
+_LEVELS = st.one_of(st.integers(0, 8).map(lambda i: i / 8), st.floats(0.0, 1.0), st.just(-0.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_collapse_many_matches_sequential_collapse_to(data):
+    n = data.draw(st.integers(1, 20))
+    bounds = data.draw(st.lists(st.tuples(_LEVELS, _LEVELS), min_size=n, max_size=n))
+    state = _state([(min(a, b), max(a, b)) for a, b in bounds])
+    state.conflicts = data.draw(st.integers(0, 3))
+    items = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    values = data.draw(st.lists(_LEVELS, min_size=len(items), max_size=len(items)))
+    expected = state.copy()
+    for x, value in zip(items, values):
+        expected.collapse_to(x, value)
+    state.collapse_many(np.array(items, dtype=np.int64), np.array(values, dtype=float))
+    for name in ("lower", "upper", "collapsed"):
+        assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
+    assert state.conflicts == expected.conflicts

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from topkcert._hashing import ROW_BLOCK
 from topkcert.core import Instance
 from topkcert.oracles import (
     BudgetExceededError,
@@ -41,6 +42,28 @@ class TestWeakOracle:
             block = b.pull_block(x, 8)
             singles = [c.pull(x) for _ in range(8)]
             assert list(matrix[x]) == list(block) == singles
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_pull_all_matches_scalar_paths_across_row_blocks(self, clamp):
+        n = 2 * ROW_BLOCK + 37
+        inst = Instance(values=np.random.default_rng(3).random(n), k=5)
+        # sigma wide enough that clamping changes some observations
+        a, b, c = (WeakOracle(inst, sigma=0.3, seed=11, clamp=clamp) for _ in range(3))
+        for weak in (a, b, c):
+            weak.pull_all(2)
+        matrix = a.pull_all(3)
+        blocks = np.array([b.pull_block(x, 3) for x in range(n)])
+        singles = np.array([[c.pull(x) for _ in range(3)] for x in range(n)])
+        assert matrix.tobytes() == blocks.tobytes() == singles.tobytes()
+        assert clamp == bool(np.any((matrix == 0.0) | (matrix == 1.0)))
+
+    def test_pull_rejects_out_of_range_item(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        for x in (-1, instance.n):
+            with pytest.raises(ValueError):
+                weak.pull(x)
+        assert weak.total_pulls == 0
+        assert not weak.pulls_per_item.any()
 
     def test_streams_differ_across_items_and_seeds(self, instance):
         weak = WeakOracle(instance, sigma=0.1, seed=1)
@@ -102,6 +125,13 @@ class TestStrongOracle:
         assert strong.query(3) == instance.values[3]
         assert strong.calls == 2
         assert strong.trace == [3, 3]
+
+    def test_query_rejects_out_of_range_item(self, instance):
+        strong = StrongOracle(instance)
+        for x in (-1, instance.n):
+            with pytest.raises(ValueError):
+                strong.query(x)
+        assert strong.calls == 0 and strong.trace == []
 
     def test_cap(self, instance):
         strong = StrongOracle(instance, cap=0)
