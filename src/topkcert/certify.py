@@ -34,15 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .confidence import (
-    CiMethod,
-    DeltaBudget,
-    SubGaussian,
-    anytime_subgaussian_radius,
-    build_fixed_intervals,
-    ci_method_from_config,
-    epoch_delta,
-)
+from .confidence import CiMethod, DeltaBudget, build_fixed_intervals, ci_method_from_config
 from .core import IntervalState, ambiguous_set, epsilon_max, kth_largest
 from .validation import check_int, check_k
 
@@ -156,7 +148,31 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
 
 
 class BaseCertifier:
-    """Estimator-style base: constructor params + fit(weak, strong)."""
+    """Estimator-style base: constructor params + fit(weak, strong).
+
+    ``_run`` is the one run template: resolve n and k, answer k == 0 or
+    k == n without oracle access, run the weak phase (a uniform screen of
+    ``n_weak`` pulls per item unless an initial state is given), then the
+    subclass's ``_strong_phase`` on a copy of the weak state.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        delta: float = 0.05,
+        n_weak: int = 12,
+        ci_method: str | CiMethod = "subgaussian",
+        ci_sigma: float = 0.1,
+        ci_range: float = 1.0,
+        delta_weak_fraction: float = 1.0,
+    ):
+        self.k = k
+        self.delta = delta
+        self.n_weak = n_weak
+        self.ci_method = ci_method
+        self.ci_sigma = ci_sigma
+        self.ci_range = ci_range
+        self.delta_weak_fraction = delta_weak_fraction
 
     def get_params(self, deep: bool = True) -> dict:
         params = inspect.signature(type(self).__init__).parameters
@@ -181,24 +197,30 @@ class BaseCertifier:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
-    # internal helpers shared by the weak-phase algorithms
+    def _run(self, weak, strong, initial_state) -> CertificationReport:
+        n = initial_state.n if initial_state is not None else weak.n_items
+        if strong is not None and strong.n_items != n:
+            raise ValueError("weak and strong oracles disagree on the number of items")
+        k = check_k(self.k, n, allow_zero=True)
+        if k == 0 or k == n:
+            return _trivial_report(n, k)
+        pulls_before = 0 if weak is None else weak.total_pulls
+        weak_state = self._weak_phase(weak, initial_state, n, k)
+        weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
+        work = weak_state.copy()
+        selected, trace = self._strong_phase(work, k, strong)
+        return self._report(k, selected, weak_state, work, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
         if isinstance(self.ci_method, str):
             return ci_method_from_config(self.ci_method, self.ci_sigma, self.ci_range)
         return self.ci_method
 
-    def _n_items(self, weak, strong, initial_state) -> int:
-        n = initial_state.n if initial_state is not None else weak.n_items
-        if strong is not None and strong.n_items != n:
-            raise ValueError("weak and strong oracles disagree on the number of items")
-        return n
-
-    def _weak_state(self, weak, initial_state, n: int, anytime: bool = False) -> IntervalState:
+    def _weak_phase(self, weak, initial_state, n: int, k: int) -> IntervalState:
         if initial_state is not None:
             return initial_state.copy()
         budget = DeltaBudget.split(self.delta, n, self.delta_weak_fraction)
-        return build_fixed_intervals(weak, self.n_weak, budget, self._method(), anytime=anytime)
+        return build_fixed_intervals(weak, self.n_weak, budget, self._method())
 
     def _report(
         self,
@@ -235,47 +257,19 @@ class ScreenThenCertify(BaseCertifier):
     calls therefore equal the ambiguous-set size on every run.
     """
 
-    def __init__(
-        self,
-        k: int,
-        delta: float = 0.05,
-        n_weak: int = 12,
-        ci_method: str | CiMethod = "subgaussian",
-        ci_sigma: float = 0.1,
-        ci_range: float = 1.0,
-        delta_weak_fraction: float = 1.0,
-    ):
-        self.k = k
-        self.delta = delta
-        self.n_weak = n_weak
-        self.ci_method = ci_method
-        self.ci_sigma = ci_sigma
-        self.ci_range = ci_range
-        self.delta_weak_fraction = delta_weak_fraction
-
-    def _run(self, weak, strong, initial_state) -> CertificationReport:
-        n = self._n_items(weak, strong, initial_state)
-        k = check_k(self.k, n, allow_zero=True)
-        if k == 0 or k == n:
-            return _trivial_report(n, k)
-        pulls_before = 0 if weak is None else weak.total_pulls
-        weak_state = self._weak_state(weak, initial_state, n)
-        weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
-
-        u_k = kth_largest(weak_state.upper, k)
-        clear_in = np.flatnonzero(weak_state.lower > u_k)
-        amb = ambiguous_set(weak_state, k)
+    def _strong_phase(self, work: IntervalState, k: int, strong):
+        u_k = kth_largest(work.upper, k)
+        clear_in = np.flatnonzero(work.lower > u_k)
+        amb = ambiguous_set(work, k)
         trace = amb.tolist()
         query = strong.query
         revealed = np.array([query(x) for x in trace], dtype=np.float64)
-        work = weak_state.copy()
         work.collapse_many(amb, revealed)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
         # amb is ascending, so a stable sort breaks value ties by index
         chosen = amb[np.argsort(-revealed, kind="stable")[:need]]
-        selected = np.concatenate([clear_in, chosen])
-        return self._report(k, selected, weak_state, work, trace, weak_pulls)
+        return np.concatenate([clear_in, chosen]), trace
 
 
 class AdaptiveCertify(BaseCertifier):
@@ -290,35 +284,7 @@ class AdaptiveCertify(BaseCertifier):
     per strong call.
     """
 
-    def __init__(
-        self,
-        k: int,
-        delta: float = 0.05,
-        n_weak: int = 12,
-        ci_method: str | CiMethod = "subgaussian",
-        ci_sigma: float = 0.1,
-        ci_range: float = 1.0,
-        delta_weak_fraction: float = 1.0,
-    ):
-        self.k = k
-        self.delta = delta
-        self.n_weak = n_weak
-        self.ci_method = ci_method
-        self.ci_sigma = ci_sigma
-        self.ci_range = ci_range
-        self.delta_weak_fraction = delta_weak_fraction
-
-    def _run(self, weak, strong, initial_state) -> CertificationReport:
-        n = self._n_items(weak, strong, initial_state)
-        k = check_k(self.k, n, allow_zero=True)
-        if k == 0 or k == n:
-            return _trivial_report(n, k)
-        pulls_before = 0 if weak is None else weak.total_pulls
-        weak_state = self._weak_state(weak, initial_state, n)
-        weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
-        work = weak_state.copy()
-        selected, trace = _ace_loop(work, k, strong)
-        return self._report(k, selected, weak_state, work, trace, weak_pulls)
+    _strong_phase = staticmethod(_ace_loop)
 
 
 class _KthLargestOfRising:
@@ -350,7 +316,7 @@ class _KthLargestOfRising:
         return t
 
 
-class AdaptiveCertifyWeak(BaseCertifier):
+class AdaptiveCertifyWeak(AdaptiveCertify):
     """Two-phase fully adaptive certification.
 
     Phase I (adaptive weak allocation): warm-start every item with ``w_min``
@@ -387,13 +353,9 @@ class AdaptiveCertifyWeak(BaseCertifier):
         self.ci_range = ci_range
         self.delta_weak_fraction = delta_weak_fraction
 
-    def _run(self, weak, strong, initial_state) -> CertificationReport:
+    def _weak_phase(self, weak, initial_state, n: int, k: int) -> IntervalState:
         if initial_state is not None:
             raise ValueError("adaptive weak allocation requires live oracle access")
-        n = self._n_items(weak, strong, None)
-        k = check_k(self.k, n, allow_zero=True)
-        if k == 0 or k == n:
-            return _trivial_report(n, k)
         w_min = check_int(self.w_min, "w_min", minimum=1)
         budget = check_int(
             self.weak_budget if self.weak_budget is not None else 12 * n,
@@ -403,51 +365,28 @@ class AdaptiveCertifyWeak(BaseCertifier):
         w_max = budget if self.w_max is None else check_int(self.w_max, "w_max", minimum=w_min)
         if budget < n * w_min:
             raise ValueError(f"weak_budget={budget} cannot warm-start {n} items with w_min={w_min}")
-
-        pulls_before = weak.total_pulls
-        weak_state = self._phase1(weak, n, k, w_min, w_max, budget)
-        weak_pulls = weak.total_pulls - pulls_before
-        work = weak_state.copy()
-        selected, trace = _ace_loop(work, k, strong)
-        return self._report(k, selected, weak_state, work, trace, weak_pulls)
+        return self._phase1(weak, n, k, w_min, w_max, budget)
 
     def _phase1(self, weak, n, k, w_min, w_max, budget) -> IntervalState:
         method = self._method()
         delta_x = DeltaBudget.split(self.delta, n, self.delta_weak_fraction).per_item
-        subgaussian = isinstance(method, SubGaussian)
-        support = getattr(method, "support_range", 1.0)
 
         obs = weak.pull_all(w_min)
         means_arr = obs.mean(axis=1)
-        m2_arr = obs.var(axis=1, ddof=1) * (w_min - 1) if w_min >= 2 else np.zeros(n)
-        if subgaussian:
-            r0 = anytime_subgaussian_radius(method.sigma, w_min, delta_x)
-            radii = np.full(n, r0)
-        else:
-            log_term = math.log(3.0 / epoch_delta(delta_x, w_min))
-            if w_min == 1:
-                radii = np.full(n, support * math.sqrt(math.log(2.0 / epoch_delta(delta_x, 1)) / 2.0))
-            else:
-                variances = m2_arr / (w_min - 1)
-                radii = np.sqrt(2.0 * variances * log_term / w_min) + 3.0 * support * log_term / w_min
-
+        variances = obs.var(axis=1, ddof=1) if w_min >= 2 else np.zeros(n)
+        radii = method.batch_radius(w_min, variances, delta_x, anytime=True)
         lower_arr = np.clip(means_arr - radii, 0.0, 1.0)
         upper_arr = np.clip(means_arr + radii, 0.0, 1.0)
         lower = lower_arr.tolist()
         upper = upper_arr.tolist()
         means = means_arr.tolist()
-        m2 = m2_arr.tolist()
+        m2 = (variances * (w_min - 1)).tolist()
         counts = [w_min] * n
         budget_left = budget - n * w_min
         conflicts = 0
-
-        # sub-Gaussian time-uniform radii depend only on the pull count, so a
-        # lazily grown lookup table serves the whole loop
-        if subgaussian:
-            sigma = method.sigma
-            radius_table = [math.nan] + [
-                anytime_subgaussian_radius(sigma, c, delta_x) for c in range(1, w_min + 2)
-            ]
+        # per pull count c, the (log term, offset) of the radius
+        # sqrt(2 V L / c) + offset, memoised as the counts grow
+        terms = [None]
 
         # Only the k-th largest bounds l_k and u_k are read.  -upper only
         # rises, and its (n - k + 1)-th largest is -u_k.
@@ -491,17 +430,11 @@ class AdaptiveCertifyWeak(BaseCertifier):
             means[x] = mu
             m2x = m2[x] + d * (value - mu)
             m2[x] = m2x
-            if subgaussian:
-                if c >= len(radius_table):
-                    radius_table.extend(
-                        anytime_subgaussian_radius(sigma, cc, delta_x)
-                        for cc in range(len(radius_table), 2 * c)
-                    )
-                r = radius_table[c]
-            else:
-                delta_w = epoch_delta(delta_x, c)
-                log_term = math.log(3.0 / delta_w)
-                r = math.sqrt(2.0 * (m2x / (c - 1)) * log_term / c) + 3.0 * support * log_term / c
+            if c >= len(terms):
+                terms.extend(method.terms(cc, delta_x, True) for cc in range(len(terms), 2 * c))
+            log_term, offset = terms[c]
+            # a sub-Gaussian radius has no variance term; skip its arithmetic
+            r = math.sqrt(2.0 * (m2x / (c - 1)) * log_term / c) + offset if log_term else offset
             new_lo = mu - r
             new_hi = mu + r
             if new_lo < 0.0:
@@ -542,39 +475,14 @@ class ThresholdCertify(BaseCertifier):
     belong to the top-k.
     """
 
-    def __init__(
-        self,
-        k: int,
-        delta: float = 0.05,
-        n_weak: int = 12,
-        ci_method: str | CiMethod = "subgaussian",
-        ci_sigma: float = 0.1,
-        ci_range: float = 1.0,
-        delta_weak_fraction: float = 1.0,
-    ):
-        self.k = k
-        self.delta = delta
-        self.n_weak = n_weak
-        self.ci_method = ci_method
-        self.ci_sigma = ci_sigma
-        self.ci_range = ci_range
-        self.delta_weak_fraction = delta_weak_fraction
-
-    def _run(self, weak, strong, initial_state) -> CertificationReport:
-        n = self._n_items(weak, strong, initial_state)
-        k = check_k(self.k, n, allow_zero=True)
-        if k == 0 or k == n:
-            return _trivial_report(n, k)
-        pulls_before = 0 if weak is None else weak.total_pulls
-        weak_state = self._weak_state(weak, initial_state, n)
-        weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
-
+    def _strong_phase(self, work: IntervalState, k: int, strong):
+        n = work.n
         # stable, so equal estimates are queried by ascending index
-        order = np.argsort(-weak_state.point_estimates(), kind="stable")
+        order = np.argsort(-work.point_estimates(), kind="stable")
         # largest weak upper bound over each suffix of the query order
         suffix_max = np.empty(n + 1)
         suffix_max[n] = -np.inf
-        suffix_max[:n] = np.maximum.accumulate(weak_state.upper[order][::-1])[::-1]
+        suffix_max[:n] = np.maximum.accumulate(work.upper[order][::-1])[::-1]
 
         trace: list[int] = []
         values: list[float] = []
@@ -591,10 +499,8 @@ class ThresholdCertify(BaseCertifier):
                 break
         verified = np.asarray(trace, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
-        work = weak_state.copy()
         work.collapse_many(verified, vals)
-        selected = verified[np.lexsort((verified, -vals))[:k]]
-        return self._report(k, selected, weak_state, work, trace, weak_pulls)
+        return verified[np.lexsort((verified, -vals))[:k]], trace
 
 
 class BruteForceCertify(BaseCertifier):

@@ -8,56 +8,37 @@ command-line flags.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
+from .certify import ALGORITHMS
+from .confidence import _METHOD_NAMES
+from .core import true_top_k
 from .harness import (
     BASE_DEFAULTS,
+    CONFIG_KEYS,
+    EXPERIMENTS,
     SweepSpec,
+    gap_instance,
     run_replicate,
+    run_row,
     run_sweep,
     rows_to_csv_text,
     verify_invariants,
     write_rows,
-    _run_row,
 )
-from .core import true_top_k
-from .instances import (
-    GapInstanceSpec,
-    PackingSpec,
-    generate_gap_instance,
-    generate_packing_instance,
-    load_instance,
-    save_instance,
-)
+from .instances import PackingSpec, generate_packing_instance, load_instance, save_instance
+from .oracles import _NOISE_MODELS
 
 ENV_PREFIX = "TOPKCERT_"
 
-_BOOL_KEYS = {"ci.clamp"}
-_INT_KEYS = {"n", "k", "n_weak", "weak_budget", "w_min", "w_max", "near_ties", "oracle.seed", "oracle.strong_cap"}
-_FLOAT_KEYS = {"gap", "delta", "delta_weak_fraction", "tail_fraction", "oracle.sigma", "ci.sigma", "ci.range"}
+_CHOICES = {"oracle.noise": _NOISE_MODELS, "ci.method": tuple(_METHOD_NAMES)}
 
-_FLAG_TO_KEY = {
-    "n": "n",
-    "k": "k",
-    "gap": "gap",
-    "delta": "delta",
-    "delta_weak_fraction": "delta_weak_fraction",
-    "n_weak": "n_weak",
-    "weak_budget": "weak_budget",
-    "w_min": "w_min",
-    "w_max": "w_max",
-    "near_ties": "near_ties",
-    "tail_fraction": "tail_fraction",
-    "noise": "oracle.noise",
-    "sigma": "oracle.sigma",
-    "seed": "oracle.seed",
-    "strong_cap": "oracle.strong_cap",
-    "ci_method": "ci.method",
-    "ci_sigma": "ci.sigma",
-    "ci_range": "ci.range",
-    "ci_clamp": "ci.clamp",
-}
+
+def _dest(key: str) -> str:
+    """A key's argparse dest: no ``oracle.`` prefix, ``.`` as ``_``; its flag spells ``_`` as ``-``."""
+    return key.removeprefix("oracle.").replace(".", "_")
 
 
 def _coerce(key: str, raw):
@@ -66,13 +47,10 @@ def _coerce(key: str, raw):
     text = str(raw).strip()
     if text == "" or text.lower() == "none":
         return None
-    if key in _BOOL_KEYS:
+    kind = CONFIG_KEYS[key][0]
+    if kind is bool:
         return text.lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    return text
+    return kind(text)
 
 
 def _read_config_file(path: str) -> dict:
@@ -97,38 +75,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 raise SystemExit(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, value)
     for key in cfg:
-        env_name = ENV_PREFIX + key.upper().replace(".", "_")
-        if env_name in os.environ:
-            cfg[key] = _coerce(key, os.environ[env_name])
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[key] = _coerce(key, value)
+        env_value = os.environ.get(ENV_PREFIX + key.upper().replace(".", "_"))
+        for raw in (env_value, getattr(args, _dest(key), None)):
+            if raw is not None:
+                cfg[key] = _coerce(key, raw)
     return cfg
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--gap", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--delta-weak-fraction", dest="delta_weak_fraction", type=float)
-    parser.add_argument("--n-weak", dest="n_weak", type=int)
-    parser.add_argument("--weak-budget", dest="weak_budget", type=int)
-    parser.add_argument("--w-min", dest="w_min", type=int)
-    parser.add_argument("--w-max", dest="w_max", type=int)
-    parser.add_argument("--near-ties", dest="near_ties", type=int)
-    parser.add_argument("--tail-fraction", dest="tail_fraction", type=float)
-    parser.add_argument("--noise", choices=("gaussian", "exact"))
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--strong-cap", dest="strong_cap", type=int)
-    parser.add_argument("--ci-method", dest="ci_method",
-                        choices=("subgaussian", "empirical_bernstein", "anytime_empirical_bernstein"))
-    parser.add_argument("--ci-sigma", dest="ci_sigma", type=float)
-    parser.add_argument("--ci-range", dest="ci_range", type=float)
-    parser.add_argument("--ci-clamp", dest="ci_clamp", action="store_const", const=True)
+    for key, (kind, _) in CONFIG_KEYS.items():
+        dest = _dest(key)
+        flag = "--" + dest.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, dest=dest, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=dest, type=kind, choices=_CHOICES.get(key))
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -147,19 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one algorithm on one instance")
     _add_common(p_run)
-    p_run.add_argument("--algo", required=True, choices=("stc", "ace", "ace_w", "ta", "brute"))
+    p_run.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     p_run.add_argument("--instance", help="instance CSV; generated when omitted")
     p_run.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_run.add_argument("--timing", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and write rows")
     _add_common(p_sweep)
-    p_sweep.add_argument("--experiment", required=True,
-                         choices=("scaling_n", "scaling_k", "hardness", "lower_bound", "coverage"))
+    p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated swept values")
     p_sweep.add_argument("--replicates", type=int, default=10)
     p_sweep.add_argument("--algorithms", default="stc,ace,ace_w,ta")
-    p_sweep.add_argument("--base-seed", dest="base_seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_sweep.add_argument("--timing", action="store_true")
@@ -179,29 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = resolve_config(args)
     seed = cfg["oracle.seed"]
-    if args.instance:
-        instance = load_instance(args.instance, k=cfg["k"])
-    else:
-        instance = generate_gap_instance(
-            GapInstanceSpec(
-                n=cfg["n"],
-                k=cfg["k"],
-                gap=cfg["gap"],
-                near_ties=cfg["near_ties"],
-                tail_fraction=cfg["tail_fraction"],
-                seed=seed,
-            )
-        )
-    results = run_replicate(instance, seed, [args.algo], cfg, timing=args.timing)
-    spec = SweepSpec(experiment="scaling_n", grid=[instance.n], base=cfg, algorithms=[args.algo])
-    rows = [_run_row(spec, cfg, instance.n, seed, results[0], instance, true_top_k(instance))]
+    instance = load_instance(args.instance, k=cfg["k"]) if args.instance else gap_instance(cfg, seed)
+    result = run_replicate(instance, seed, [args.algo], cfg, timing=args.timing)[0]
+    row = run_row("run", cfg, seed, result, instance, true_top_k(instance))
     if args.format == "jsonl":
-        import json
-
-        sys.stdout.write(json.dumps(rows[0].as_dict()) + "\n")
+        sys.stdout.write(json.dumps(row.as_dict()) + "\n")
     else:
-        sys.stdout.write(rows_to_csv_text(rows))
-    return 0 if results[0].error is None else 1
+        sys.stdout.write(rows_to_csv_text([row]))
+    return 0 if result.error is None else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -217,7 +162,7 @@ def _cmd_sweep(args) -> int:
         replicates=args.replicates,
         base=cfg,
         algorithms=tuple(part for part in args.algorithms.split(",") if part),
-        base_seed=args.base_seed,
+        base_seed=cfg["oracle.seed"],
         timing=args.timing,
     )
     rows = run_sweep(spec)
@@ -236,16 +181,7 @@ def _cmd_gen(args) -> int:
             PackingSpec(n=cfg["n"], k=cfg["k"], m=args.m), seed=cfg["oracle.seed"]
         )
     else:
-        instance = generate_gap_instance(
-            GapInstanceSpec(
-                n=cfg["n"],
-                k=cfg["k"],
-                gap=cfg["gap"],
-                near_ties=cfg["near_ties"],
-                tail_fraction=cfg["tail_fraction"],
-                seed=cfg["oracle.seed"],
-            )
-        )
+        instance = gap_instance(cfg, cfg["oracle.seed"])
     save_instance(instance, args.out)
     print(f"wrote {instance.n} items to {args.out}")
     return 0

@@ -36,8 +36,51 @@ from .validation import check_int, check_positive, check_probability
 _PI2_OVER_6 = math.pi**2 / 6.0
 
 
+def epoch_delta(delta_x: float, count: int) -> float:
+    """Failure budget charged at pull count `count` of the anytime schedule."""
+    epoch = count.bit_length() - 1
+    return delta_x / (_PI2_OVER_6 * (epoch + 1) ** 2)
+
+
+class _Radius:
+    """The one radius form: sqrt(2 V L / N) + offset after N pulls.
+
+    Each method supplies ``terms(count, delta_x, anytime)``, the log term L
+    that scales the sample variance V and the offset added to it.  The
+    anytime schedule charges pull count N its epoch budget instead of
+    delta_x; it applies with ``anytime=True`` or when the method is anytime.
+    """
+
+    anytime = False
+    reads_variance = True
+
+    def radius(self, count: int, variance, delta_x: float, anytime: bool = False):
+        """Half-width after `count` pulls; `variance` is a scalar or an array.
+
+        The anytime radius reads V as a pull-by-pull phase holds it,
+        m2 / (count - 1); see :meth:`batch_radius`.
+        """
+        anytime = anytime or self.anytime
+        minimum = 1 if anytime else self.min_count
+        if count < minimum:
+            raise ValueError(f"{type(self).__name__} needs at least {minimum} pulls, got {count}")
+        log_term, offset = self.terms(count, delta_x, anytime)
+        return np.sqrt(2.0 * variance * log_term / count) + offset
+
+    def batch_radius(self, count: int, variances, delta_x: float, anytime: bool = False):
+        """``radius`` for the sample variances of batches of `count` pulls.
+
+        On the anytime schedule a batch variance first becomes the running
+        sum of squared deviations m2 = V (count - 1), as after sequential
+        pulls, so both paths give bit-identical radii.
+        """
+        if (anytime or self.anytime) and count > 1:
+            variances = variances * (count - 1) / (count - 1)
+        return self.radius(count, variances, delta_x, anytime)
+
+
 @dataclass(frozen=True)
-class SubGaussian:
+class SubGaussian(_Radius):
     """Known-scale sub-Gaussian interval construction."""
 
     sigma: float = 0.1
@@ -46,10 +89,17 @@ class SubGaussian:
         check_positive(self.sigma, "sigma")
 
     min_count = 1
+    reads_variance = False
+
+    def terms(self, count: int, delta_x: float, anytime: bool = False) -> tuple[float, float]:
+        """No variance term: the offset is sigma sqrt(2 ln(2/d) / N)."""
+        if anytime:
+            delta_x = epoch_delta(delta_x, count)
+        return 0.0, self.sigma * math.sqrt(2.0 * math.log(2.0 / delta_x) / count)
 
 
 @dataclass(frozen=True)
-class EmpiricalBernstein:
+class EmpiricalBernstein(_Radius):
     """Maurer-Pontil style empirical-Bernstein intervals for bounded noise."""
 
     support_range: float = 1.0
@@ -59,17 +109,27 @@ class EmpiricalBernstein:
 
     min_count = 2
 
+    def terms(self, count: int, delta_x: float, anytime: bool = False) -> tuple[float, float]:
+        """L = ln(3/d) and the range offset 3 R L / N.
+
+        At a single pull of the anytime schedule there is no variance
+        estimate, so the radius falls back to the range-based Hoeffding
+        half-width at the epoch budget.
+        """
+        if anytime:
+            delta_x = epoch_delta(delta_x, count)
+            if count == 1:
+                return 0.0, self.support_range * math.sqrt(math.log(2.0 / delta_x) / 2.0)
+        log_term = math.log(3.0 / delta_x)
+        return log_term, 3.0 * self.support_range * log_term / count
+
 
 @dataclass(frozen=True)
-class AnytimeEmpiricalBernstein:
+class AnytimeEmpiricalBernstein(EmpiricalBernstein):
     """Empirical-Bernstein confidence sequence, valid at every pull count."""
 
-    support_range: float = 1.0
-
-    def __post_init__(self):
-        check_positive(self.support_range, "support_range")
-
     min_count = 1
+    anytime = True
 
 
 CiMethod = Union[SubGaussian, EmpiricalBernstein, AnytimeEmpiricalBernstein]
@@ -171,82 +231,29 @@ class StreamStats:
 def fixed_radius(method: CiMethod, stats: StreamStats, delta_x: float) -> float:
     """Half-width of a (1 - delta_x) interval after stats.count pulls."""
     check_probability(delta_x, "delta_x")
-    if stats.count < method.min_count:
-        raise ValueError(
-            f"{type(method).__name__} needs at least {method.min_count} pulls, got {stats.count}"
-        )
-    if isinstance(method, SubGaussian):
-        return method.sigma * math.sqrt(2.0 * math.log(2.0 / delta_x) / stats.count)
-    if isinstance(method, EmpiricalBernstein):
-        log_term = math.log(3.0 / delta_x)
-        r = method.support_range
-        return math.sqrt(2.0 * stats.variance * log_term / stats.count) + 3.0 * r * log_term / stats.count
-    if isinstance(method, AnytimeEmpiricalBernstein):
-        return anytime_radius(stats, delta_x, method.support_range)
-    raise TypeError(f"unknown CI method {method!r}")
-
-
-def epoch_delta(delta_x: float, count: int) -> float:
-    """Failure budget charged at pull count `count` of the anytime schedule."""
-    epoch = count.bit_length() - 1
-    return delta_x / (_PI2_OVER_6 * (epoch + 1) ** 2)
+    variance = stats.variance if stats.count >= 2 else 0.0
+    return float(method.radius(stats.count, variance, delta_x))
 
 
 def anytime_radius(stats: StreamStats, delta_x: float, support_range: float = 1.0) -> float:
-    """Empirical-Bernstein sequence radius, valid for all pull counts at once.
-
-    At a single observation there is no variance estimate, so the radius
-    falls back to the range-based Hoeffding half-width at the epoch budget.
-    """
-    check_probability(delta_x, "delta_x")
-    if stats.count < 1:
-        raise ValueError("anytime radius needs at least one pull")
-    delta_w = epoch_delta(delta_x, stats.count)
-    if stats.count == 1:
-        return support_range * math.sqrt(math.log(2.0 / delta_w) / 2.0)
-    log_term = math.log(3.0 / delta_w)
-    return (
-        math.sqrt(2.0 * stats.variance * log_term / stats.count)
-        + 3.0 * support_range * log_term / stats.count
-    )
+    """Empirical-Bernstein sequence radius, valid for all pull counts at once."""
+    return fixed_radius(AnytimeEmpiricalBernstein(support_range), stats, delta_x)
 
 
 def anytime_subgaussian_radius(sigma: float, count: int, delta_x: float) -> float:
     """Sub-Gaussian sequence radius under the same doubling-epoch schedule."""
-    delta_w = epoch_delta(delta_x, count)
-    return sigma * math.sqrt(2.0 * math.log(2.0 / delta_w) / count)
+    return float(SubGaussian(sigma).radius(count, 0.0, delta_x, anytime=True))
 
 
-def _fixed_radii(method: CiMethod, counts: np.ndarray, variances, delta_x: float) -> np.ndarray:
-    """Vectorized fixed_radius over per-item counts/variances."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if isinstance(method, SubGaussian):
-        return method.sigma * np.sqrt(2.0 * math.log(2.0 / delta_x) / counts)
-    if isinstance(method, EmpiricalBernstein):
-        log_term = math.log(3.0 / delta_x)
-        variances = np.asarray(variances, dtype=np.float64)
-        return np.sqrt(2.0 * variances * log_term / counts) + 3.0 * method.support_range * log_term / counts
-    if isinstance(method, AnytimeEmpiricalBernstein):
-        check_probability(delta_x, "delta_x")
-        variances = np.asarray(variances, dtype=np.float64)
-        whole = counts.astype(np.int64)
-        out = np.empty_like(counts)
-        support = method.support_range
-        # per distinct count, the same operations anytime_radius applies to a
-        # StreamStats with m2 = variance * (count - 1)
-        for c in np.unique(whole).tolist():
-            if c < 1:
-                raise ValueError("anytime radius needs at least one pull")
-            at = whole == c
-            delta_w = epoch_delta(delta_x, c)
-            if c == 1:
-                out[at] = support * math.sqrt(math.log(2.0 / delta_w) / 2.0)
-                continue
-            log_term = math.log(3.0 / delta_w)
-            variance = variances[at] * (c - 1) / (c - 1)
-            out[at] = np.sqrt(2.0 * variance * log_term / c) + 3.0 * support * log_term / c
-        return out
-    raise TypeError(f"unknown CI method {method!r}")
+def _fixed_radii(method: CiMethod, counts, variances, delta_x: float) -> np.ndarray:
+    """Radii over per-item pull counts and sample variances, per distinct count."""
+    counts = np.asarray(counts, dtype=np.int64)
+    variances = np.asarray(variances, dtype=np.float64)
+    out = np.empty(counts.shape)
+    for c in np.unique(counts).tolist():
+        at = counts == c
+        out[at] = method.batch_radius(c, variances[at], delta_x)
+    return out
 
 
 def build_fixed_intervals(
@@ -266,44 +273,17 @@ def build_fixed_intervals(
     n_pulls = check_int(n_pulls, "n_pulls", minimum=method.min_count)
     if weak.n_items != budget.n_items:
         raise ValueError("budget sized for a different number of items")
-    delta_x = budget.per_item
     obs = weak.pull_all(n_pulls)
     means = obs.mean(axis=1)
     # sub-Gaussian radii never read the sample variance, whose computation
     # allocates an (n, n_pulls) temporary
-    if n_pulls >= 2 and not isinstance(method, SubGaussian):
-        variances = obs.var(axis=1, ddof=1)
-    else:
-        variances = np.zeros(weak.n_items)
-    counts = np.full(weak.n_items, n_pulls, dtype=np.int64)
-    if anytime:
-        if isinstance(method, SubGaussian):
-            radii = np.full(
-                weak.n_items, anytime_subgaussian_radius(method.sigma, n_pulls, delta_x)
-            )
-        else:
-            log_term = math.log(3.0 / epoch_delta(delta_x, n_pulls))
-            if n_pulls == 1:
-                radii = np.full(
-                    weak.n_items,
-                    method.support_range * math.sqrt(math.log(2.0 / epoch_delta(delta_x, 1)) / 2.0),
-                )
-            else:
-                radii = (
-                    np.sqrt(2.0 * variances * log_term / n_pulls)
-                    + 3.0 * method.support_range * log_term / n_pulls
-                )
-    else:
-        radii = _fixed_radii(method, counts, variances, delta_x)
+    variances = obs.var(axis=1, ddof=1) if n_pulls >= 2 and method.reads_variance else 0.0
+    radii = method.batch_radius(n_pulls, variances, budget.per_item, anytime)
     lower = np.clip(means - radii, 0.0, 1.0)
     upper = np.clip(means + radii, 0.0, 1.0)
+    counts = np.full(weak.n_items, n_pulls, dtype=np.int64)
     return IntervalState.from_bounds(lower, upper, pulls=counts, means=means)
 
 
-def intersect_update(state: IntervalState, item: int, lower: float, upper: float) -> bool:
-    """Shrink item's interval to its intersection with [lower, upper].
-
-    Empty intersections (possible only off the coverage event) are clamped to
-    the boundary point nearest the new interval and flagged on the state.
-    """
-    return state.intersect_update(item, lower, upper)
+# kept as a module-level name for callers that import it from here
+intersect_update = IntervalState.intersect_update

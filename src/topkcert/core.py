@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -51,9 +52,9 @@ class Instance:
     def n(self) -> int:
         return int(self.values.size)
 
-    @property
+    @cached_property
     def threshold(self) -> float:
-        """The k-th largest value."""
+        """The k-th largest value; ``values`` is read-only, so computed once."""
         return kth_largest(self.values, self.k)
 
     @property

@@ -63,27 +63,31 @@ COLUMNS = (
     "note",
 )
 
-BASE_DEFAULTS = {
-    "n": 1000,
-    "k": 100,
-    "gap": 0.05,
-    "delta": 0.05,
-    "delta_weak_fraction": 1.0,
-    "n_weak": 12,
-    "weak_budget": None,
-    "w_min": 6,
-    "w_max": None,
-    "near_ties": None,
-    "tail_fraction": 0.35,
-    "oracle.noise": "gaussian",
-    "oracle.sigma": 0.1,
-    "oracle.seed": 0,
-    "oracle.strong_cap": None,
-    "ci.method": "subgaussian",
-    "ci.sigma": None,
-    "ci.range": 1.0,
-    "ci.clamp": False,
+# Every config key with its type and default.  BASE_DEFAULTS and the CLI's
+# coercion, TOPKCERT_* environment names and flags all derive from it.
+CONFIG_KEYS = {
+    "n": (int, 1000),
+    "k": (int, 100),
+    "gap": (float, 0.05),
+    "delta": (float, 0.05),
+    "delta_weak_fraction": (float, 1.0),
+    "n_weak": (int, 12),
+    "weak_budget": (int, None),
+    "w_min": (int, 6),
+    "w_max": (int, None),
+    "near_ties": (int, None),
+    "tail_fraction": (float, 0.35),
+    "oracle.noise": (str, "gaussian"),
+    "oracle.sigma": (float, 0.1),
+    "oracle.seed": (int, 0),
+    "oracle.strong_cap": (int, None),
+    "ci.method": (str, "subgaussian"),
+    "ci.sigma": (float, None),
+    "ci.range": (float, 1.0),
+    "ci.clamp": (bool, False),
 }
+
+BASE_DEFAULTS = {key: default for key, (_, default) in CONFIG_KEYS.items()}
 
 
 def _fmt(value) -> str:
@@ -163,21 +167,37 @@ def compute_metrics(report: CertificationReport, instance: Instance, truth=None)
     }
 
 
+def gap_instance(cfg: dict, seed: int) -> Instance:
+    """The gap instance of cfg's ``n``, ``k``, ``gap``, ``near_ties`` and ``tail_fraction``."""
+    keys = ("n", "k", "gap", "near_ties", "tail_fraction")
+    return generate_gap_instance(GapInstanceSpec(seed=seed, **{key: cfg[key] for key in keys}))
+
+
+def _weak_budget(cfg: dict, n: int) -> int:
+    """The adaptive weak phase's budget: ``weak_budget``, else ``n_weak`` pulls per item."""
+    return cfg["weak_budget"] if cfg["weak_budget"] is not None else cfg["n_weak"] * n
+
+
+def _weak_oracle(instance: Instance, seed: int, cfg: dict) -> WeakOracle:
+    return WeakOracle(
+        instance, noise=cfg["oracle.noise"], sigma=cfg["oracle.sigma"], seed=seed, clamp=cfg["ci.clamp"]
+    )
+
+
 def _certifier(name: str, k: int, n: int, cfg: dict):
-    ci_sigma = cfg["ci.sigma"] if cfg["ci.sigma"] is not None else cfg["oracle.sigma"]
+    if name == "brute":
+        return ALGORITHMS[name](k)
     common = dict(
         delta=cfg["delta"],
         ci_method=cfg["ci.method"],
-        ci_sigma=ci_sigma,
+        # the interval scale defaults to the weak oracle's noise scale
+        ci_sigma=cfg["ci.sigma"] if cfg["ci.sigma"] is not None else cfg["oracle.sigma"],
         ci_range=cfg["ci.range"],
         delta_weak_fraction=cfg["delta_weak_fraction"],
     )
-    if name == "brute":
-        return ALGORITHMS[name](k)
     if name == "ace_w":
-        budget = cfg["weak_budget"] if cfg["weak_budget"] is not None else cfg["n_weak"] * n
         return ALGORITHMS[name](
-            k, weak_budget=budget, w_min=cfg["w_min"], w_max=cfg["w_max"], **common
+            k, weak_budget=_weak_budget(cfg, n), w_min=cfg["w_min"], w_max=cfg["w_max"], **common
         )
     return ALGORITHMS[name](k, n_weak=cfg["n_weak"], **common)
 
@@ -199,16 +219,13 @@ def run_replicate(
     initial_state=None,
     timing: bool = False,
 ) -> list[ReplicateResult]:
-    """Run several algorithms on one instance with shared weak substreams."""
-    weak = None
-    if initial_state is None:
-        weak = WeakOracle(
-            instance,
-            noise=cfg["oracle.noise"],
-            sigma=cfg["oracle.sigma"],
-            seed=seed,
-            clamp=cfg["ci.clamp"],
-        )
+    """Run several algorithms on one instance with shared weak substreams.
+
+    A config rejection raises ``ValueError`` before the first pull or query
+    and becomes an error result.  A ``ValueError`` raised after oracle access
+    is an algorithm fault and propagates.
+    """
+    weak = _weak_oracle(instance, seed, cfg) if initial_state is None else None
     strong = StrongOracle(instance, cap=cfg["oracle.strong_cap"])
     results = []
     for name in algorithms:
@@ -217,6 +234,9 @@ def run_replicate(
         try:
             certifier.fit(weak, strong, initial_state=initial_state)
         except (BudgetExceededError, ValueError) as err:
+            accessed = strong.calls or (weak is not None and weak.total_pulls)
+            if isinstance(err, ValueError) and accessed:
+                raise
             snapshot_and_reset(weak, strong)
             results.append(ReplicateResult(name, None, None, None, error=str(err)))
             continue
@@ -273,28 +293,21 @@ def _point_instance(spec: SweepSpec, cfg: dict, seed: int):
     if spec.experiment == "lower_bound":
         pack = PackingSpec(n=cfg["n"], k=cfg["k"], m=cfg["m"])
         return generate_packing_instance(pack, seed=seed)
-    gap_spec = GapInstanceSpec(
-        n=cfg["n"],
-        k=cfg["k"],
-        gap=cfg["gap"],
-        near_ties=cfg["near_ties"],
-        tail_fraction=cfg["tail_fraction"],
-        seed=seed,
-    )
-    return generate_gap_instance(gap_spec), None
+    return gap_instance(cfg, seed), None
 
 
-def _run_row(spec, cfg, point, seed, result: ReplicateResult, instance, truth) -> ExperimentRow:
+def run_row(experiment: str, cfg, seed, result: ReplicateResult, instance, truth) -> ExperimentRow:
+    """The CSV row of one algorithm's run, ground-truth metrics included."""
     row = ExperimentRow(
         kind="run",
-        experiment=spec.experiment,
+        experiment=experiment,
         algorithm=result.algorithm,
         n=instance.n,
         k=instance.k,
         gap=cfg["gap"],
         sigma=cfg["oracle.sigma"],
         n_weak=cfg["n_weak"],
-        weak_budget=cfg["weak_budget"] if cfg["weak_budget"] is not None else cfg["n_weak"] * instance.n,
+        weak_budget=_weak_budget(cfg, instance.n),
         w_min=cfg["w_min"],
         w_max=cfg["w_max"],
         delta=cfg["delta"],
@@ -321,17 +334,12 @@ def _run_row(spec, cfg, point, seed, result: ReplicateResult, instance, truth) -
     return row
 
 
-def _coverage_rows(spec: SweepSpec, cfg, point, seed, instance) -> list[ExperimentRow]:
-    from .confidence import DeltaBudget, build_fixed_intervals, ci_method_from_config
-
-    weak = WeakOracle(
-        instance, noise=cfg["oracle.noise"], sigma=cfg["oracle.sigma"], seed=seed, clamp=cfg["ci.clamp"]
-    )
-    ci_sigma = cfg["ci.sigma"] if cfg["ci.sigma"] is not None else cfg["oracle.sigma"]
-    method = ci_method_from_config(cfg["ci.method"], ci_sigma, cfg["ci.range"])
-    budget = DeltaBudget.split(cfg["delta"], instance.n, cfg["delta_weak_fraction"])
-    state = build_fixed_intervals(weak, cfg["n_weak"], budget, method)
-    row = ExperimentRow(
+def _coverage_row(cfg, seed, instance) -> ExperimentRow:
+    weak = _weak_oracle(instance, seed, cfg)
+    # the uniform weak phase every fixed-interval certifier runs
+    certifier = _certifier("stc", instance.k, instance.n, cfg)
+    state = certifier._weak_phase(weak, None, instance.n, instance.k)
+    return ExperimentRow(
         kind="run",
         experiment="coverage",
         algorithm="coverage",
@@ -347,7 +355,6 @@ def _coverage_rows(spec: SweepSpec, cfg, point, seed, instance) -> list[Experime
         eps_max=float(state.radius().max()),
         coverage_held=coverage_event_holds(instance, state),
     )
-    return [row]
 
 
 def run_sweep(spec: SweepSpec) -> list[ExperimentRow]:
@@ -372,7 +379,7 @@ def run_sweep(spec: SweepSpec) -> list[ExperimentRow]:
                 rows.append(row)
                 continue
             if spec.experiment == "coverage":
-                point_rows = _coverage_rows(spec, cfg, point, seed, instance)
+                point_rows = [_coverage_row(cfg, seed, instance)]
             else:
                 truth = true_top_k(instance)
                 results = run_replicate(
@@ -384,7 +391,7 @@ def run_sweep(spec: SweepSpec) -> list[ExperimentRow]:
                     timing=spec.timing,
                 )
                 point_rows = [
-                    _run_row(spec, cfg, point, seed, result, instance, truth)
+                    run_row(spec.experiment, cfg, seed, result, instance, truth)
                     for result in results
                 ]
             rows.extend(point_rows)
@@ -473,15 +480,7 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
     problems: list[str] = []
     algorithms = ("stc", "ace", "ace_w", "ta")
     for seed in seeds:
-        spec = GapInstanceSpec(
-            n=full["n"],
-            k=full["k"],
-            gap=full["gap"],
-            near_ties=full["near_ties"],
-            tail_fraction=full["tail_fraction"],
-            seed=seed,
-        )
-        instance = generate_gap_instance(spec)
+        instance = gap_instance(full, seed)
         truth = tuple(int(x) for x in true_top_k(instance))
         results = run_replicate(instance, seed, algorithms, full)
         by_name = {res.algorithm: res for res in results}
@@ -509,7 +508,7 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
                 problems.append(f"seed {seed}: adaptive queried outside the ambiguous set")
         acew_res = by_name.get("ace_w")
         if acew_res and acew_res.report is not None and acew_res.stats is not None:
-            budget = full["weak_budget"] if full["weak_budget"] is not None else full["n_weak"] * instance.n
+            budget = _weak_budget(full, instance.n)
             w_max = full["w_max"] if full["w_max"] is not None else budget
             if acew_res.stats.weak_pulls_total > budget:
                 problems.append(f"seed {seed}: adaptive weak phase overspent its budget")

@@ -16,12 +16,12 @@ returns both the hidden values and the prescribed interval state.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .confidence import SubGaussian
 from .core import Instance, IntervalState
 from .validation import check_int, check_k, check_positive, check_probability
 
@@ -184,7 +184,7 @@ def sigma_for_target_radius(radius: float, n_pulls: int, delta_x: float) -> floa
     check_positive(radius, "radius")
     n_pulls = check_int(n_pulls, "n_pulls", minimum=1)
     check_probability(delta_x, "delta_x")
-    return radius / math.sqrt(2.0 * math.log(2.0 / delta_x) / n_pulls)
+    return radius / float(SubGaussian(1.0).radius(n_pulls, 0.0, delta_x))
 
 
 def save_instance(instance: Instance, path) -> None:
