@@ -6,11 +6,16 @@ normal CDF when Gaussian noise is required.  The scalar (Python int) and
 vectorized (uint64 ndarray) code paths produce bit-identical doubles, which is
 what makes single-pull adaptive loops and bulk weak phases replay-consistent.
 
-The bulk (n, count) matrix of a uniform weak phase is built in blocks of
-``ROW_BLOCK`` rows: each block runs the hash, the inverse CDF, the scaling and
-the offset in place inside the output, so the only full-size array is the
-result and the per-block scratch stays cache-sized.  Every step is the same
-elementwise operation the scalar path applies, so blocking changes no bit.
+There is one vectorized path, ``gaussian_rows``: row r holds the draws of one
+item from its own start position on.  The bulk (n, count) matrix of a uniform
+weak phase (``gaussian_matrix``) is the case where every row starts at the
+same position, and one item's block (``gaussian_block``) the case of a single
+row.  Rows are built in blocks of ``ROW_BLOCK``: each block runs the hash, the
+inverse CDF, the scaling and the offset in place inside the output, so the
+only full-size array is the result and the per-block scratch stays
+cache-sized.  Every step is the same elementwise operation the scalar path
+applies, so neither blocking nor the choice of rows changes a bit.  That is
+also why draws may be computed ahead of the pulls that consume them.
 """
 
 from __future__ import annotations
@@ -60,26 +65,15 @@ def item_keys(seed: int, n: int) -> np.ndarray:
     return mix64_array(np.uint64(base) ^ items)
 
 
-def uniform_scalar(key: int, t: int) -> float:
-    """Uniform double in (0, 1) for pull index t of one item."""
-    z = mix64(key ^ t)
-    return ((z >> 11) + 0.5) * _INV_2_53
-
-
-def uniform_block(key: int, t0: int, count: int) -> np.ndarray:
-    """Uniforms for pull indexes t0 .. t0+count-1 of one item."""
-    ts = np.arange(t0, t0 + count, dtype=np.uint64)
-    z = mix64_array(np.uint64(key) ^ ts)
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-
-
 def gaussian_scalar(key: int, t: int, sigma: float) -> float:
-    """sigma * standard normal for pull index t, via inverse-CDF."""
-    return sigma * float(ndtri(uniform_scalar(key, t)))
+    """sigma * standard normal for pull index t, via inverse-CDF of a uniform in (0, 1)."""
+    z = mix64(key ^ t)
+    return sigma * float(ndtri(((z >> 11) + 0.5) * _INV_2_53))
 
 
 def gaussian_block(key: int, t0: int, count: int, sigma: float) -> np.ndarray:
-    return sigma * ndtri(uniform_block(key, t0, count))
+    """sigma * N(0, 1) for pull indexes t0 .. t0+count-1 of one item."""
+    return gaussian_rows(np.array([key], dtype=np.uint64), t0, count, sigma)[0]
 
 
 def gaussian_matrix(
@@ -90,14 +84,28 @@ def gaussian_matrix(
     Bit-identical to ``offsets[:, None] + gaussian_block(keys[x], t0, count, sigma)``
     row by row; ``offsets`` defaults to zero.
     """
-    n = keys.size
-    out = np.empty((n, count))
-    ts = np.arange(t0, t0 + count, dtype=np.uint64)
-    bits = np.empty((min(n, ROW_BLOCK), count), dtype=np.uint64)
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
+    return gaussian_rows(keys, t0, count, sigma, offsets)
+
+
+def gaussian_rows(
+    keys: np.ndarray, starts, count: int, sigma: float, offsets: np.ndarray | None = None
+) -> np.ndarray:
+    """(m, count) matrix of per-row draws: row r holds offsets[r] + sigma * N(0, 1)
+    for pulls starts[r] .. starts[r]+count-1 of the item whose key is keys[r].
+
+    ``starts`` is an array of m positions, or one int at which every row
+    starts; ``offsets`` defaults to zero.
+    """
+    m = keys.size
+    out = np.empty((m, count))
+    steps = np.arange(count, dtype=np.uint64)
+    starts = np.asarray(starts, dtype=np.uint64).reshape(-1, 1)
+    bits = np.empty((min(m, ROW_BLOCK), count), dtype=np.uint64)
+    for lo in range(0, m, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, m)
         z = bits[: hi - lo]
-        np.bitwise_xor(keys[lo:hi, None], ts[None, :], out=z)
+        first = starts if starts.size == 1 else starts[lo:hi]
+        np.bitwise_xor(keys[lo:hi, None], first + steps, out=z)
         mix64_array(z, out=z)
         z >>= np.uint64(11)
         block = out[lo:hi]

@@ -466,6 +466,46 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         return state
 
 
+def _by_estimate(work: IntervalState, k: int):
+    """Items by descending weak point estimate, equal estimates by ascending
+    index, each paired with the largest weak upper bound among the items after it.
+
+    The order is selected a leading block at a time, the block doubling each
+    time the caller reads past it, so a caller that stops early never pays
+    for a full sort.
+    """
+    n = work.n
+    keys = -work.point_estimates()
+    done, size = 0, min(n, 2 * k)
+    while done < n:
+        order = _leading(keys, size)
+        upper = work.upper[order]
+        if size < n:
+            rest = np.ones(n, dtype=bool)
+            rest[order] = False
+            rest_upper = work.upper[rest].max()
+        else:
+            rest_upper = -np.inf
+        later = np.empty(size)
+        later[-1] = rest_upper
+        np.maximum(np.maximum.accumulate(upper[:0:-1])[::-1], rest_upper, out=later[:-1])
+        yield from zip(order[done:].tolist(), later[done:].tolist())
+        done, size = size, min(n, 2 * size)
+
+
+def _leading(keys: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` indices of the stable ascending order of `keys`."""
+    if size < keys.size:
+        cut = np.partition(keys, size - 1)[size - 1]
+        # NaN sorts last and equals nothing; a NaN cut falls back to sorting
+        if cut == cut:
+            below = np.flatnonzero(keys < cut)
+            tied = np.flatnonzero(keys == cut)[: size - below.size]
+            chosen = np.sort(np.concatenate([below, tied]))
+            return chosen[np.argsort(keys[chosen], kind="stable")]
+    return np.argsort(keys, kind="stable")[:size]
+
+
 class ThresholdCertify(BaseCertifier):
     """Verify items in weak-estimate order with an early-stopping certificate.
 
@@ -476,26 +516,17 @@ class ThresholdCertify(BaseCertifier):
     """
 
     def _strong_phase(self, work: IntervalState, k: int, strong):
-        n = work.n
-        # stable, so equal estimates are queried by ascending index
-        order = np.argsort(-work.point_estimates(), kind="stable")
-        # largest weak upper bound over each suffix of the query order
-        suffix_max = np.empty(n + 1)
-        suffix_max[n] = -np.inf
-        suffix_max[:n] = np.maximum.accumulate(work.upper[order][::-1])[::-1]
-
         trace: list[int] = []
         values: list[float] = []
         top_heap: list[float] = []
-        for pos in range(n):
-            x = int(order[pos])
+        for x, later_upper in _by_estimate(work, k):
             value = strong.query(x)
             trace.append(x)
             values.append(value)
             heapq.heappush(top_heap, value)
             if len(top_heap) > k:
                 heapq.heappop(top_heap)
-            if len(top_heap) == k and top_heap[0] >= suffix_max[pos + 1]:
+            if len(top_heap) == k and top_heap[0] >= later_upper:
                 break
         verified = np.asarray(trace, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)

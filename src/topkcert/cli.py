@@ -139,7 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = resolve_config(args)
     seed = cfg["oracle.seed"]
-    instance = load_instance(args.instance, k=cfg["k"]) if args.instance else gap_instance(cfg, seed)
+    if args.instance:
+        instance = load_instance(args.instance, k=cfg["k"])
+        # the row reports the loaded instance, not the config's generator gap
+        cfg["gap"] = instance.gap
+    else:
+        instance = gap_instance(cfg, seed)
     result = run_replicate(instance, seed, [args.algo], cfg, timing=args.timing)[0]
     row = run_row("run", cfg, seed, result, instance, true_top_k(instance))
     if args.format == "jsonl":

@@ -1,5 +1,7 @@
 """Tests for the five certifiers: exactness, cost identities, budget discipline."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -461,6 +463,27 @@ class TestThresholdCertify:
         report = ta_certify(None, StrongOracle(inst), k=5, initial_state=state)
         assert report.trace == tuple(sorted(range(50), key=lambda x: (-means[x], x)))
 
+    @pytest.mark.parametrize("k, seed, nan_share", [(1, 0, 0.0), (4, 1, 0.0), (9, 2, 0.0), (8, 3, 0.8)])
+    def test_selection_widens_across_tied_estimates(self, k, seed, nan_share):
+        # estimates on a 0.1 grid tie in groups of ~50, so the selected
+        # prefix ends inside a tie group; the stop comes after the top two
+        # groups, past 2k queries, so the prefix widens at least once
+        rng = np.random.default_rng(seed)
+        n = 400
+        means = np.round(0.8 * rng.random(n), 1)
+        means[rng.random(n) < nan_share] = np.nan
+        upper = np.where(np.isnan(means), 1.0, means + 0.15)
+        state = IntervalState.from_bounds(np.zeros(n), upper, means=means)
+        inst = Instance(values=np.nan_to_num(means, nan=0.0), k=k)
+        work, reference_work = state.copy(), state.copy()
+        selected, trace = ThresholdCertify(k)._strong_phase(work, k, StrongOracle(inst))
+        expected, expected_trace = _reference_ta_phase(reference_work, k, StrongOracle(inst))
+        assert trace == expected_trace
+        assert len(trace) > 2 * k
+        np.testing.assert_array_equal(selected, expected)
+        assert work.lower.tobytes() == reference_work.lower.tobytes()
+        assert work.upper.tobytes() == reference_work.upper.tobytes()
+
     def test_stopping_rule_certificate(self):
         # at the stop, the k-th largest verified value dominates every
         # unverified weak upper bound
@@ -472,6 +495,30 @@ class TestThresholdCertify:
             unverified = np.setdiff1d(np.arange(inst.n), verified)
             kth_verified = sorted(inst.values[verified], reverse=True)[14]
             assert kth_verified >= report.weak_state.upper[unverified].max()
+
+
+def _reference_ta_phase(work, k, strong):
+    """ThresholdCertify's strong phase as a full stable sort of the estimates."""
+    n = work.n
+    order = np.argsort(-work.point_estimates(), kind="stable")
+    suffix_max = np.empty(n + 1)
+    suffix_max[n] = -np.inf
+    suffix_max[:n] = np.maximum.accumulate(work.upper[order][::-1])[::-1]
+    trace, values, top_heap = [], [], []
+    for pos in range(n):
+        x = int(order[pos])
+        value = strong.query(x)
+        trace.append(x)
+        values.append(value)
+        heapq.heappush(top_heap, value)
+        if len(top_heap) > k:
+            heapq.heappop(top_heap)
+        if len(top_heap) == k and top_heap[0] >= suffix_max[pos + 1]:
+            break
+    verified = np.asarray(trace, dtype=np.int64)
+    vals = np.asarray(values, dtype=np.float64)
+    work.collapse_many(verified, vals)
+    return verified[np.lexsort((verified, -vals))[:k]], trace
 
 
 class TestBruteForce:

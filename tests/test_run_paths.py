@@ -16,6 +16,7 @@ from topkcert.harness import (
     run_replicate,
     run_sweep,
 )
+from topkcert.instances import load_instance
 from topkcert.oracles import StrongOracle
 
 SWEEP_ARGS = ["sweep", "--experiment", "scaling_n", "--grid", "150", "--replicates", "2",
@@ -58,6 +59,17 @@ def test_run_rows_name_their_experiment(capsys):
     row = dict(zip(COLUMNS, next(csv.reader([lines[1]]))))
     assert row["experiment"] == "run"
 
+
+
+def test_run_on_a_loaded_instance_reports_its_gap(tmp_path, capsys):
+    path = tmp_path / "instance.csv"
+    assert main(["gen", "--n", "300", "--k", "10", "--gap", "0.2", "--out", str(path)]) == 0
+    assert main(["run", "--algo", "stc", "--k", "10", "--instance", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    row = dict(zip(COLUMNS, next(csv.reader([lines[-1]]))))
+    gap = load_instance(path, 10).gap
+    assert gap != BASE_DEFAULTS["gap"]
+    assert float(row["gap"]) == gap
 
 class _NanStrongOracle(StrongOracle):
     def query(self, x):
