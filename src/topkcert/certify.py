@@ -8,7 +8,7 @@ tooling (cloning, grid drivers); plain functions wrapping each certifier are
 exported as well.
 
 * ``ScreenThenCertify`` -- one-shot screening: build weak intervals, certify
-  clear items, strong-query the whole ambiguous set.
+  clear items, strong-query the whole ambiguous set as one batch.
 * ``AdaptiveCertify`` -- iteratively strong-query the more uncertain of the
   two critical items (worst tentative-in vs best tentative-out) until the
   top-k set is certified by interval dominance.
@@ -68,12 +68,13 @@ def _trivial_report(n: int, k: int) -> CertificationReport:
     """k == 0 or k == n needs no oracle access at all."""
     state = IntervalState.full_range(n)
     selected = tuple(range(n)) if k == n else ()
+    ambiguous = 0 if k == 0 else int(ambiguous_set(state, k).size)
     return CertificationReport(
         selected=selected,
         strong_calls=0,
         weak_pulls=0,
-        ambiguous_initial=0 if k == 0 else int(ambiguous_set(state, k).size),
-        ambiguous_final=0 if k == 0 else int(ambiguous_set(state, k).size),
+        ambiguous_initial=ambiguous,
+        ambiguous_final=ambiguous,
         eps_max=0.5,
         eps_max_ambiguous=0.5,
         trace=(),
@@ -253,8 +254,9 @@ class ScreenThenCertify(BaseCertifier):
 
     Weak intervals partition items into clear IN (lower bound above the k-th
     largest upper bound), clear OUT (upper bound below the k-th largest lower
-    bound) and the ambiguous rest, which is strong-queried in full.  Strong
-    calls therefore equal the ambiguous-set size on every run.
+    bound) and the ambiguous rest, which is strong-queried in full, in one
+    ``query_many`` batch.  Strong calls therefore equal the ambiguous-set size
+    on every run.
     """
 
     def _strong_phase(self, work: IntervalState, k: int, strong):
@@ -262,13 +264,12 @@ class ScreenThenCertify(BaseCertifier):
         clear_in = np.flatnonzero(work.lower > u_k)
         amb = ambiguous_set(work, k)
         trace = amb.tolist()
-        query = strong.query
-        revealed = np.array([query(x) for x in trace], dtype=np.float64)
+        revealed = strong.query_many(trace)
         work.collapse_many(amb, revealed)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
-        # amb is ascending, so a stable sort breaks value ties by index
-        chosen = amb[np.argsort(-revealed, kind="stable")[:need]]
+        # amb is ascending, so the stable order breaks value ties by index
+        chosen = amb[_leading(-revealed, need)]
         return np.concatenate([clear_in, chosen]), trace
 
 
@@ -543,11 +544,12 @@ class BruteForceCertify(BaseCertifier):
     def _run(self, weak, strong, initial_state) -> CertificationReport:
         n = strong.n_items
         k = check_k(self.k, n, allow_zero=True)
-        values = np.array([strong.query(x) for x in range(n)])
+        trace = list(range(n))
+        values = strong.query_many(trace)
         state = IntervalState.from_bounds(values, values, means=values)
         state.collapsed[:] = True
         selected = np.lexsort((np.arange(n), -values))[:k]
-        return self._report(k, selected, state, state, list(range(n)), 0)
+        return self._report(k, selected, state, state, trace, 0)
 
 
 ALGORITHMS: dict[str, type[BaseCertifier]] = {

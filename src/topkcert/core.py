@@ -89,9 +89,13 @@ class IntervalState:
         upper = np.asarray(upper, dtype=np.float64).copy()
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if np.any(lower > upper):
-            bad = int(np.argmax(lower > upper))
-            raise ValueError(f"empty interval at item {bad}: [{lower[bad]}, {upper[bad]}]")
+        # false where an interval is empty, and where a bound is NaN, which
+        # would drop the item out of every ambiguous-set comparison
+        valid = lower <= upper
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            what = "NaN bound" if np.isnan([lower[bad], upper[bad]]).any() else "empty interval"
+            raise ValueError(f"{what} at item {bad}: [{lower[bad]}, {upper[bad]}]")
         n = lower.size
         if pulls is None:
             pulls = np.zeros(n, dtype=np.int64)
@@ -206,13 +210,78 @@ class IntervalState:
         self.collapsed[items] = True
 
 
+# kth_largest cuts arrays at least this long at a guess taken from a strided
+# sample of _SAMPLE to 2 * _SAMPLE entries
+_SAMPLE_FROM = 1 << 14
+_SAMPLE = 1024
+
+
 def kth_largest(values: Sequence[float] | np.ndarray, k: int) -> float:
-    """The k-th largest element, counting multiplicity."""
+    """The k-th largest element, counting multiplicity.
+
+    Returns the same float as ``np.partition`` on the whole array, NaN
+    counting as larger than every number.  A long array is first cut at a
+    guess that a strided sample places just below the answer; the answer is
+    then the k-th largest entry above the guess, or the guess itself, so a
+    tied mass below the answer is never partitioned.  The same holds
+    mirrored for an answer near the smallest entry.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValueError("values must be non-empty")
-    k = check_k(k, arr.size)
-    return float(np.partition(arr, arr.size - k)[arr.size - k])
+    k = check_k(k, n)
+    if n >= _SAMPLE_FROM:
+        value = _kth_largest_by_cut(arr, k)
+        if value is not None:
+            return value
+    return float(np.partition(arr, n - k)[n - k])
+
+
+def _kth_largest_by_cut(arr: np.ndarray, k: int) -> float | None:
+    """``kth_largest`` from the entries beyond a sampled guess, or None.
+
+    None stands for a full partition: where the cut would not pay off, where
+    the guess lies beyond the answer, and for a NaN answer or a zero answer
+    where both signs of zero occur, since only the full partition fixes which
+    of their bit patterns it returns.
+    """
+    n = arr.size
+    sample = np.sort(arr[:: n // _SAMPLE])
+    s = sample.size
+    # the answer's rank from the nearer end
+    near = min(k, n + 1 - k)
+    # the cut pays off when it leaves few entries, near an end, or when the
+    # sample shows a tied mass, on which np.partition is slow
+    wide = s // 16
+    if near > n // 64 and not np.any(sample[wide:] == sample[:-wide]):
+        return None
+    # the guess sits about four standard deviations of the sample count
+    # beyond the answer, on the side of the nearer end
+    expect = near * s / n
+    rank = min(s, int(expect + 4.0 * math.sqrt(expect)) + 8)
+    if k == near:
+        guess = sample[s - rank]
+        # NaN counts as larger than every number, as in np.partition
+        kept = arr[~(arr <= guess)]
+        # the guess's ties would sit just below the kept entries
+        at = kept.size - k
+        tied = -np.count_nonzero(arr == guess) <= at < 0
+    else:
+        guess = sample[rank - 1]
+        kept = arr[arr < guess]
+        at = n - k
+        tied = kept.size <= at < kept.size + np.count_nonzero(arr == guess)
+    if guess != guess or not (tied or 0 <= at < kept.size):
+        return None
+    value = float(guess if tied else np.partition(kept, at)[at])
+    if value != value:
+        return None
+    if value == 0.0:
+        signs = np.signbit(arr[arr == 0.0])
+        if signs.any() and not signs.all():
+            return None
+    return value
 
 
 def true_top_k(instance: Instance) -> np.ndarray:

@@ -20,7 +20,6 @@ from .certify import ALGORITHMS, CertificationReport
 from .core import (
     Instance,
     ambiguous_set,
-    check_lemma1,
     coverage_event_holds,
     near_tie_mass,
     true_top_k,
@@ -150,12 +149,10 @@ def compute_metrics(report: CertificationReport, instance: Instance, truth=None)
     if truth is None:
         truth = true_top_k(instance)
     correct = tuple(int(x) for x in truth) == report.selected
-    state = report.weak_state
-    coverage = coverage_event_holds(instance, state)
+    coverage = coverage_event_holds(instance, report.weak_state)
     m_eps = near_tie_mass(instance, report.eps_max)
     m_4eps = near_tie_mass(instance, 4.0 * report.eps_max)
-    if coverage and not check_lemma1(instance, state):
-        raise RuntimeError("ambiguity bound violated on a covered run")
+    # check_lemma1's bound, on the A0 and eps_max the report already holds
     if coverage and report.ambiguous_initial > m_4eps:
         raise RuntimeError("initial ambiguous set exceeds m(4 eps_max) on a covered run")
     return {

@@ -35,6 +35,8 @@ item pulled again and again never makes the oracle allocate per-item state.
 
 The strong oracle returns true values exactly and keeps an ordered trace of
 queries; its call count is the cost objective everywhere in this package.
+``query_many`` answers a batch of queries in one numpy step, counted and
+traced exactly as the same queries made one at a time.
 
 Budget overruns raise :class:`BudgetExceededError`, a recoverable signal so
 harness code can record partial runs instead of crashing a sweep.
@@ -287,7 +289,7 @@ class StrongOracle:
     """Exact value evaluator; every query is counted and traced."""
 
     def __init__(self, instance: Instance, cap: int | None = None):
-        self._values = instance.values.tolist()
+        self._values = instance.values
         self._n = instance.n
         self.cap = None if cap is None else check_int(cap, "cap", minimum=0)
         self.calls = 0
@@ -302,10 +304,48 @@ class StrongOracle:
             raise ValueError(f"item must lie in [0, {self._n}), got {x}")
         if self.cap is not None and self.calls >= self.cap:
             raise BudgetExceededError("strong", self.cap)
-        value = self._values[x]
+        value = self._values.item(x)
         self.calls += 1
         self.trace.append(int(x))
         return value
+
+    def query_many(self, items) -> np.ndarray:
+        """``[query(x) for x in items]`` as one float64 array: the same values,
+        ``calls`` and ``trace``.
+
+        At an item out of range, or at the cap, the items before it are
+        counted and traced and then the same error as ``query``'s is raised.
+        Items that are not integers raise ``TypeError`` before anything is
+        counted.  A subclass that overrides ``query`` has it called once per
+        item.
+        """
+        array = np.asarray(items)
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+            raise TypeError(f"items must be a 1-D sequence of integers, got {array.dtype}")
+        if type(self).query is not StrongOracle.query:
+            return np.array([self.query(x) for x in items], dtype=np.float64)
+        if not array.size:
+            return np.zeros(0)
+        n, count = self._n, array.size
+        outside = (array < 0) | (array >= n)
+        if outside.any():
+            count = int(np.argmax(outside))
+        if self.cap is not None:
+            count = min(count, max(0, self.cap - self.calls))
+        taken = array[:count]
+        values = self._values[taken]
+        self.calls += count
+        # int() hands back a list's own int objects, so a caller that keeps
+        # the list shares them with the trace instead of holding a copy
+        if isinstance(items, list):
+            self.trace.extend(map(int, items[:count]))
+        else:
+            self.trace.extend(taken.tolist())
+        if count < array.size:
+            if outside[count]:
+                raise ValueError(f"item must lie in [0, {n}), got {array[count]}")
+            raise BudgetExceededError("strong", self.cap)
+        return values
 
     def reset(self) -> None:
         self.calls = 0

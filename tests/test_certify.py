@@ -632,3 +632,44 @@ class TestEstimatorInterface:
 
     def test_registry_names(self):
         assert set(ALGORITHMS) == {"stc", "ace", "ace_w", "ta", "brute"}
+
+
+class _RecordingStrongOracle(StrongOracle):
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.seen = []
+
+    def query(self, x):
+        self.seen.append(x)
+        return super().query(x)
+
+
+@pytest.mark.parametrize("name", ["stc", "brute"])
+def test_an_overriding_query_sees_every_batched_query(name):
+    """stc and brute reveal through query_many; a query override still sees
+    every item, stc's in A0 order, and the run is the same as without it."""
+    for seed in range(5):
+        inst = generate_gap_instance(GapInstanceSpec(n=300, k=20, seed=seed))
+        recording = _RecordingStrongOracle(inst)
+        reports = []
+        for strong in (recording, StrongOracle(inst)):
+            if name == "stc":
+                reports.append(stc(WeakOracle(inst, sigma=0.1, seed=seed), strong, k=20))
+            else:
+                reports.append(brute_force_certify(strong, k=20))
+            assert strong.trace == list(reports[-1].trace)
+        recorded, plain = reports
+        expected = ambiguous_set(recorded.weak_state, 20) if name == "stc" else np.arange(300)
+        assert recording.seen == expected.tolist()
+        assert recorded.trace == tuple(expected.tolist())
+        assert recorded.selected == plain.selected == _truth(inst)
+        assert recorded.trace == plain.trace
+
+
+def test_stc_breaks_tied_reveals_by_index():
+    rng = np.random.default_rng(3)
+    for n, k in ((50, 1), (50, 17), (400, 40), (400, 399)):
+        inst = Instance(values=rng.integers(0, 4, n) / 4, k=k)
+        report = stc(None, StrongOracle(inst), k=k, initial_state=IntervalState.full_range(n))
+        assert report.trace == tuple(range(n))
+        assert report.selected == _truth(inst)

@@ -275,3 +275,51 @@ def test_collapse_many_matches_sequential_collapse_to(data):
     for name in ("lower", "upper", "collapsed"):
         assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
     assert state.conflicts == expected.conflicts
+
+
+def _tied_arrays():
+    """Arrays long enough for kth_largest's sampled cut, named by their shape."""
+    rng = np.random.default_rng(7)
+    n = 3 * 2**14 + 5
+    zeros = rng.random(n)
+    zeros[rng.random(n) < 0.75] = 0.0
+    ones = rng.random(n)
+    ones[rng.random(n) < 0.75] = 1.0
+    signed = rng.random(n)
+    tied = rng.random(n) < 0.75
+    signed[tied] = np.where(rng.random(int(tied.sum())) < 0.5, 0.0, -0.0)
+    negative = zeros.copy()
+    negative[negative == 0.0] = -0.0
+    nans = rng.random(n)
+    at = rng.choice(n, 40, replace=False)
+    nans[at] = np.nan
+    # NaNs of both signs: which one np.partition returns is its own choice
+    nans[at[::2]] = -np.nan
+    # a period that divides the sampling stride shows the sample one level only
+    periodic = np.tile(np.linspace(0.0, 1.0, 48), n // 48 + 1)[:n]
+    return {"zeros": zeros, "ones": ones, "signed_zeros": signed, "negative_zeros": negative,
+            "nans": nans, "periodic": periodic, "ascending": np.sort(zeros)}
+
+
+@pytest.mark.parametrize("name, values", sorted(_tied_arrays().items()))
+def test_kth_largest_matches_sorting_on_tied_arrays(name, values):
+    n = values.size
+    # NaN first, as the largest; Python's sort cannot order NaN itself
+    ranked = sorted(values.tolist(), key=lambda v: (v != v, v), reverse=True)
+    for k in (1, 2, 39, 40, 41, 700, n // 4, n // 4 + 1, n // 2, 3 * n // 4, n - 700, n - 1, n):
+        got = kth_largest(values, k)
+        expected = ranked[k - 1]
+        assert got == expected or (got != got and expected != expected), (name, k)
+        # the bits, sign of zero and NaN included, are np.partition's
+        assert np.float64(got).tobytes() == np.partition(values, n - k)[n - k].tobytes(), (name, k)
+
+
+def test_from_bounds_rejects_nan_bounds():
+    for lower, upper in (([0.1, np.nan], [0.2, 0.3]), ([0.1, 0.2], [np.nan, 0.3])):
+        with pytest.raises(ValueError, match="NaN bound at item"):
+            IntervalState.from_bounds(np.array(lower), np.array(upper))
+    with pytest.raises(ValueError, match="empty interval at item 1"):
+        IntervalState.from_bounds(np.array([0.1, 0.5]), np.array([0.2, 0.4]))
+    # NaN point estimates stay allowed
+    state = IntervalState.from_bounds([0.1], [0.2], means=[np.nan])
+    assert np.isnan(state.means[0])

@@ -395,3 +395,94 @@ class TestSnapshotAndReset:
             strong.query(x)
         stats = OracleStats.collect(None, strong)
         assert stats.strong_calls == len(stats.strong_query_trace) == 3
+
+
+def _scalar_loop(strong, items):
+    """What ``query_many(items)`` stands for: the values, then the error raised, if any."""
+    values = []
+    try:
+        for x in items:
+            values.append(strong.query(x))
+    except (ValueError, BudgetExceededError) as err:
+        return values, type(err), str(err)
+    return values, None, None
+
+
+class _RecordingStrongOracle(StrongOracle):
+    def __init__(self, instance, **kwargs):
+        super().__init__(instance, **kwargs)
+        self.seen = []
+
+    def query(self, x):
+        self.seen.append(x)
+        return super().query(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_query_many_matches_a_scalar_query_loop(data):
+    n = data.draw(st.integers(1, 30))
+    values = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.just(-0.0)), min_size=n, max_size=n)))
+    instance = Instance(values=values, k=1)
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+    history = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    item = st.one_of(st.integers(0, n - 1), st.integers(-3, -1), st.integers(n, n + 3),
+                     st.just(2**62))
+    items = data.draw(st.lists(item, max_size=15))
+    as_array = data.draw(st.booleans())
+    batch, loop = StrongOracle(instance, cap=cap), StrongOracle(instance, cap=cap)
+    for strong in (batch, loop):
+        for x in history[: cap if cap is not None else None]:
+            strong.query(x)
+    expected, error, message = _scalar_loop(loop, items)
+    if error is None:
+        got = batch.query_many(np.array(items, dtype=np.int64) if as_array else items)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(expected).tobytes()
+    else:
+        with pytest.raises(error) as raised:
+            batch.query_many(np.array(items, dtype=np.int64) if as_array else items)
+        assert str(raised.value) == message
+    assert batch.calls == loop.calls
+    assert batch.trace == loop.trace
+    assert all(type(x) is int for x in batch.trace)
+    # the state after an error takes the loop on exactly as after scalar queries
+    assert _scalar_loop(batch, [0, n - 1]) == _scalar_loop(loop, [0, n - 1])
+    assert batch.trace == loop.trace
+
+
+class TestQueryMany:
+    def test_trace_shares_the_callers_ints(self):
+        strong = StrongOracle(Instance(values=np.linspace(0.0, 1.0, 1000), k=1))
+        # ints above 256 are distinct objects in CPython
+        items = [int(text) for text in ("700", "301", "700")]
+        strong.query_many(items)
+        assert strong.trace == items
+        assert all(a is b for a, b in zip(strong.trace, items))
+
+    def test_numpy_integers_in_a_list_are_traced_as_ints(self, instance):
+        strong = StrongOracle(instance)
+        strong.query_many([np.int64(2), np.uint8(5)])
+        assert strong.trace == [2, 5] and all(type(x) is int for x in strong.trace)
+
+    @pytest.mark.parametrize("items", [[0.0, 1.0], np.array([1, 2], dtype=float), [1, 2.5],
+                                       [True, False], np.zeros((1, 2), dtype=np.int64)])
+    def test_non_integer_items_raise_before_counting(self, instance, items):
+        strong = StrongOracle(instance)
+        with pytest.raises(TypeError):
+            strong.query_many(items)
+        assert strong.calls == 0 and strong.trace == []
+
+    def test_empty_batch(self, instance):
+        strong = StrongOracle(instance, cap=0)
+        for items in ([], np.zeros(0, dtype=np.int64)):
+            got = strong.query_many(items)
+            assert got.dtype == np.float64 and got.size == 0
+        assert strong.calls == 0 and strong.trace == []
+
+    def test_an_overriding_query_sees_every_item(self, instance):
+        strong = _RecordingStrongOracle(instance, cap=3)
+        with pytest.raises(BudgetExceededError):
+            strong.query_many([4, 0, 4, 9])
+        assert strong.seen == [4, 0, 4, 9]
+        assert strong.calls == 3 and strong.trace == [4, 0, 4]
