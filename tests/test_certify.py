@@ -41,6 +41,8 @@ from topkcert.core import (
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import StrongOracle, WeakOracle, snapshot_and_reset
 
+from test_oracles import _RecordingStrongOracle
+
 
 def _truth(instance):
     return tuple(int(x) for x in true_top_k(instance))
@@ -632,16 +634,6 @@ class TestEstimatorInterface:
 
     def test_registry_names(self):
         assert set(ALGORITHMS) == {"stc", "ace", "ace_w", "ta", "brute"}
-
-
-class _RecordingStrongOracle(StrongOracle):
-    def __init__(self, instance):
-        super().__init__(instance)
-        self.seen = []
-
-    def query(self, x):
-        self.seen.append(x)
-        return super().query(x)
 
 
 @pytest.mark.parametrize("name", ["stc", "brute"])
