@@ -29,7 +29,7 @@ import heapq
 import inspect
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,6 @@ class CertificationReport:
 
     ``weak_state`` is the frozen weak-phase interval state (before any strong
     reveal); harness code uses it for coverage and near-tie diagnostics.
-    ``correct`` stays None until ground-truth-aware code fills it.
     """
 
     selected: tuple[int, ...]
@@ -58,29 +57,6 @@ class CertificationReport:
     trace: tuple[int, ...]
     interval_conflicts: int
     weak_state: Optional[IntervalState]
-    correct: Optional[bool] = None
-
-    def with_correct(self, correct: bool) -> "CertificationReport":
-        return replace(self, correct=correct)
-
-
-def _trivial_report(n: int, k: int) -> CertificationReport:
-    """k == 0 or k == n needs no oracle access at all."""
-    state = IntervalState.full_range(n)
-    selected = tuple(range(n)) if k == n else ()
-    ambiguous = 0 if k == 0 else int(ambiguous_set(state, k).size)
-    return CertificationReport(
-        selected=selected,
-        strong_calls=0,
-        weak_pulls=0,
-        ambiguous_initial=ambiguous,
-        ambiguous_final=ambiguous,
-        eps_max=0.5,
-        eps_max_ambiguous=0.5,
-        trace=(),
-        interval_conflicts=0,
-        weak_state=state,
-    )
 
 
 def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[int]]:
@@ -204,7 +180,9 @@ class BaseCertifier:
             raise ValueError("weak and strong oracles disagree on the number of items")
         k = check_k(self.k, n, allow_zero=True)
         if k == 0 or k == n:
-            return _trivial_report(n, k)
+            # no oracle access: range(k) is every item or none
+            state = IntervalState.full_range(n)
+            return self._report(k, range(k), state, state, (), 0)
         pulls_before = 0 if weak is None else weak.total_pulls
         weak_state = self._weak_phase(weak, initial_state, n, k)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
@@ -561,16 +539,19 @@ ALGORITHMS: dict[str, type[BaseCertifier]] = {
 }
 
 
+def _fit_report(cls, weak, strong, k, params) -> CertificationReport:
+    initial_state = params.pop("initial_state", None)
+    return cls(k, **params).fit(weak, strong, initial_state).report_
+
+
 def stc(weak, strong, k, **params) -> CertificationReport:
     """One-shot screen-then-certify; see :class:`ScreenThenCertify`."""
-    initial_state = params.pop("initial_state", None)
-    return ScreenThenCertify(k, **params).fit(weak, strong, initial_state).report_
+    return _fit_report(ScreenThenCertify, weak, strong, k, params)
 
 
 def ace(weak, strong, k, **params) -> CertificationReport:
     """Adaptive strong certification; see :class:`AdaptiveCertify`."""
-    initial_state = params.pop("initial_state", None)
-    return AdaptiveCertify(k, **params).fit(weak, strong, initial_state).report_
+    return _fit_report(AdaptiveCertify, weak, strong, k, params)
 
 
 def ace_w(weak, strong, k, **params) -> CertificationReport:
@@ -580,8 +561,7 @@ def ace_w(weak, strong, k, **params) -> CertificationReport:
 
 def ta_certify(weak, strong, k, **params) -> CertificationReport:
     """Sorted verification with weak-interval stopping; see :class:`ThresholdCertify`."""
-    initial_state = params.pop("initial_state", None)
-    return ThresholdCertify(k, **params).fit(weak, strong, initial_state).report_
+    return _fit_report(ThresholdCertify, weak, strong, k, params)
 
 
 def brute_force_certify(strong, k) -> CertificationReport:

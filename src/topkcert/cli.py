@@ -34,6 +34,8 @@ from .oracles import _NOISE_MODELS
 ENV_PREFIX = "TOPKCERT_"
 
 _CHOICES = {"oracle.noise": _NOISE_MODELS, "ci.method": tuple(_METHOD_NAMES)}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _dest(key: str) -> str:
@@ -49,7 +51,10 @@ def _coerce(key: str, raw):
         return None
     kind = CONFIG_KEYS[key][0]
     if kind is bool:
-        return text.lower() in ("1", "true", "yes", "on")
+        value = _BOOLEANS.get(text.lower())
+        if value is None:
+            raise SystemExit(f"config key {key!r} takes {'/'.join(_BOOLEANS)}, not {text!r}")
+        return value
     return kind(text)
 
 

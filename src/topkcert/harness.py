@@ -9,9 +9,11 @@ strong-call comparisons exactly paired.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,39 +30,15 @@ from .instances import GapInstanceSpec, PackingSpec, generate_gap_instance, gene
 from .oracles import BudgetExceededError, OracleStats, StrongOracle, WeakOracle, snapshot_and_reset
 from .validation import check_int
 
-EXPERIMENTS = ("scaling_n", "scaling_k", "hardness", "lower_bound", "coverage")
-
-COLUMNS = (
-    "kind",
-    "status",
-    "experiment",
-    "algorithm",
-    "n",
-    "k",
-    "gap",
-    "sigma",
-    "n_weak",
-    "weak_budget",
-    "w_min",
-    "w_max",
-    "delta",
-    "seed",
-    "replicates",
-    "strong_calls",
-    "strong_calls_ci95",
-    "weak_pulls",
-    "ambiguous_initial",
-    "ambiguous_final",
-    "eps_max",
-    "eps_max_ambiguous",
-    "m_eps",
-    "m_4eps",
-    "rho",
-    "correct",
-    "coverage_held",
-    "wall_ms",
-    "note",
-)
+# each experiment's swept config key and the type a grid point is cast to
+_SWEPT_KEYS = {
+    "scaling_n": ("n", int),
+    "scaling_k": ("k", int),
+    "hardness": ("gap", float),
+    "lower_bound": ("m", int),
+    "coverage": ("n", int),
+}
+EXPERIMENTS = tuple(_SWEPT_KEYS)
 
 # Every config key with its type and default.  BASE_DEFAULTS and the CLI's
 # coercion, TOPKCERT_* environment names and flags all derive from it.
@@ -87,6 +65,14 @@ CONFIG_KEYS = {
 }
 
 BASE_DEFAULTS = {key: default for key, (_, default) in CONFIG_KEYS.items()}
+
+
+def _with_defaults(cfg: Optional[dict]) -> dict:
+    """BASE_DEFAULTS overridden by cfg; a key not in CONFIG_KEYS raises ValueError."""
+    unknown = sorted(set(cfg or ()) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}")
+    return {**BASE_DEFAULTS, **(cfg or {})}
 
 
 def _fmt(value) -> str:
@@ -138,6 +124,11 @@ class ExperimentRow:
 
     def as_dict(self) -> dict:
         return {column: getattr(self, column) for column in COLUMNS}
+
+
+COLUMNS = tuple(f.name for f in fields(ExperimentRow))
+# the report fields a run row copies by name
+_REPORT_COLUMNS = tuple(f.name for f in fields(CertificationReport) if f.name in COLUMNS)
 
 
 def compute_metrics(report: CertificationReport, instance: Instance, truth=None) -> dict:
@@ -264,26 +255,10 @@ class SweepSpec:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
+        self.config()  # rejects an unknown config key now, not at run time
 
     def config(self) -> dict:
-        cfg = dict(BASE_DEFAULTS)
-        cfg.update(self.base)
-        return cfg
-
-
-def _point_config(spec: SweepSpec, point) -> dict:
-    cfg = spec.config()
-    if spec.experiment == "scaling_n":
-        cfg["n"] = int(point)
-    elif spec.experiment == "scaling_k":
-        cfg["k"] = int(point)
-    elif spec.experiment == "hardness":
-        cfg["gap"] = float(point)
-    elif spec.experiment == "lower_bound":
-        cfg["m"] = int(point)
-    elif spec.experiment == "coverage":
-        cfg["n"] = int(point)
-    return cfg
+        return _with_defaults(self.base)
 
 
 def _point_instance(spec: SweepSpec, cfg: dict, seed: int):
@@ -293,42 +268,27 @@ def _point_instance(spec: SweepSpec, cfg: dict, seed: int):
     return gap_instance(cfg, seed), None
 
 
+def _config_row(experiment, algorithm, cfg, seed, instance, **values) -> ExperimentRow:
+    """A run row holding the config fields every run row reports, plus `values`."""
+    return ExperimentRow(
+        experiment=experiment, algorithm=algorithm, n=instance.n, k=instance.k, gap=cfg["gap"],
+        sigma=cfg["oracle.sigma"], n_weak=cfg["n_weak"], delta=cfg["delta"], seed=seed, **values
+    )
+
+
 def run_row(experiment: str, cfg, seed, result: ReplicateResult, instance, truth) -> ExperimentRow:
     """The CSV row of one algorithm's run, ground-truth metrics included."""
-    row = ExperimentRow(
-        kind="run",
-        experiment=experiment,
-        algorithm=result.algorithm,
-        n=instance.n,
-        k=instance.k,
-        gap=cfg["gap"],
-        sigma=cfg["oracle.sigma"],
-        n_weak=cfg["n_weak"],
-        weak_budget=_weak_budget(cfg, instance.n),
-        w_min=cfg["w_min"],
-        w_max=cfg["w_max"],
-        delta=cfg["delta"],
-        seed=seed,
+    values = dict(
+        weak_budget=_weak_budget(cfg, instance.n), w_min=cfg["w_min"], w_max=cfg["w_max"],
         wall_ms=result.wall_ms,
     )
     if result.error is not None:
-        row.status = "error"
-        row.note = result.error
-        return row
-    report = result.report
-    metrics = compute_metrics(report, instance, truth)
-    row.strong_calls = report.strong_calls
-    row.weak_pulls = report.weak_pulls
-    row.ambiguous_initial = report.ambiguous_initial
-    row.ambiguous_final = report.ambiguous_final
-    row.eps_max = report.eps_max
-    row.eps_max_ambiguous = report.eps_max_ambiguous
-    row.m_eps = metrics["m_eps"]
-    row.m_4eps = metrics["m_4eps"]
-    row.rho = metrics["rho"]
-    row.correct = metrics["correct"]
-    row.coverage_held = metrics["coverage_held"]
-    return row
+        values.update(status="error", note=result.error)
+    else:
+        report = result.report
+        values.update({name: getattr(report, name) for name in _REPORT_COLUMNS})
+        values.update(compute_metrics(report, instance, truth))
+    return _config_row(experiment, result.algorithm, cfg, seed, instance, **values)
 
 
 def _coverage_row(cfg, seed, instance) -> ExperimentRow:
@@ -336,21 +296,9 @@ def _coverage_row(cfg, seed, instance) -> ExperimentRow:
     # the uniform weak phase every fixed-interval certifier runs
     certifier = _certifier("stc", instance.k, instance.n, cfg)
     state = certifier._weak_phase(weak, None, instance.n, instance.k)
-    return ExperimentRow(
-        kind="run",
-        experiment="coverage",
-        algorithm="coverage",
-        n=instance.n,
-        k=instance.k,
-        gap=cfg["gap"],
-        sigma=cfg["oracle.sigma"],
-        n_weak=cfg["n_weak"],
-        delta=cfg["delta"],
-        seed=seed,
-        strong_calls=0,
-        weak_pulls=weak.total_pulls,
-        eps_max=float(state.radius().max()),
-        coverage_held=coverage_event_holds(instance, state),
+    return _config_row(
+        "coverage", "coverage", cfg, seed, instance, strong_calls=0, weak_pulls=weak.total_pulls,
+        eps_max=float(state.radius().max()), coverage_held=coverage_event_holds(instance, state),
     )
 
 
@@ -358,22 +306,16 @@ def run_sweep(spec: SweepSpec) -> list[ExperimentRow]:
     """Run the sweep and return run rows followed by per-point summaries."""
     rows: list[ExperimentRow] = []
     run_rows: dict[tuple, list[ExperimentRow]] = {}
+    key, kind = _SWEPT_KEYS[spec.experiment]
     for point in spec.grid:
-        cfg = _point_config(spec, point)
+        cfg = {**spec.config(), key: kind(point)}
         for r in range(spec.replicates):
             seed = spec.base_seed + r
             try:
                 instance, initial_state = _point_instance(spec, cfg, seed)
             except (ValueError, TypeError) as err:
-                row = ExperimentRow(
-                    kind="run",
-                    status="error",
-                    experiment=spec.experiment,
-                    algorithm="*",
-                    seed=seed,
-                    note=str(err),
-                )
-                rows.append(row)
+                rows.append(ExperimentRow(status="error", experiment=spec.experiment,
+                                          algorithm="*", seed=seed, note=str(err)))
                 continue
             if spec.experiment == "coverage":
                 point_rows = [_coverage_row(cfg, seed, instance)]
@@ -432,34 +374,29 @@ def _summary_row(spec: SweepSpec, point, algorithm: str, group: list[ExperimentR
     return row
 
 
-def write_rows(rows: Sequence[ExperimentRow], path, fmt: str = "csv") -> None:
-    """Write rows as CSV (RFC-4180 quoting) or JSON lines."""
-    import csv as _csv
+def _csv_text(rows: Sequence[ExperimentRow], line_end: str) -> str:
+    """The header and one RFC-4180 record per row, each ended by `line_end`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=line_end)
+    writer.writerow(COLUMNS)
+    writer.writerows(row.record() for row in rows)
+    return buffer.getvalue()
 
+
+def write_rows(rows: Sequence[ExperimentRow], path, fmt: str = "csv") -> None:
+    """Write rows as CSV (RFC-4180 quoting, CRLF line ends) or JSON lines."""
     if fmt == "csv":
         with open(path, "w", newline="") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(COLUMNS)
-            for row in rows:
-                writer.writerow(row.record())
+            handle.write(_csv_text(rows, "\r\n"))
     elif fmt == "jsonl":
         with open(path, "w") as handle:
-            for row in rows:
-                handle.write(json.dumps(row.as_dict()) + "\n")
+            handle.writelines(json.dumps(row.as_dict()) + "\n" for row in rows)
     else:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
 
 
 def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
-    import csv as _csv
-    import io
-
-    buffer = io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow(row.record())
-    return buffer.getvalue()
+    return _csv_text(rows, "\n")
 
 
 def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[str]:
@@ -472,8 +409,7 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
     top-k and satisfy the ambiguity bound.  Returns human-readable problem
     strings; empty means all invariants hold.
     """
-    full = dict(BASE_DEFAULTS)
-    full.update(cfg or {})
+    full = _with_defaults(cfg)
     problems: list[str] = []
     algorithms = ("stc", "ace", "ace_w", "ta")
     for seed in seeds:

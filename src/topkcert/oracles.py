@@ -134,6 +134,8 @@ class WeakOracle:
     def pull(self, x: int) -> float:
         """One observation of item x from its next stream position."""
         if type(x) is not int:
+            if isinstance(x, bool):
+                raise TypeError(f"item must be an integer, got {x!r}")
             x = operator.index(x)
         if not 0 <= x < self._n:
             raise ValueError(f"item must lie in [0, {self._n}), got {x}")

@@ -665,3 +665,34 @@ def test_stc_breaks_tied_reveals_by_index():
         report = stc(None, StrongOracle(inst), k=k, initial_state=IntervalState.full_range(n))
         assert report.trace == tuple(range(n))
         assert report.selected == _truth(inst)
+
+
+class TestTrivialReports:
+    """k == 0 and k == n: every report field, with no oracle access."""
+
+    @pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta"])
+    @pytest.mark.parametrize("k", [0, 15])
+    def test_every_report_field(self, name, k):
+        inst = _random_instance(11, n=15, k=5)
+        weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
+        report = ALGORITHMS[name](k=k).fit(weak, strong).report_
+        expected = {
+            "selected": tuple(range(k)),
+            "strong_calls": 0,
+            "weak_pulls": 0,
+            "ambiguous_initial": k,
+            "ambiguous_final": k,
+            "eps_max": 0.5,
+            "eps_max_ambiguous": 0.5,
+            "trace": (),
+            "interval_conflicts": 0,
+        }
+        assert {field: getattr(report, field) for field in expected} == expected
+        state = report.weak_state
+        np.testing.assert_array_equal(state.lower, np.zeros(15))
+        np.testing.assert_array_equal(state.upper, np.ones(15))
+        np.testing.assert_array_equal(state.pulls, np.zeros(15, dtype=np.int64))
+        assert state.pulls.dtype == np.int64
+        np.testing.assert_array_equal(state.collapsed, np.zeros(15, dtype=bool))
+        assert state.means is None and state.conflicts == 0
+        assert weak.total_pulls == 0 and strong.calls == 0

@@ -140,3 +140,27 @@ class TestConfigResolution:
         cfg.write_text("delta 0.2\n")
         with pytest.raises(SystemExit):
             main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+
+
+class TestBooleanText:
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("TRUE", True), ("yes", True), ("on", True),
+        ("0", False), ("false", False), ("No", False), ("off", False),
+    ])
+    def test_recognised_text(self, text, value, monkeypatch):
+        from topkcert.cli import build_parser, resolve_config
+
+        monkeypatch.setenv("TOPKCERT_CI_CLAMP", text)
+        assert resolve_config(build_parser().parse_args(["verify"]))["ci.clamp"] is value
+
+    def test_unrecognised_env_text_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOPKCERT_CI_CLAMP", "ture")
+        with pytest.raises(SystemExit, match="ci.clamp"):
+            main(["gen", "--n", "50", "--k", "5", "--out", str(tmp_path / "x.csv")])
+
+    def test_unrecognised_config_file_text_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("ci.clamp=ture\n")
+        with pytest.raises(SystemExit, match="ci.clamp"):
+            main(["gen", "--config", str(cfg), "--n", "50", "--k", "5",
+                  "--out", str(tmp_path / "x.csv")])

@@ -10,6 +10,7 @@ from topkcert.core import near_tie_mass, true_top_k
 from topkcert.harness import (
     BASE_DEFAULTS,
     COLUMNS,
+    ExperimentRow,
     SweepSpec,
     compute_metrics,
     run_replicate,
@@ -169,3 +170,69 @@ class TestVerifyInvariants:
     def test_clean_seeds(self):
         problems = verify_invariants(range(4), {"n": 150, "k": 15})
         assert problems == []
+
+
+def _byte_rows():
+    return [
+        ExperimentRow(
+            experiment="scaling_n", algorithm="stc", n=10, k=2, gap=0.05, seed=3,
+            strong_calls=4, eps_max=0.125, correct=True, coverage_held=False,
+            note='a "quoted", note',
+        ),
+        ExperimentRow(
+            kind="summary", status="error", experiment="hardness", algorithm="*",
+            replicates=2, strong_calls=1.5, rho=1e-07, note="line one\nline two",
+        ),
+    ]
+
+
+class TestFileBytes:
+    """The exact bytes ``write_rows`` writes, header and line ends included."""
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(_byte_rows(), path)
+        assert path.read_bytes() == (
+            b"kind,status,experiment,algorithm,n,k,gap,sigma,n_weak,weak_budget,w_min,w_max,"
+            b"delta,seed,replicates,strong_calls,strong_calls_ci95,weak_pulls,ambiguous_initial,"
+            b"ambiguous_final,eps_max,eps_max_ambiguous,m_eps,m_4eps,rho,correct,coverage_held,"
+            b"wall_ms,note\r\n"
+            b'run,ok,scaling_n,stc,10,2,0.05,,,,,,,3,,4,,,,,0.125,,,,,true,false,,"a ""quoted"", note"\r\n'
+            b'summary,error,hardness,*,,,,,,,,,,,2,1.5,,,,,,,,,1e-07,,,,"line one\nline two"\r\n'
+        )
+
+    def test_jsonl_bytes(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_rows(_byte_rows(), path, fmt="jsonl")
+        assert path.read_bytes() == (
+            b'{"kind": "run", "status": "ok", "experiment": "scaling_n", "algorithm": "stc", '
+            b'"n": 10, "k": 2, "gap": 0.05, "sigma": null, "n_weak": null, "weak_budget": null, '
+            b'"w_min": null, "w_max": null, "delta": null, "seed": 3, "replicates": null, '
+            b'"strong_calls": 4, "strong_calls_ci95": null, "weak_pulls": null, '
+            b'"ambiguous_initial": null, "ambiguous_final": null, "eps_max": 0.125, '
+            b'"eps_max_ambiguous": null, "m_eps": null, "m_4eps": null, "rho": null, '
+            b'"correct": true, "coverage_held": false, "wall_ms": null, '
+            b'"note": "a \\"quoted\\", note"}\n'
+            b'{"kind": "summary", "status": "error", "experiment": "hardness", "algorithm": "*", '
+            b'"n": null, "k": null, "gap": null, "sigma": null, "n_weak": null, '
+            b'"weak_budget": null, "w_min": null, "w_max": null, "delta": null, "seed": null, '
+            b'"replicates": 2, "strong_calls": 1.5, "strong_calls_ci95": null, '
+            b'"weak_pulls": null, "ambiguous_initial": null, "ambiguous_final": null, '
+            b'"eps_max": null, "eps_max_ambiguous": null, "m_eps": null, "m_4eps": null, '
+            b'"rho": 1e-07, "correct": null, "coverage_held": null, "wall_ms": null, '
+            b'"note": "line one\\nline two"}\n'
+        )
+
+
+class TestUnknownConfigKeys:
+    def test_sweep_base_rejects_unknown_key(self):
+        with pytest.raises(ValueError, match="sigma"):
+            SweepSpec(experiment="scaling_n", grid=[100], base={"sigma": 0.3})
+
+    def test_verify_invariants_rejects_unknown_key(self):
+        with pytest.raises(ValueError, match="sigma"):
+            verify_invariants(range(1), {"n": 150, "k": 15, "sigma": 0.3})
+
+    def test_known_keys_still_accepted(self):
+        spec = SweepSpec(experiment="scaling_n", grid=[100], base={"oracle.sigma": 0.3})
+        assert spec.config()["oracle.sigma"] == 0.3

@@ -486,3 +486,13 @@ class TestQueryMany:
             strong.query_many([4, 0, 4, 9])
         assert strong.seen == [4, 0, 4, 9]
         assert strong.calls == 3 and strong.trace == [4, 0, 4]
+
+
+@pytest.mark.parametrize("item", [True, False, np.True_])
+def test_boolean_items_are_rejected_on_every_path(instance, item):
+    weak, strong = WeakOracle(instance, sigma=0.1, seed=0), StrongOracle(instance)
+    for access in (lambda: weak.pull(item), lambda: weak.pull_block(item, 2),
+                   lambda: strong.query(item)):
+        with pytest.raises(TypeError):
+            access()
+    assert weak.total_pulls == 0 and strong.calls == 0
