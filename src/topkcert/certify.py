@@ -75,52 +75,72 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     lazy heap of items that were queried or swapped out.  Stale entries are
     recognised because bounds only ever move inward.  Set-up costs one
     O(n log n) sort; each strong call costs O(log n).
+
+    The loop reads and writes the bounds as Python floats in lists; each
+    reveal is applied to them as ``collapse_to`` would apply it, and all
+    reveals reach ``state`` at the end in one ``collapse_many``.
     """
-    lower, upper = state.lower, state.upper
-    n = lower.size
+    n = state.n
     trace: list[int] = []
     if k == n:
         return np.arange(n), trace
-    order = np.lexsort((np.arange(n), -upper))
-    inside = np.zeros(n, dtype=bool)
-    inside[order[:k]] = True
-    in_heap = list(zip(lower[order[:k]].tolist(), order[:k].tolist()))
+    order = np.lexsort((np.arange(n), -state.upper))
+    lower, upper = state.lower.tolist(), state.upper.tolist()
+    top = order[:k].tolist()
+    inside = bytearray(n)
+    for x in top:
+        inside[x] = 1
+    in_heap = [(lower[x], x) for x in top]
     heapq.heapify(in_heap)
-    rest = order[k:]
-    rest_upper = upper[rest]
+    rest = order[k:].tolist()
+    rest_upper = [upper[x] for x in rest]
+    n_rest = len(rest)
     head = 0
     out_heap: list[tuple[float, int]] = []
+    values: list[float] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     for _ in range(n + 1):
         while not (inside[in_heap[0][1]] and in_heap[0][0] == lower[in_heap[0][1]]):
             heappop(in_heap)
         # an item passed over here is inside, or was queried and so entered
         # out_heap whenever it is outside
-        while head < rest.size and (
-            inside[rest[head]] or upper[rest[head]] != rest_upper[head]
-        ):
+        while head < n_rest and (inside[rest[head]] or upper[rest[head]] != rest_upper[head]):
             head += 1
         while out_heap and (inside[out_heap[0][1]] or out_heap[0][0] != -upper[out_heap[0][1]]):
             heappop(out_heap)
         i = in_heap[0][1]
-        j = int(rest[head]) if head < rest.size else out_heap[0][1]
+        j = rest[head] if head < n_rest else out_heap[0][1]
         if out_heap and out_heap[0] < (-upper[j], j):
             j = out_heap[0][1]
         if lower[i] >= upper[j]:
-            return np.flatnonzero(inside), trace
+            state.collapse_many(trace, values)
+            return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)), trace
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
         value = strong.query(x)
-        state.collapse_to(x, value)
+        # collapse_to(x, value): the comparisons of intersect_update with
+        # lower == upper == value, an empty intersection clamped to the
+        # nearer old bound
+        old_lo, old_hi = lower[x], upper[x]
+        lo = old_lo if old_lo >= value else value
+        hi = old_hi if old_hi <= value else value
+        if lo > hi:
+            lo = hi = old_hi if value > old_hi else old_lo
+        if not (old_lo <= lo <= hi <= old_hi):
+            raise ValueError(
+                f"non-monotone update of item {x}: [{old_lo}, {old_hi}] -> [{lo}, {hi}]"
+            )
+        lower[x], upper[x] = lo, hi
         trace.append(x)
+        values.append(value)
         if not inside[x]:
-            heappush(out_heap, (-float(upper[x]), x))
-        elif (-upper[x], x) > (-upper[j], j):
-            inside[x] = False
-            inside[j] = True
-            heappush(out_heap, (-float(upper[x]), x))
-            heappush(in_heap, (float(lower[j]), j))
+            heappush(out_heap, (-hi, x))
+        elif (-hi, x) > (-upper[j], j):
+            inside[x] = 0
+            inside[j] = 1
+            heappush(out_heap, (-hi, x))
+            heappush(in_heap, (lower[j], j))
         else:
-            heappush(in_heap, (float(lower[x]), x))
+            heappush(in_heap, (lo, x))
     raise AssertionError("adaptive certification did not terminate")
 
 
@@ -260,7 +280,9 @@ class AdaptiveCertify(BaseCertifier):
     the two has the wider interval until dominance certifies the set.  Only
     initially ambiguous items can ever be queried, each at most once.  Past
     the weak phase, the strong loop costs one O(n log n) sort plus O(log n)
-    per strong call.
+    per strong call.  The loop works on the bounds as Python floats and
+    writes its reveals back to the interval state in one batch when it
+    stops; the strong oracle is still called once per item, in trace order.
     """
 
     _strong_phase = staticmethod(_ace_loop)
@@ -427,6 +449,11 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
             if lo > hi:
                 lo = hi = old_hi if new_lo > old_hi else old_lo
                 conflicts += 1
+            budget_left -= 1
+            if lo == old_lo and hi == old_hi and c < w_max:
+                # x's interval, and so its key, l_k and u_k, are unchanged:
+                # x is still live and still on top of the heap
+                continue
             if lo != old_lo:
                 l_k = kth_lower.rise(x, old_lo, lo)
                 lower[x] = lo
@@ -438,7 +465,6 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
                 heapreplace(heap, (((1 << 63) - bits) << shift) | x)
             else:
                 heappop(heap)
-            budget_left -= 1
 
         state = IntervalState.from_bounds(lower, upper, pulls=counts, means=means)
         state.conflicts = conflicts

@@ -55,7 +55,10 @@ def _coerce(key: str, raw):
         if value is None:
             raise SystemExit(f"config key {key!r} takes {'/'.join(_BOOLEANS)}, not {text!r}")
         return value
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise SystemExit(f"config key {key!r} takes {kind.__name__}, not {text!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -179,7 +182,8 @@ def _cmd_sweep(args) -> int:
     write_rows(rows, args.out, fmt=args.format)
     errors = sum(1 for row in rows if row.status == "error")
     print(f"wrote {len(rows)} rows to {args.out}" + (f" ({errors} errors)" if errors else ""))
-    return 0
+    # a grid with some infeasible points still succeeds; one where nothing ran does not
+    return 0 if any(row.kind == "run" and row.status == "ok" for row in rows) else 1
 
 
 def _cmd_gen(args) -> int:

@@ -385,6 +385,31 @@ class TestAdaptiveCertifyWeak:
             np.testing.assert_array_equal(report.weak_state.upper, np.asarray(ref_hi))
             np.testing.assert_array_equal(report.weak_state.pulls, np.asarray(ref_counts))
 
+    def test_phase_one_matches_reference_when_unchanged_intervals_hit_the_cap(self):
+        # clamped empirical-Bernstein intervals stay [0, 1] over many pulls, so
+        # items reach w_max through pulls that leave their interval unchanged
+        n, w_max = 40, 20
+        budget = n * 150
+        method = "anytime_empirical_bernstein"
+        for seed in (0, 1, 2):
+            inst = generate_gap_instance(GapInstanceSpec(n=n, k=10, seed=seed))
+            ref_seq, ref_lo, ref_hi, ref_counts = _reference_adaptive_weak_phase(
+                inst, seed, k=10, delta=0.05, w_min=6, w_max=w_max, budget=budget,
+                sigma=0.1, method=method, clamp=True,
+            )
+            weak = _RecordingWeakOracle(inst, sigma=0.1, seed=seed, clamp=True)
+            report = ace_w(
+                weak, StrongOracle(inst), k=10, weak_budget=budget, w_min=6, w_max=w_max,
+                ci_method=method,
+            )
+            assert weak.single_pull_log == ref_seq
+            state = report.weak_state
+            np.testing.assert_array_equal(state.lower, np.asarray(ref_lo))
+            np.testing.assert_array_equal(state.upper, np.asarray(ref_hi))
+            np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
+            capped_full = (state.pulls == w_max) & (state.lower == 0.0) & (state.upper == 1.0)
+            assert capped_full.any()
+
     def test_budget_and_per_item_cap(self):
         inst = generate_gap_instance(GapInstanceSpec(n=120, k=12, seed=4))
         weak = WeakOracle(inst, sigma=0.1, seed=4)
@@ -435,6 +460,22 @@ class TestAdaptiveCertifyWeak:
         certifier = AdaptiveCertifyWeak(k=5)
         with pytest.raises(ValueError):
             certifier.fit(WeakOracle(inst, seed=0), StrongOracle(inst), initial_state=state)
+
+
+class _NanStrongOracle(StrongOracle):
+    def query(self, x):
+        super().query(x)
+        return float("nan")
+
+
+@pytest.mark.parametrize("name", ["ace", "ace_w"])
+def test_nan_reveal_raises_at_the_first_query(name):
+    inst = generate_gap_instance(GapInstanceSpec(n=60, k=10, seed=0))
+    strong = _NanStrongOracle(inst)
+    weak = WeakOracle(inst, sigma=0.1, seed=0)
+    with pytest.raises(ValueError, match="non-monotone"):
+        ALGORITHMS[name](k=10).fit(weak, strong)
+    assert strong.calls == 1
 
 
 class TestThresholdCertify:

@@ -99,6 +99,33 @@ class TestSweep:
         subprocess.run(args + [str(out_b)], check=True, capture_output=True)
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_sweep_where_nothing_ran_exits_one(self, capsys, tmp_path):
+        # ci.sigma = 0 is rejected by every run, so every row is an error
+        out = tmp_path / "rows.csv"
+        code, stdout = run_cli(
+            [
+                "sweep", "--experiment", "scaling_n", "--grid", "100", "--replicates", "1",
+                "--algorithms", "stc", "--k", "10", "--ci-sigma", "0", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "2 errors" in stdout
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {row["status"] for row in rows} == {"error"}
+
+    def test_sweep_with_an_infeasible_point_exits_zero(self, capsys, tmp_path):
+        out = tmp_path / "rows.csv"
+        code, stdout = run_cli(
+            [
+                "sweep", "--experiment", "scaling_k", "--grid", "5,500", "--replicates", "1",
+                "--algorithms", "stc", "--n", "100", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "1 errors" in stdout
+
 
 class TestVerify:
     def test_clean_range_exits_zero(self, capsys):
@@ -164,3 +191,21 @@ class TestBooleanText:
         with pytest.raises(SystemExit, match="ci.clamp"):
             main(["gen", "--config", str(cfg), "--n", "50", "--k", "5",
                   "--out", str(tmp_path / "x.csv")])
+
+
+class TestNumericText:
+    def test_malformed_env_number_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOPKCERT_N", "1e3")
+        with pytest.raises(SystemExit, match="'n' takes int, not '1e3'"):
+            main(["gen", "--out", str(tmp_path / "x.csv")])
+
+    def test_malformed_config_file_number_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n=1e3\n")
+        with pytest.raises(SystemExit, match="'n' takes int, not '1e3'"):
+            main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+
+    def test_malformed_float_names_the_key(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOPKCERT_DELTA", "abc")
+        with pytest.raises(SystemExit, match="'delta' takes float"):
+            main(["gen", "--n", "50", "--k", "5", "--out", str(tmp_path / "x.csv")])
