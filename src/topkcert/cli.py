@@ -19,6 +19,7 @@ from .harness import (
     BASE_DEFAULTS,
     CONFIG_KEYS,
     EXPERIMENTS,
+    _SWEPT_KEYS,
     SweepSpec,
     gap_instance,
     run_replicate,
@@ -102,10 +103,34 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi)))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise SystemExit(f"--seeds takes a non-empty range like 0..100 or comma list, not {text!r}")
+    return seeds
+
+
+def _parse_grid(experiment: str, text: str) -> list:
+    """The --grid points as the swept key's type; ``1e3`` is an int point."""
+    key, kind = _SWEPT_KEYS[experiment]
+    grid = []
+    for part in filter(None, text.split(",")):
+        try:
+            point = float(part)
+        except ValueError:
+            raise SystemExit(f"--grid takes numbers, not {part!r}") from None
+        if kind is int and not point.is_integer():
+            raise SystemExit(f"--grid sweeps the integer {key!r}, not {part!r}")
+        grid.append(kind(point))
+    if not grid:
+        raise SystemExit("--grid must name at least one point")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,17 +189,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    grid_text = [part for part in args.grid.split(",") if part]
-    if args.experiment == "hardness":
-        grid = [float(part) for part in grid_text]
-    else:
-        grid = [int(float(part)) for part in grid_text]
+    algorithms = tuple(filter(None, args.algorithms.split(",")))
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            raise SystemExit(f"--algorithms takes {','.join(ALGORITHMS)}, not {name!r}")
+    if args.replicates < 1:
+        raise SystemExit(f"--replicates must be at least 1, not {args.replicates}")
     spec = SweepSpec(
         experiment=args.experiment,
-        grid=grid,
+        grid=_parse_grid(args.experiment, args.grid),
         replicates=args.replicates,
         base=cfg,
-        algorithms=tuple(part for part in args.algorithms.split(",") if part),
+        algorithms=algorithms,
         base_seed=cfg["oracle.seed"],
         timing=args.timing,
     )

@@ -96,13 +96,15 @@ class IntervalState:
             bad = int(np.argmin(valid))
             what = "NaN bound" if np.isnan([lower[bad], upper[bad]]).any() else "empty interval"
             raise ValueError(f"{what} at item {bad}: [{lower[bad]}, {upper[bad]}]")
-        n = lower.size
         if pulls is None:
-            pulls = np.zeros(n, dtype=np.int64)
+            pulls = np.zeros(lower.size, dtype=np.int64)
         else:
             pulls = np.asarray(pulls, dtype=np.int64).copy()
         if means is not None:
             means = np.asarray(means, dtype=np.float64).copy()
+        for name, array in (("pulls", pulls), ("means", means)):
+            if array is not None and array.shape != lower.shape:
+                raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
         return cls(
             lower=lower,
             upper=upper,

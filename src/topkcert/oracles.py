@@ -24,14 +24,16 @@ waits until the scalar pulls already paid are of the order of its cost: an
 adaptive loop that spreads its pulls over many items, or stays on one item
 for long, pays for its draws in numpy, and a pattern that does neither keeps
 the scalar path.  Windows hold the same bits as the scalar path, and stream
-positions only grow between resets, so a window stays valid until it runs
-out, across ``pull_block`` and ``pull_all``.
+positions only grow until the oracle rewinds, so a window stays valid until
+it runs out, across ``pull_block``.
 
-Stream positions cost nothing per item until the first refill: one integer
-holds the position every item shares after ``pull_all``, and a dict the
-positions of items pulled on their own since.  The first refill moves them
-into one array of (position, window end) pairs beside the windows, so a lone
-item pulled again and again never makes the oracle allocate per-item state.
+After construction, ``reset`` or ``pull_all`` every item sits at one shared
+position, held in one integer, and no window exists.  The first ``pull`` or
+``pull_block`` after that maps an array of (position, window end) pairs beside
+the windows, the only position store from then on.  Its pages are committed
+only when written: a lone item pulled again and again from position 0 commits
+a few, but after a ``pull_all`` the first such pull writes all n positions
+(16 MB at n = 1e6).
 
 The strong oracle returns true values exactly and keeps an ordered trace of
 queries; its call count is the cost objective everywhere in this package.
@@ -117,14 +119,9 @@ class WeakOracle:
 
     @property
     def pulls_per_item(self) -> np.ndarray:
-        if self._track is not None:
-            return np.frombuffer(self._track, np.int64)[::2].copy()
-        counts = np.full(self._n, self._shared_position, dtype=np.int64)
-        positions = self._positions
-        if positions:
-            items = np.fromiter(positions, np.int64, len(positions))
-            counts[items] = np.fromiter(positions.values(), np.int64, len(positions))
-        return counts
+        if self._track is None:
+            return np.full(self._n, self._shared_position, dtype=np.int64)
+        return np.frombuffer(self._track, np.int64)[::2].copy()
 
     def _charge(self, amount: int) -> None:
         if self.max_pulls is not None and self.total_pulls + amount > self.max_pulls:
@@ -142,20 +139,15 @@ class WeakOracle:
         if self.max_pulls is not None and self.total_pulls >= self.max_pulls:
             raise BudgetExceededError("weak", self.max_pulls)
         self.total_pulls += 1
-        track = self._track
-        if track is not None:
-            i = 2 * x
-            t = track[i]
-            track[i] = t + 1
-            # positions only grow while a window lives, so a window that
-            # ends after t starts at or before it
-            end = track[i + 1]
-            if t < end:
-                return self._windows[(x + 1) * _AHEAD - end + t]
-        else:
-            positions = self._positions
-            t = positions.get(x, self._shared_position)
-            positions[x] = t + 1
+        track = self._track or self._start_track()
+        i = 2 * x
+        t = track[i]
+        track[i] = t + 1
+        # positions only grow while a window lives, so a window that ends
+        # after t starts at or before it
+        end = track[i + 1]
+        if t < end:
+            return self._windows[(x + 1) * _AHEAD - end + t]
         if x == self._run_item and t < self._run_end:
             return self._run[t - self._run_start]
         value = self._instance.values.item(x)
@@ -192,11 +184,6 @@ class WeakOracle:
         items = np.fromiter(waiting, np.int64, len(waiting))
         self._misses_before_shared_fill -= sum(waiting.values())
         waiting.clear()
-        if self._track is None:
-            positions = self.pulls_per_item
-            self._track, self._windows = _zeroed(2 * n, "q"), _zeroed(n * _AHEAD, "d")
-            self._positions = {}
-            np.frombuffer(self._track, np.int64)[::2] = positions
         track = np.frombuffer(self._track, np.int64).reshape(n, 2)
         windows = np.frombuffer(self._windows, np.float64).reshape(n, _AHEAD)
         starts = track[items, 0]
@@ -221,12 +208,9 @@ class WeakOracle:
         x = check_item(x, self.n_items)
         count = check_int(count, "count", minimum=1)
         self._charge(count)
-        if self._track is not None:
-            t0 = self._track[2 * x]
-            self._track[2 * x] = t0 + count
-        else:
-            t0 = self._positions.get(x, self._shared_position)
-            self._positions[x] = t0 + count
+        track = self._track or self._start_track()
+        t0 = track[2 * x]
+        track[2 * x] = t0 + count
         value = self._instance.values.item(x)
         if self.noise == "exact":
             return np.full(count, value)
@@ -242,18 +226,13 @@ class WeakOracle:
         can change what a replayed pass observes.
         """
         count = check_int(count, "count", minimum=1)
-        n = self.n_items
         counts = self.pulls_per_item
         t0 = int(counts[0])
         if np.any(counts != t0):
             raise ValueError("pull_all requires uniform per-item pull counts")
-        self._charge(n * count)
+        self._charge(self._n * count)
         self._shared_position = t0 + count
-        self._positions.clear()
-        if self._track is not None:
-            np.frombuffer(self._track, np.int64)[::2] = t0 + count
-        self._waiting.clear()
-        self._misses_before_shared_fill = n // _AHEAD
+        self._rewind()
         key = (t0, count)
         cached = self._block_cache.get(key)
         if cached is None:
@@ -272,10 +251,11 @@ class WeakOracle:
         """Rewind every stream to position zero; replays identical samples."""
         self.total_pulls = 0
         self._shared_position = 0
-        # until the first refill: the positions of items pulled on their own,
-        # every other item sitting at the shared position
-        self._positions: dict[int, int] = {}
-        # from the first refill: [position, window end] per item, the window
+        self._rewind()
+
+    def _rewind(self) -> None:
+        """Enter the shared state: every item at the shared position, no window."""
+        # once a pull needs them: [position, window end] per item, the window
         # being _AHEAD draws that end there (0: none), in _windows
         self._track: memoryview | None = None
         self._windows: memoryview | None = None
@@ -285,6 +265,15 @@ class WeakOracle:
         # one item's next _RUN_AHEAD draws from _run_start on
         self._run: memoryview | None = None
         self._run_item = self._run_start = self._run_end = -1
+
+    def _start_track(self) -> memoryview:
+        """Leave the shared state: one position per item, all at the shared one."""
+        n = self._n
+        self._track, self._windows = _zeroed(2 * n, "q"), _zeroed(n * _AHEAD, "d")
+        if self._shared_position:
+            # a fresh map already reads 0
+            np.frombuffer(self._track, np.int64)[::2] = self._shared_position
+        return self._track
 
 
 class StrongOracle:

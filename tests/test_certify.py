@@ -506,6 +506,14 @@ class TestThresholdCertify:
         report = ta_certify(None, StrongOracle(inst), k=5, initial_state=state)
         assert report.trace == tuple(sorted(range(50), key=lambda x: (-means[x], x)))
 
+    def test_initial_state_with_too_few_means_is_rejected_before_any_call(self):
+        inst = Instance(values=np.random.default_rng(15).random(100), k=5)
+        strong = StrongOracle(inst)
+        with pytest.raises(ValueError, match=r"means has shape \(3,\), the bounds \(100,\)"):
+            state = IntervalState.from_bounds(np.zeros(100), np.ones(100), means=[0.5, 0.2, 0.9])
+            ta_certify(None, strong, k=5, initial_state=state)
+        assert strong.calls == 0
+
     @pytest.mark.parametrize("k, seed, nan_share", [(1, 0, 0.0), (4, 1, 0.0), (9, 2, 0.0), (8, 3, 0.8)])
     def test_selection_widens_across_tied_estimates(self, k, seed, nan_share):
         # estimates on a 0.1 grid tie in groups of ~50, so the selected

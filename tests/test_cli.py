@@ -209,3 +209,86 @@ class TestNumericText:
         monkeypatch.setenv("TOPKCERT_DELTA", "abc")
         with pytest.raises(SystemExit, match="'delta' takes float"):
             main(["gen", "--n", "50", "--k", "5", "--out", str(tmp_path / "x.csv")])
+
+
+def _sweep_args(tmp_path, *extra):
+    return ["sweep", "--replicates", "1", "--algorithms", "stc", "--n", "100", "--k", "10",
+            "--out", str(tmp_path / "rows.csv"), *extra]
+
+
+class TestMalformedArguments:
+    @pytest.mark.parametrize("grid, message", [
+        ("100.7", "--grid sweeps the integer 'n', not '100.7'"),
+        ("1e3,abc", "--grid takes numbers, not 'abc'"),
+        (",", "--grid must name at least one point"),
+    ])
+    def test_malformed_grid_rejected(self, capsys, tmp_path, grid, message):
+        with pytest.raises(SystemExit, match=message):
+            main(_sweep_args(tmp_path, "--experiment", "scaling_n", "--grid", grid))
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_integral_float_text_is_an_int_point(self, capsys, tmp_path):
+        code, _ = run_cli(_sweep_args(tmp_path, "--experiment", "scaling_n", "--grid", "1.2e2"),
+                          capsys)
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+        assert {row["n"] for row in rows} == {"120"}
+        assert rows[-1]["note"] == "point=120"
+
+    def test_unknown_algorithm_rejected(self, capsys, tmp_path):
+        args = _sweep_args(tmp_path, "--experiment", "scaling_n", "--grid", "100")
+        args[args.index("--algorithms") + 1] = "stc,foo"
+        with pytest.raises(SystemExit, match="--algorithms .*'foo'"):
+            main(args)
+
+    def test_zero_replicates_rejected(self, capsys, tmp_path):
+        args = _sweep_args(tmp_path, "--experiment", "scaling_n", "--grid", "100")
+        args[args.index("--replicates") + 1] = "0"
+        with pytest.raises(SystemExit, match="--replicates must be at least 1, not 0"):
+            main(args)
+
+    @pytest.mark.parametrize("seeds", ["a..b", "0..x", "1,x", "5..2", ","])
+    def test_malformed_seeds_rejected(self, capsys, seeds):
+        with pytest.raises(SystemExit, match="--seeds"):
+            main(["verify", "--seeds", seeds, "--n", "50", "--k", "5"])
+
+
+class TestHardnessSweep:
+    def test_float_points_reach_rows_and_summaries(self, capsys, tmp_path):
+        code, _ = run_cli(
+            _sweep_args(tmp_path, "--experiment", "hardness", "--grid", "0.08,0.2"), capsys
+        )
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+        runs = [row for row in rows if row["kind"] == "run"]
+        summaries = [row for row in rows if row["kind"] == "summary"]
+        assert [row["gap"] for row in runs] == ["0.08", "0.2"]
+        assert [(row["gap"], row["note"]) for row in summaries] == [
+            ("0.08", "point=0.08"), ("0.2", "point=0.2")
+        ]
+
+
+class TestTiming:
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_run_fills_wall_ms_only_when_asked(self, capsys, timing):
+        args = ["run", "--algo", "stc", "--n", "100", "--k", "10", "--format", "jsonl"]
+        code, out = run_cli(args + ["--timing"] * timing, capsys)
+        assert code == 0
+        wall_ms = json.loads(out)["wall_ms"]
+        if timing:
+            assert isinstance(wall_ms, float) and wall_ms >= 0.0
+        else:
+            assert wall_ms is None
+
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_sweep_fills_wall_ms_only_when_asked(self, capsys, tmp_path, timing):
+        args = _sweep_args(tmp_path, "--experiment", "scaling_n", "--grid", "100,120")
+        code, _ = run_cli(args + ["--timing"] * timing, capsys)
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+        walls = [row["wall_ms"] for row in rows if row["kind"] == "run"]
+        assert len(walls) == 2
+        if timing:
+            assert all(float(wall) >= 0.0 for wall in walls)
+        else:
+            assert walls == ["", ""]

@@ -323,3 +323,9 @@ def test_from_bounds_rejects_nan_bounds():
     # NaN point estimates stay allowed
     state = IntervalState.from_bounds([0.1], [0.2], means=[np.nan])
     assert np.isnan(state.means[0])
+
+
+@pytest.mark.parametrize("field, length", [("pulls", 1), ("pulls", 3), ("means", 1), ("means", 3)])
+def test_from_bounds_rejects_pulls_or_means_of_another_length(field, length):
+    with pytest.raises(ValueError, match=rf"{field} has shape \({length},\), the bounds \(2,\)"):
+        IntervalState.from_bounds([0.0, 0.0], [1.0, 1.0], **{field: np.zeros(length)})

@@ -1,5 +1,6 @@
 """Tests for oracle determinism, counters, and budget enforcement."""
 
+import os
 import struct
 import tracemalloc
 
@@ -346,6 +347,23 @@ class TestLookahead:
         assert observed == expected
         # an n-sized buffer of one double or int64 per item is 1.6 MB
         assert peak < 1_000_000
+
+    def test_one_item_pulled_again_and_again_commits_no_n_sized_memory(self):
+        # tracemalloc does not see memory maps, so read resident pages instead
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs /proc/self/statm")
+
+        def resident_bytes():
+            with open("/proc/self/statm") as handle:
+                return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        instance = Instance(values=np.random.default_rng(3).random(1_000_000), k=1)
+        weak = WeakOracle(instance, sigma=0.1, seed=5)
+        before = resident_bytes()
+        for _ in range(500):
+            weak.pull(0)
+        # n positions of 8 bytes each would be 8 MB
+        assert resident_bytes() - before < 4_000_000
 
 
 class TestStrongOracle:
