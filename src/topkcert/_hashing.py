@@ -6,16 +6,23 @@ normal CDF when Gaussian noise is required.  The scalar (Python int) and
 vectorized (uint64 ndarray) code paths produce bit-identical doubles, which is
 what makes single-pull adaptive loops and bulk weak phases replay-consistent.
 
-There is one vectorized path, ``gaussian_rows``: row r holds the draws of one
-item from its own start position on.  The bulk (n, count) matrix of a uniform
-weak phase (``gaussian_matrix``) is the case where every row starts at the
-same position, and one item's block (``gaussian_block``) the case of a single
-row.  Rows are built in blocks of ``ROW_BLOCK``: each block runs the hash, the
-inverse CDF, the scaling and the offset in place inside the output, so the
-only full-size array is the result and the per-block scratch stays
-cache-sized.  Every step is the same elementwise operation the scalar path
-applies, so neither blocking nor the choice of rows changes a bit.  That is
-also why draws may be computed ahead of the pulls that consume them.
+There is one vectorized path, ``_draw_block``, which runs the hash, the
+inverse CDF, the scaling and the offset in place over a block of at most
+``ROW_BLOCK`` rows, so the per-block scratch stays cache-sized.  Every step is
+the same elementwise operation the scalar path applies, so neither blocking
+nor the choice of rows changes a bit.  That is also why draws may be computed
+ahead of the pulls that consume them.  Two loops feed it:
+
+- ``gaussian_rows`` writes each block into its (m, count) result: row r holds
+  the draws of one item from its own start position on.  The bulk (n, count)
+  matrix of a uniform weak phase (``gaussian_matrix``) is the case where every
+  row starts at the same position, and one item's block (``gaussian_block``)
+  the case of a single row.
+- ``row_moments`` writes each block into one reused scratch block and reduces
+  it to per-row means (and variances) while it is still in cache.  A uniform
+  screen needs nothing else, so it never holds the (n, count) matrix; the
+  reductions are the same numpy calls over the same rows, so they match the
+  matrix's bit for bit.
 """
 
 from __future__ import annotations
@@ -103,16 +110,64 @@ def gaussian_rows(
     bits = np.empty((min(m, ROW_BLOCK), count), dtype=np.uint64)
     for lo in range(0, m, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, m)
-        z = bits[: hi - lo]
         first = starts if starts.size == 1 else starts[lo:hi]
-        np.bitwise_xor(keys[lo:hi, None], first + steps, out=z)
-        mix64_array(z, out=z)
-        z >>= np.uint64(11)
-        block = out[lo:hi]
-        np.add(z, 0.5, out=block)
-        block *= _INV_2_53
-        ndtri(block, out=block)
-        block *= sigma
-        if offsets is not None:
-            block += offsets[lo:hi, None]
+        block_offsets = None if offsets is None else offsets[lo:hi]
+        _draw_block(out[lo:hi], bits[: hi - lo], keys[lo:hi], first + steps, sigma, block_offsets)
     return out
+
+
+def row_moments(
+    keys: np.ndarray | None, t0: int, count: int, sigma: float, offsets: np.ndarray,
+    clamp: bool = False, variance: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row means, and row variances (ddof=1) when `variance` is set, of the
+    matrix ``gaussian_matrix(keys, t0, count, sigma, offsets)``, clipped in
+    place to [0, 1] first when `clamp` is set, without building that matrix.
+
+    ``keys=None`` stands for noise-free rows: row r holds offsets[r] `count`
+    times, and nothing is clipped.  Each block of rows is drawn into one
+    reused (ROW_BLOCK, count) scratch block and reduced with the same
+    ``mean``/``var`` calls along its rows, so the results equal the full
+    matrix's row reductions bit for bit.
+    """
+    m = offsets.size
+    means = np.empty(m)
+    variances = np.empty(m) if variance else None
+    scratch = np.empty((min(m, ROW_BLOCK), count))
+    bits = np.empty(scratch.shape, dtype=np.uint64)
+    positions = np.uint64(t0) + np.arange(count, dtype=np.uint64)
+    for lo in range(0, m, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, m)
+        block = scratch[: hi - lo]
+        if keys is None:
+            block[:] = offsets[lo:hi, None]
+        else:
+            _draw_block(block, bits[: hi - lo], keys[lo:hi], positions, sigma, offsets[lo:hi])
+            if clamp:
+                np.clip(block, 0.0, 1.0, out=block)
+        block.mean(axis=1, out=means[lo:hi])
+        if variance:
+            block.var(axis=1, ddof=1, out=variances[lo:hi])
+    return means, variances
+
+
+def _draw_block(
+    out: np.ndarray, bits: np.ndarray, keys: np.ndarray, positions: np.ndarray, sigma: float,
+    offsets: np.ndarray | None,
+) -> None:
+    """Write offsets[r] + sigma * N(0, 1) for row r's pull indexes `positions`
+    into out[r]; `bits` is uint64 scratch of out's shape.
+
+    The module's one vectorized draw path: the hash, the inverse CDF, the
+    scaling and the offset run in place, each the elementwise step the scalar
+    path applies.
+    """
+    np.bitwise_xor(keys[:, None], positions, out=bits)
+    mix64_array(bits, out=bits)
+    bits >>= np.uint64(11)
+    np.add(bits, 0.5, out=out)
+    out *= _INV_2_53
+    ndtri(out, out=out)
+    out *= sigma
+    if offsets is not None:
+        out += offsets[:, None]

@@ -372,9 +372,9 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         method = self._method()
         delta_x = DeltaBudget.split(self.delta, n, self.delta_weak_fraction).per_item
 
-        obs = weak.pull_all(w_min)
-        means_arr = obs.mean(axis=1)
-        variances = obs.var(axis=1, ddof=1) if w_min >= 2 else np.zeros(n)
+        means_arr, variances = weak.pull_all_moments(w_min, variance=w_min >= 2)
+        if variances is None:
+            variances = np.zeros(n)
         radii = method.batch_radius(w_min, variances, delta_x, anytime=True)
         lower_arr = np.clip(means_arr - radii, 0.0, 1.0)
         upper_arr = np.clip(means_arr + radii, 0.0, 1.0)
@@ -582,7 +582,7 @@ def ace(weak, strong, k, **params) -> CertificationReport:
 
 def ace_w(weak, strong, k, **params) -> CertificationReport:
     """Fully adaptive two-phase certification; see :class:`AdaptiveCertifyWeak`."""
-    return AdaptiveCertifyWeak(k, **params).fit(weak, strong).report_
+    return _fit_report(AdaptiveCertifyWeak, weak, strong, k, params)
 
 
 def ta_certify(weak, strong, k, **params) -> CertificationReport:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .certify import ALGORITHMS
 from .confidence import _METHOD_NAMES
@@ -33,6 +34,7 @@ from .instances import PackingSpec, generate_packing_instance, load_instance, sa
 from .oracles import _NOISE_MODELS
 
 ENV_PREFIX = "TOPKCERT_"
+_CONFIG_INSTANCE = "the config does not describe a valid instance"
 
 _CHOICES = {"oracle.noise": _NOISE_MODELS, "ci.method": tuple(_METHOD_NAMES)}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -169,15 +171,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _instance_errors(source: str):
+    """Turn an instance that cannot be built or read into one line naming `source`.
+
+    Only instance construction goes inside: an error from a certifier must
+    surface as it is.
+    """
+    try:
+        yield
+    except (ValueError, OSError) as error:
+        raise SystemExit(f"{source}: {error}") from None
+
+
 def _cmd_run(args) -> int:
     cfg = resolve_config(args)
     seed = cfg["oracle.seed"]
     if args.instance:
-        instance = load_instance(args.instance, k=cfg["k"])
+        with _instance_errors(f"--instance {args.instance}"):
+            instance = load_instance(args.instance, k=cfg["k"])
         # the row reports the loaded instance, not the config's generator gap
         cfg["gap"] = instance.gap
     else:
-        instance = gap_instance(cfg, seed)
+        with _instance_errors(_CONFIG_INSTANCE):
+            instance = gap_instance(cfg, seed)
     result = run_replicate(instance, seed, [args.algo], cfg, timing=args.timing)[0]
     row = run_row("run", cfg, seed, result, instance, true_top_k(instance))
     if args.format == "jsonl":
@@ -214,14 +231,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     cfg = resolve_config(args)
-    if args.kind == "packing":
-        if args.m is None:
-            raise SystemExit("--m is required for packing instances")
-        instance, _ = generate_packing_instance(
-            PackingSpec(n=cfg["n"], k=cfg["k"], m=args.m), seed=cfg["oracle.seed"]
-        )
-    else:
-        instance = gap_instance(cfg, cfg["oracle.seed"])
+    if args.kind == "packing" and args.m is None:
+        raise SystemExit("--m is required for packing instances")
+    with _instance_errors(_CONFIG_INSTANCE):
+        if args.kind == "packing":
+            instance, _ = generate_packing_instance(
+                PackingSpec(n=cfg["n"], k=cfg["k"], m=args.m), seed=cfg["oracle.seed"]
+            )
+        else:
+            instance = gap_instance(cfg, cfg["oracle.seed"])
     save_instance(instance, args.out)
     print(f"wrote {instance.n} items to {args.out}")
     return 0

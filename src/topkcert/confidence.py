@@ -273,12 +273,10 @@ def build_fixed_intervals(
     n_pulls = check_int(n_pulls, "n_pulls", minimum=method.min_count)
     if weak.n_items != budget.n_items:
         raise ValueError("budget sized for a different number of items")
-    obs = weak.pull_all(n_pulls)
-    means = obs.mean(axis=1)
-    # sub-Gaussian radii never read the sample variance, whose computation
-    # allocates an (n, n_pulls) temporary
-    variances = obs.var(axis=1, ddof=1) if n_pulls >= 2 and method.reads_variance else 0.0
-    radii = method.batch_radius(n_pulls, variances, budget.per_item, anytime)
+    # sub-Gaussian radii never read the sample variance
+    variance = n_pulls >= 2 and method.reads_variance
+    means, variances = weak.pull_all_moments(n_pulls, variance=variance)
+    radii = method.batch_radius(n_pulls, variances if variance else 0.0, budget.per_item, anytime)
     lower = np.clip(means - radii, 0.0, 1.0)
     upper = np.clip(means + radii, 0.0, 1.0)
     counts = np.full(weak.n_items, n_pulls, dtype=np.int64)

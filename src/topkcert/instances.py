@@ -63,7 +63,9 @@ def generate_gap_instance(spec: GapInstanceSpec) -> Instance:
     (k+1)-th values equals ``spec.gap``.
     """
     n = check_int(spec.n, "n", minimum=2)
-    k = check_k(spec.k, n - 1)
+    k = check_int(spec.k, "k")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"a gap instance needs 1 <= k <= n - 1 = {n - 1}, got k={k}")
     gap = check_positive(spec.gap, "gap")
     anchor = check_probability(spec.anchor, "anchor")
     eta = spec.resolved_eta()

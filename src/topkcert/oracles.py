@@ -35,6 +35,15 @@ only when written: a lone item pulled again and again from position 0 commits
 a few, but after a ``pull_all`` the first such pull writes all n positions
 (16 MB at n = 1e6).
 
+A uniform screen reads only each item's sample mean, and its sample variance
+for empirical-Bernstein radii.  ``pull_all_moments`` pulls exactly as
+``pull_all`` does but reduces each block of rows while the kernel still holds
+it, so the (n, count) matrix that ``pull_all`` returns is never built; at
+n = 1e6 and 12 pulls that matrix is 96 MB.  Both results are cached per
+(shared position, count), the matrix and the moments in separate caches, and
+returned read-only, so every certifier of a replicate screens from the same
+arrays and none can change them.
+
 The strong oracle returns true values exactly and keeps an ordered trace of
 queries; its call count is the cost objective everywhere in this package.
 ``query_many`` answers a batch of queries in one numpy step, counted and
@@ -110,7 +119,9 @@ class WeakOracle:
         self.max_pulls = None if max_pulls is None else check_int(max_pulls, "max_pulls", minimum=0)
         self._keys = _hashing.item_keys(self.seed, instance.n)
         self._n = instance.n
+        # (shared position, count) -> pull_all's block, pull_all_moments' moments
         self._block_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._moments_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
         self.reset()
 
     @property
@@ -225,17 +236,10 @@ class WeakOracle:
         deterministic anyway, and are returned read-only so that no caller
         can change what a replayed pass observes.
         """
-        count = check_int(count, "count", minimum=1)
-        counts = self.pulls_per_item
-        t0 = int(counts[0])
-        if np.any(counts != t0):
-            raise ValueError("pull_all requires uniform per-item pull counts")
-        self._charge(self._n * count)
-        self._shared_position = t0 + count
-        self._rewind()
-        key = (t0, count)
+        key = self._advance_all(count)
         cached = self._block_cache.get(key)
         if cached is None:
+            t0, count = key
             values = self._instance.values
             if self.noise == "exact":
                 cached = np.tile(values[:, None], (1, count))
@@ -246,6 +250,54 @@ class WeakOracle:
             cached.flags.writeable = False
             self._block_cache[key] = cached
         return cached
+
+    def pull_all_moments(
+        self, count: int, variance: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The row means of the block ``pull_all`` returns for `count`, and its
+        row variances (ddof=1) when `variance` is set (else None), without
+        building that block.
+
+        Pulls, checks and counts exactly as ``pull_all`` does, and is
+        bit-identical to ``.mean(axis=1)`` and ``.var(axis=1, ddof=1)`` of its
+        block.  The moments are cached by position and returned read-only.  A
+        subclass that overrides ``pull_all`` has it called once and its block
+        reduced.
+        """
+        count = check_int(count, "count", minimum=2 if variance else 1)
+        if type(self).pull_all is not WeakOracle.pull_all:
+            block = self.pull_all(count)
+            return block.mean(axis=1), block.var(axis=1, ddof=1) if variance else None
+        key = self._advance_all(count)
+        cached = self._moments_cache.get(key)
+        if cached is None or (variance and cached[1] is None):
+            t0, count = key
+            keys = None if self.noise == "exact" else self._keys
+            cached = _hashing.row_moments(
+                keys, t0, count, self.sigma, self._instance.values, self.clamp, variance
+            )
+            for moments in cached:
+                if moments is not None:
+                    moments.flags.writeable = False
+            self._moments_cache[key] = cached
+        means, variances = cached
+        return means, variances if variance else None
+
+    def _advance_all(self, count: int) -> tuple[int, int]:
+        """Charge `count` pulls of every item from their one shared position
+        and move them all past it; returns (that position, count)."""
+        count = check_int(count, "count", minimum=1)
+        if self._track is None:
+            t0 = self._shared_position
+        else:
+            positions = np.frombuffer(self._track, np.int64)[::2]
+            t0 = int(positions[0])
+            if np.any(positions != t0):
+                raise ValueError("pull_all requires uniform per-item pull counts")
+        self._charge(self._n * count)
+        self._shared_position = t0 + count
+        self._rewind()
+        return t0, count
 
     def reset(self) -> None:
         """Rewind every stream to position zero; replays identical samples."""

@@ -41,7 +41,7 @@ from topkcert.core import (
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import StrongOracle, WeakOracle, snapshot_and_reset
 
-from test_oracles import _RecordingStrongOracle
+from test_oracles import _RecordingPullAllOracle, _RecordingStrongOracle
 
 
 def _truth(instance):
@@ -460,6 +460,30 @@ class TestAdaptiveCertifyWeak:
         certifier = AdaptiveCertifyWeak(k=5)
         with pytest.raises(ValueError):
             certifier.fit(WeakOracle(inst, seed=0), StrongOracle(inst), initial_state=state)
+
+    def test_functional_form_rejects_prescribed_intervals_like_fit(self):
+        inst, state = generate_packing_instance(PackingSpec(n=50, k=5, m=20))
+        strong = StrongOracle(inst)
+        with pytest.raises(ValueError, match="live oracle access"):
+            ace_w(WeakOracle(inst, seed=0), strong, k=5, initial_state=state)
+        assert strong.calls == 0
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta"])
+def test_an_overriding_pull_all_is_called_once_per_screen(name):
+    inst = generate_gap_instance(GapInstanceSpec(n=120, k=10, seed=4))
+    params = {"ci_method": "empirical_bernstein", "n_weak": 8}
+    if name == "ace_w":
+        params = {"ci_method": "anytime_empirical_bernstein", "weak_budget": 120 * 9, "w_min": 6}
+    plain = WeakOracle(inst, sigma=0.1, seed=4, clamp=True)
+    weak = _RecordingPullAllOracle(inst, sigma=0.1, seed=4, clamp=True)
+    want = ALGORITHMS[name](10, **params).fit(plain, StrongOracle(inst)).report_
+    got = ALGORITHMS[name](10, **params).fit(weak, StrongOracle(inst)).report_
+    assert weak.pull_all_counts == [params.get("w_min", 8)]
+    assert got.trace == want.trace and got.selected == want.selected
+    assert weak.total_pulls == plain.total_pulls
+    np.testing.assert_array_equal(got.weak_state.lower, want.weak_state.lower)
+    np.testing.assert_array_equal(got.weak_state.upper, want.weak_state.upper)
 
 
 class _NanStrongOracle(StrongOracle):

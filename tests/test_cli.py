@@ -50,6 +50,37 @@ class TestRun:
         assert row["correct"] == "true"
 
 
+class TestInstanceErrors:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "--algo", "stc", "--n", "50", "--k", "100"], "1 <= k <= n - 1 = 49"),
+            (["run", "--algo", "stc", "--n", "50", "--k", "50"], "1 <= k <= n - 1 = 49"),
+            (["run", "--algo", "stc", "--n", "500", "--k", "10", "--gap", "0.9"], "bulk_band"),
+        ],
+    )
+    def test_run_names_the_config(self, args, message):
+        with pytest.raises(SystemExit, match=f"^the config does not describe a valid instance: .*{message}"):
+            main(args)
+
+    def test_gen_names_the_config(self, tmp_path):
+        args = ["gen", "--kind", "packing", "--n", "10", "--k", "5", "--m", "20"]
+        with pytest.raises(SystemExit, match="^the config does not describe a valid instance: m must be"):
+            main(args + ["--out", str(tmp_path / "p.csv")])
+        with pytest.raises(SystemExit, match="^the config does not describe a valid instance: .*k <= n - 1"):
+            main(["gen", "--n", "10", "--k", "10", "--out", str(tmp_path / "g.csv")])
+        assert not list(tmp_path.iterdir())
+
+    def test_run_names_the_instance_file(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("item_id,value\n0,0.5\n2,0.3\n")
+        with pytest.raises(SystemExit, match=r"^--instance .*ids\.csv: .*item_id 2 out of order"):
+            main(["run", "--algo", "stc", "--instance", str(path), "--k", "1"])
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit, match=r"^--instance .*missing\.csv: .*No such file"):
+            main(["run", "--algo", "stc", "--instance", str(missing), "--k", "1"])
+
+
 class TestGen:
     def test_gap_instance_roundtrips(self, capsys, tmp_path):
         path = tmp_path / "gap.csv"

@@ -1,6 +1,7 @@
 """Tests for interval constructions, budgets, and the weak-phase builder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,39 @@ class TestBuildFixedIntervals:
         radius = 0.2 * math.sqrt(2 * math.log(2 / (delta / 3)) / n_pulls)
         np.testing.assert_allclose(state.lower, np.clip(means - radius, 0, 1))
         np.testing.assert_allclose(state.upper, np.clip(means + radius, 0, 1))
+
+    @pytest.mark.parametrize("method", [SubGaussian(0.1), EmpiricalBernstein(1.0)])
+    def test_screen_never_holds_the_observation_matrix(self, method):
+        n, n_pulls = 100_000, 12
+        inst = Instance(values=np.random.default_rng(5).random(n), k=10)
+        weak = WeakOracle(inst, sigma=0.1, seed=5, clamp=True)
+        budget = DeltaBudget.split(0.05, n)
+        tracemalloc.start()
+        try:
+            build_fixed_intervals(weak, n_pulls, budget, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_pulls * 8
+
+    @pytest.mark.parametrize(
+        "method, anytime",
+        [(SubGaussian(0.3), False), (EmpiricalBernstein(1.0), False), (AnytimeEmpiricalBernstein(1.0), True)],
+    )
+    def test_matches_the_observation_matrix(self, method, anytime):
+        n, n_pulls = 300, 5
+        inst = Instance(values=np.random.default_rng(8).random(n), k=10)
+        weak = WeakOracle(inst, sigma=0.3, seed=8, clamp=True)
+        state = build_fixed_intervals(weak, n_pulls, DeltaBudget.split(0.05, n), method, anytime)
+        weak.reset()
+        obs = weak.pull_all(n_pulls)
+        means = obs.mean(axis=1)
+        variances = obs.var(axis=1, ddof=1) if method.reads_variance else 0.0
+        radii = method.batch_radius(n_pulls, variances, 0.05 / n, anytime)
+        assert state.means.tobytes() == means.tobytes()
+        assert state.lower.tobytes() == np.clip(means - radii, 0.0, 1.0).tobytes()
+        assert state.upper.tobytes() == np.clip(means + radii, 0.0, 1.0).tobytes()
+        assert weak.total_pulls == n * n_pulls
 
     def test_weak_budget_enforced(self):
         inst = Instance(values=np.array([0.5, 0.6]), k=1)

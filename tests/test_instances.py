@@ -61,6 +61,12 @@ class TestGapGenerator:
             generate_gap_instance(GapInstanceSpec(n=100, k=10, gap=0.05, anchor=0.01, seed=0))
 
 
+    @pytest.mark.parametrize("k", [0, 50, 51])
+    def test_k_bound_message_states_the_rule(self, k):
+        with pytest.raises(ValueError, match=rf"1 <= k <= n - 1 = 49, got k={k}"):
+            generate_gap_instance(GapInstanceSpec(n=50, k=k, seed=0))
+
+
 class TestPackingGenerator:
     def test_prescribed_intervals_cover_and_screen(self):
         spec = PackingSpec(n=200, k=10, m=60)

@@ -127,6 +127,102 @@ class TestWeakOracle:
             WeakOracle(instance, noise="cauchy")
 
 
+class _RecordingPullAllOracle(WeakOracle):
+    """Records the count of every call of an overriding ``pull_all``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pull_all_counts = []
+
+    def pull_all(self, count):
+        self.pull_all_counts.append(count)
+        return super().pull_all(count)
+
+
+class TestPullAllMoments:
+    @pytest.mark.parametrize("noise, clamp", [("gaussian", False), ("gaussian", True), ("exact", False)])
+    def test_match_the_block_reductions_bitwise(self, noise, clamp):
+        # a partial last row block, and a start position above 0
+        n = 2 * ROW_BLOCK + 3
+        inst = Instance(values=np.random.default_rng(4).random(n), k=5)
+        # sigma wide enough that clamping changes some observations
+        a, b, c = (WeakOracle(inst, noise=noise, sigma=0.3, seed=2, clamp=clamp) for _ in range(3))
+        for weak in (a, b, c):
+            weak.pull_all(2)
+        block = a.pull_all(12)
+        means, variances = b.pull_all_moments(12, variance=True)
+        only_means, none = c.pull_all_moments(12)
+        assert none is None
+        assert means.tobytes() == only_means.tobytes() == block.mean(axis=1).tobytes()
+        assert variances.tobytes() == block.var(axis=1, ddof=1).tobytes()
+        assert a.total_pulls == b.total_pulls == c.total_pulls == n * 14
+        for weak in (b, c):
+            np.testing.assert_array_equal(weak.pulls_per_item, a.pulls_per_item)
+        assert clamp == bool(np.any((block == 0.0) | (block == 1.0)))
+
+    def test_exact_means_match_a_tiled_block(self):
+        # the mean of equal values need not be that value; the tile's is the reference
+        inst = Instance(values=np.array([0.1, 0.7, 1 / 3, 0.0, 1.0]), k=1)
+        means, variances = WeakOracle(inst, noise="exact").pull_all_moments(3, variance=True)
+        tiled = np.tile(inst.values[:, None], (1, 3))
+        assert means.tobytes() == tiled.mean(axis=1).tobytes()
+        assert variances.tobytes() == tiled.var(axis=1, ddof=1).tobytes()
+
+    def test_requires_uniform_positions(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        weak.pull(0)
+        for call in (weak.pull_all, weak.pull_all_moments):
+            with pytest.raises(ValueError, match="uniform per-item pull counts"):
+                call(2)
+        assert weak.total_pulls == 1
+
+    @pytest.mark.parametrize("scalar_first", [False, True])
+    def test_budget_error_leaves_counters(self, instance, scalar_first):
+        n = instance.n
+        for call in ("pull_all", "pull_all_moments"):
+            weak = WeakOracle(instance, sigma=0.1, seed=0, max_pulls=5 * n - 1)
+            weak.pull_all_moments(3)
+            if scalar_first:
+                for x in range(n):
+                    weak.pull(x)
+            before = weak.pulls_per_item.copy()
+            total = weak.total_pulls
+            with pytest.raises(BudgetExceededError):
+                getattr(weak, call)(2)
+            assert weak.total_pulls == total
+            np.testing.assert_array_equal(weak.pulls_per_item, before)
+
+    def test_variance_of_one_pull_is_rejected_before_charging(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        with pytest.raises(ValueError, match="count must be >= 2"):
+            weak.pull_all_moments(1, variance=True)
+        assert weak.total_pulls == 0
+
+    def test_cached_moments_are_read_only(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        means, variances = weak.pull_all_moments(4, variance=True)
+        first = means.copy(), variances.copy()
+        for array in (means, variances):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
+        weak.reset()
+        # a means-only call replays from the same cache entry
+        assert weak.pull_all_moments(4)[0] is means
+        weak.reset()
+        replay = weak.pull_all_moments(4, variance=True)
+        for got, want in zip(replay, first):
+            np.testing.assert_array_equal(got, want)
+
+    def test_overriding_pull_all_is_called_once_per_screen(self, instance):
+        plain = WeakOracle(instance, sigma=0.1, seed=3)
+        weak = _RecordingPullAllOracle(instance, sigma=0.1, seed=3)
+        for variance in (False, True):
+            got = weak.pull_all_moments(3, variance=variance)
+            assert _bits(got) == _bits(plain.pull_all_moments(3, variance=variance))
+        assert weak.pull_all_counts == [3, 3]
+        assert weak.total_pulls == plain.total_pulls
+
+
 class _ReferenceWeakOracle:
     """The weak oracle before lookahead windows: every scalar pull hashes on its own."""
 
@@ -208,12 +304,21 @@ class _ReferenceWeakOracle:
             self._block_cache[key] = cached
         return cached
 
+    def pull_all_moments(self, count, variance=False):
+        count = check_int(count, "count", minimum=2 if variance else 1)
+        block = self.pull_all(count)
+        return block.mean(axis=1), block.var(axis=1, ddof=1) if variance else None
+
     def reset(self):
         self._counts = [0] * self.n_items
         self.total_pulls = 0
 
 
 def _bits(result):
+    if result is None:
+        return None
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
     if isinstance(result, np.ndarray):
         return result.dtype, result.shape, result.tobytes()
     return type(result), struct.pack("<d", result)
@@ -257,15 +362,19 @@ def _assert_matches_reference(instance, ops, **params):
         np.testing.assert_array_equal(weak.pulls_per_item, reference.pulls_per_item)
 
 
-_OPS = st.lists(
+_OP_KINDS = (
+    st.tuples(st.just("pull"), st.integers(0, 10**6)),
+    st.tuples(st.just("stride"), st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 400)),
+    st.tuples(st.just("repeat"), st.integers(0, 10**6), st.integers(1, 60)),
+    st.tuples(st.just("pull_block"), st.integers(0, 10**6), st.integers(1, 20)),
+    st.tuples(st.just("pull_all"), st.integers(1, 3)),
+    st.just(("reset",)),
+    st.just(("pulls_per_item",)),
+)
+_OPS = st.lists(st.one_of(*_OP_KINDS), max_size=25)
+_MOMENT_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("pull"), st.integers(0, 10**6)),
-        st.tuples(st.just("stride"), st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 400)),
-        st.tuples(st.just("repeat"), st.integers(0, 10**6), st.integers(1, 60)),
-        st.tuples(st.just("pull_block"), st.integers(0, 10**6), st.integers(1, 20)),
-        st.tuples(st.just("pull_all"), st.integers(1, 3)),
-        st.just(("reset",)),
-        st.just(("pulls_per_item",)),
+        *_OP_KINDS, st.tuples(st.just("pull_all_moments"), st.integers(1, 3), st.booleans())
     ),
     max_size=25,
 )
@@ -313,6 +422,19 @@ class TestLookahead:
         ]
         _assert_matches_reference(instance, ops, sigma=sigma, seed=3, clamp=clamp)
         _assert_matches_reference(instance, ops, sigma=sigma, seed=3, clamp=clamp, max_pulls=9000)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        noise=st.sampled_from(["gaussian", "exact"]),
+        clamp=st.booleans(),
+        max_pulls=st.one_of(st.none(), st.integers(0, 3000)),
+        ops=_MOMENT_OPS,
+    )
+    def test_moments_match_reference_under_any_interleaving(self, noise, clamp, max_pulls, ops):
+        instance = Instance(values=np.random.default_rng(90).random(90), k=1)
+        _assert_matches_reference(
+            instance, ops, noise=noise, sigma=0.6, seed=5, clamp=clamp, max_pulls=max_pulls
+        )
 
     def test_items_waiting_at_pull_all_are_refilled_from_their_new_position(self):
         # _AHEAD + 1 rounds over every item leave the items whose windows came
