@@ -24,19 +24,13 @@ from .confidence import (
     AnytimeEmpiricalBernstein,
     DeltaBudget,
     EmpiricalBernstein,
-    StreamStats,
     SubGaussian,
-    anytime_radius,
-    bonferroni_split,
     build_fixed_intervals,
-    fixed_radius,
 )
 from .core import (
     Instance,
-    Interval,
     IntervalState,
     ambiguous_set,
-    check_lemma1,
     coverage_event_holds,
     epsilon_max,
     kth_largest,
@@ -67,12 +61,10 @@ __all__ = [
     "EmpiricalBernstein",
     "GapInstanceSpec",
     "Instance",
-    "Interval",
     "IntervalState",
     "OracleStats",
     "PackingSpec",
     "ScreenThenCertify",
-    "StreamStats",
     "StrongOracle",
     "SubGaussian",
     "ThresholdCertify",
@@ -80,14 +72,10 @@ __all__ = [
     "ace",
     "ace_w",
     "ambiguous_set",
-    "anytime_radius",
-    "bonferroni_split",
     "brute_force_certify",
     "build_fixed_intervals",
-    "check_lemma1",
     "coverage_event_holds",
     "epsilon_max",
-    "fixed_radius",
     "generate_gap_instance",
     "generate_packing_instance",
     "kth_largest",

@@ -15,9 +15,8 @@ ahead of the pulls that consume them.  Two loops feed it:
 
 - ``gaussian_rows`` writes each block into its (m, count) result: row r holds
   the draws of one item from its own start position on.  The bulk (n, count)
-  matrix of a uniform weak phase (``gaussian_matrix``) is the case where every
-  row starts at the same position, and one item's block (``gaussian_block``)
-  the case of a single row.
+  matrix of a uniform weak phase is the case where every row starts at the
+  same position.
 - ``row_moments`` writes each block into one reused scratch block and reduces
   it to per-row means (and variances) while it is still in cache.  A uniform
   screen needs nothing else, so it never holds the (n, count) matrix; the
@@ -78,22 +77,6 @@ def gaussian_scalar(key: int, t: int, sigma: float) -> float:
     return sigma * float(ndtri(((z >> 11) + 0.5) * _INV_2_53))
 
 
-def gaussian_block(key: int, t0: int, count: int, sigma: float) -> np.ndarray:
-    """sigma * N(0, 1) for pull indexes t0 .. t0+count-1 of one item."""
-    return gaussian_rows(np.array([key], dtype=np.uint64), t0, count, sigma)[0]
-
-
-def gaussian_matrix(
-    keys: np.ndarray, t0: int, count: int, sigma: float, offsets: np.ndarray | None = None
-) -> np.ndarray:
-    """(n, count) matrix: row x holds offsets[x] + sigma * N(0, 1) for pulls t0 .. t0+count-1.
-
-    Bit-identical to ``offsets[:, None] + gaussian_block(keys[x], t0, count, sigma)``
-    row by row; ``offsets`` defaults to zero.
-    """
-    return gaussian_rows(keys, t0, count, sigma, offsets)
-
-
 def gaussian_rows(
     keys: np.ndarray, starts, count: int, sigma: float, offsets: np.ndarray | None = None
 ) -> np.ndarray:
@@ -121,7 +104,7 @@ def row_moments(
     clamp: bool = False, variance: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Row means, and row variances (ddof=1) when `variance` is set, of the
-    matrix ``gaussian_matrix(keys, t0, count, sigma, offsets)``, clipped in
+    matrix ``gaussian_rows(keys, t0, count, sigma, offsets)``, clipped in
     place to [0, 1] first when `clamp` is set, without building that matrix.
 
     ``keys=None`` stands for noise-free rows: row r holds offsets[r] `count`

@@ -184,6 +184,13 @@ def _instance_errors(source: str):
         raise SystemExit(f"{source}: {error}") from None
 
 
+def _check_out(path: str) -> None:
+    """Exit naming --out before any work when the directory it writes into is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise SystemExit(f"--out {path}: directory {directory!r} does not exist")
+
+
 def _cmd_run(args) -> int:
     cfg = resolve_config(args)
     seed = cfg["oracle.seed"]
@@ -205,6 +212,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     cfg = resolve_config(args)
     algorithms = tuple(filter(None, args.algorithms.split(",")))
     for name in algorithms:
@@ -230,6 +238,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_out(args.out)
     cfg = resolve_config(args)
     if args.kind == "packing" and args.m is None:
         raise SystemExit("--m is required for packing instances")
@@ -248,6 +257,9 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = resolve_config(args)
     seeds = _parse_seed_range(args.seeds)
+    # whether the config describes an instance does not depend on the seed
+    with _instance_errors(_CONFIG_INSTANCE):
+        gap_instance(cfg, seeds[0])
     problems = verify_invariants(seeds, cfg)
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -189,71 +189,8 @@ class DeltaBudget:
 
     @property
     def per_item(self) -> float:
-        return bonferroni_split(self.delta_weak, self.n_items)
-
-
-def bonferroni_split(delta_weak: float, n: int) -> float:
-    """Uniform per-item failure probability delta_x = delta_weak / n."""
-    check_probability(delta_weak, "delta_weak")
-    n = check_int(n, "n", minimum=1)
-    return delta_weak / n
-
-
-@dataclass
-class StreamStats:
-    """Running count, mean and sum of squared deviations (Welford update)."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    @classmethod
-    def from_values(cls, values) -> "StreamStats":
-        stats = cls()
-        for v in np.asarray(values, dtype=np.float64):
-            stats.update(float(v))
-        return stats
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; requires count >= 2."""
-        if self.count < 2:
-            raise ValueError("variance needs at least two observations")
-        return self.m2 / (self.count - 1)
-
-
-def fixed_radius(method: CiMethod, stats: StreamStats, delta_x: float) -> float:
-    """Half-width of a (1 - delta_x) interval after stats.count pulls."""
-    check_probability(delta_x, "delta_x")
-    variance = stats.variance if stats.count >= 2 else 0.0
-    return float(method.radius(stats.count, variance, delta_x))
-
-
-def anytime_radius(stats: StreamStats, delta_x: float, support_range: float = 1.0) -> float:
-    """Empirical-Bernstein sequence radius, valid for all pull counts at once."""
-    return fixed_radius(AnytimeEmpiricalBernstein(support_range), stats, delta_x)
-
-
-def anytime_subgaussian_radius(sigma: float, count: int, delta_x: float) -> float:
-    """Sub-Gaussian sequence radius under the same doubling-epoch schedule."""
-    return float(SubGaussian(sigma).radius(count, 0.0, delta_x, anytime=True))
-
-
-def _fixed_radii(method: CiMethod, counts, variances, delta_x: float) -> np.ndarray:
-    """Radii over per-item pull counts and sample variances, per distinct count."""
-    counts = np.asarray(counts, dtype=np.int64)
-    variances = np.asarray(variances, dtype=np.float64)
-    out = np.empty(counts.shape)
-    for c in np.unique(counts).tolist():
-        at = counts == c
-        out[at] = method.batch_radius(c, variances[at], delta_x)
-    return out
+        """Uniform per-item failure probability delta_x = delta_weak / n."""
+        return self.delta_weak / self.n_items
 
 
 def build_fixed_intervals(
@@ -281,7 +218,3 @@ def build_fixed_intervals(
     upper = np.clip(means + radii, 0.0, 1.0)
     counts = np.full(weak.n_items, n_pulls, dtype=np.int64)
     return IntervalState.from_bounds(lower, upper, pulls=counts, means=means)
-
-
-# kept as a module-level name for callers that import it from here
-intersect_update = IntervalState.intersect_update

@@ -13,22 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .validation import check_int, check_item, check_k, check_non_negative, check_values
-
-
-class Interval(NamedTuple):
-    """A closed interval [lower, upper] with lower <= upper."""
-
-    lower: float
-    upper: float
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * (self.upper - self.lower)
+from .validation import check_int, check_k, check_non_negative, check_values
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,6 @@ class IntervalState:
 
     def radius(self) -> np.ndarray:
         return 0.5 * (self.upper - self.lower)
-
-    def interval(self, item: int) -> Interval:
-        item = check_item(item, self.n)
-        return Interval(float(self.lower[item]), float(self.upper[item]))
 
     def point_estimates(self) -> np.ndarray:
         """Sample means when available, interval midpoints otherwise."""
@@ -325,13 +310,3 @@ def coverage_event_holds(instance: Instance, state: IntervalState) -> bool:
     v = instance.values
     return bool(np.all((state.lower <= v) & (v <= state.upper)))
 
-
-def check_lemma1(instance: Instance, state: IntervalState) -> bool:
-    """Ground-truth diagnostic: |ambiguous set| <= m(4 * eps_max).
-
-    Guaranteed whenever the coverage event holds.  The harness checks the
-    same bound through the report's ``ambiguous_initial`` and ``eps_max``;
-    this function is kept as an exported diagnostic.
-    """
-    a_size = ambiguous_set(state, instance.k).size
-    return a_size <= near_tie_mass(instance, 4.0 * epsilon_max(state))

@@ -143,7 +143,7 @@ def compute_metrics(report: CertificationReport, instance: Instance, truth=None)
     coverage = coverage_event_holds(instance, report.weak_state)
     m_eps = near_tie_mass(instance, report.eps_max)
     m_4eps = near_tie_mass(instance, 4.0 * report.eps_max)
-    # check_lemma1's bound, on the A0 and eps_max the report already holds
+    # Lemma 1's bound, on the A0 and eps_max the report already holds
     if coverage and report.ambiguous_initial > m_4eps:
         raise RuntimeError("initial ambiguous set exceeds m(4 eps_max) on a covered run")
     return {

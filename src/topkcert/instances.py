@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .confidence import SubGaussian
 from .core import Instance, IntervalState
 from .validation import check_int, check_k, check_positive, check_probability
 
@@ -175,18 +174,6 @@ def generate_packing_instance(
     upper[:m] = spec.level + spec.radius
     state = IntervalState.from_bounds(lower, upper)
     return Instance(values=values, k=k), state
-
-
-def sigma_for_target_radius(radius: float, n_pulls: int, delta_x: float) -> float:
-    """Noise scale making the known-sigma radius at n_pulls equal `radius`.
-
-    Lets end-to-end runs reproduce a prescribed interval width through the
-    weak oracle instead of injecting intervals directly.
-    """
-    check_positive(radius, "radius")
-    n_pulls = check_int(n_pulls, "n_pulls", minimum=1)
-    check_probability(delta_x, "delta_x")
-    return radius / float(SubGaussian(1.0).radius(n_pulls, 0.0, delta_x))
 
 
 def save_instance(instance: Instance, path) -> None:

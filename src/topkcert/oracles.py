@@ -25,15 +25,15 @@ adaptive loop that spreads its pulls over many items, or stays on one item
 for long, pays for its draws in numpy, and a pattern that does neither keeps
 the scalar path.  Windows hold the same bits as the scalar path, and stream
 positions only grow until the oracle rewinds, so a window stays valid until
-it runs out, across ``pull_block``.
+it runs out.
 
 After construction, ``reset`` or ``pull_all`` every item sits at one shared
-position, held in one integer, and no window exists.  The first ``pull`` or
-``pull_block`` after that maps an array of (position, window end) pairs beside
-the windows, the only position store from then on.  Its pages are committed
-only when written: a lone item pulled again and again from position 0 commits
-a few, but after a ``pull_all`` the first such pull writes all n positions
-(16 MB at n = 1e6).
+position, held in one integer, and no window exists.  The first ``pull``
+after that maps an array of (position, window end) pairs beside the windows,
+the only position store from then on.  Its pages are committed only when
+written: a lone item pulled again and again from position 0 commits a few,
+but after a ``pull_all`` the first such pull writes all n positions (16 MB at
+n = 1e6).
 
 A uniform screen reads only each item's sample mean, and its sample variance
 for empirical-Bernstein radii.  ``pull_all_moments`` pulls exactly as
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import _hashing
 from .core import Instance
-from .validation import check_int, check_item, check_non_negative
+from .validation import check_int, check_non_negative
 
 _NOISE_MODELS = ("gaussian", "exact")
 # draws per window, items waiting before a refill, scalar pulls of one item
@@ -133,11 +133,6 @@ class WeakOracle:
         if self._track is None:
             return np.full(self._n, self._shared_position, dtype=np.int64)
         return np.frombuffer(self._track, np.int64)[::2].copy()
-
-    def _charge(self, amount: int) -> None:
-        if self.max_pulls is not None and self.total_pulls + amount > self.max_pulls:
-            raise BudgetExceededError("weak", self.max_pulls)
-        self.total_pulls += amount
 
     def pull(self, x: int) -> float:
         """One observation of item x from its next stream position."""
@@ -214,20 +209,6 @@ class WeakOracle:
         self._run = memoryview(self._draws(slice(x, x + 1), start, _RUN_AHEAD).reshape(-1))
         self._run_item, self._run_start, self._run_end = x, start, start + _RUN_AHEAD
 
-    def pull_block(self, x: int, count: int) -> np.ndarray:
-        """The next `count` observations of item x."""
-        x = check_item(x, self.n_items)
-        count = check_int(count, "count", minimum=1)
-        self._charge(count)
-        track = self._track or self._start_track()
-        t0 = track[2 * x]
-        track[2 * x] = t0 + count
-        value = self._instance.values.item(x)
-        if self.noise == "exact":
-            return np.full(count, value)
-        obs = value + _hashing.gaussian_block(self._keys.item(x), t0, count, self.sigma)
-        return np.clip(obs, 0.0, 1.0) if self.clamp else obs
-
     def pull_all(self, count: int) -> np.ndarray:
         """An (n, count) matrix: each item's next `count` observations.
 
@@ -244,7 +225,7 @@ class WeakOracle:
             if self.noise == "exact":
                 cached = np.tile(values[:, None], (1, count))
             else:
-                cached = _hashing.gaussian_matrix(self._keys, t0, count, self.sigma, values)
+                cached = _hashing.gaussian_rows(self._keys, t0, count, self.sigma, values)
                 if self.clamp:
                     np.clip(cached, 0.0, 1.0, out=cached)
             cached.flags.writeable = False
@@ -294,7 +275,10 @@ class WeakOracle:
             t0 = int(positions[0])
             if np.any(positions != t0):
                 raise ValueError("pull_all requires uniform per-item pull counts")
-        self._charge(self._n * count)
+        amount = self._n * count
+        if self.max_pulls is not None and self.total_pulls + amount > self.max_pulls:
+            raise BudgetExceededError("weak", self.max_pulls)
+        self.total_pulls += amount
         self._shared_position = t0 + count
         self._rewind()
         return t0, count

@@ -41,13 +41,6 @@ def check_non_negative(value, name: str) -> float:
     return value
 
 
-def check_item(index, n: int, name: str = "item") -> int:
-    index = check_int(index, name, minimum=0)
-    if index >= n:
-        raise ValueError(f"{name} must be < {n}, got {index}")
-    return index
-
-
 def check_k(k, n: int, allow_zero: bool = False) -> int:
     """Validate a top-k size against the number of items."""
     k = check_int(k, "k", minimum=0 if allow_zero else 1)

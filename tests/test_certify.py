@@ -23,11 +23,9 @@ from topkcert.certify import (
     ta_certify,
 )
 from topkcert.confidence import (
+    AnytimeEmpiricalBernstein,
     DeltaBudget,
-    StreamStats,
     SubGaussian,
-    anytime_radius,
-    anytime_subgaussian_radius,
     build_fixed_intervals,
 )
 from topkcert.core import (
@@ -268,8 +266,9 @@ def _reference_adaptive_weak_phase(
 
     def radius(c, x):
         if method == "subgaussian":
-            return anytime_subgaussian_radius(sigma, c, delta_x)
-        return anytime_radius(StreamStats(count=c, mean=means[x], m2=m2[x]), delta_x, 1.0)
+            return float(SubGaussian(sigma).radius(c, 0.0, delta_x, anytime=True))
+        variance = m2[x] / (c - 1) if c >= 2 else 0.0
+        return float(AnytimeEmpiricalBernstein(1.0).radius(c, variance, delta_x))
 
     weak = WeakOracle(instance, sigma=sigma, seed=seed, clamp=clamp)
     n = instance.n

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from topkcert import cli
 from topkcert.cli import main
 from topkcert.harness import COLUMNS
 from topkcert.instances import load_instance
@@ -71,6 +72,11 @@ class TestInstanceErrors:
             main(["gen", "--n", "10", "--k", "10", "--out", str(tmp_path / "g.csv")])
         assert not list(tmp_path.iterdir())
 
+    def test_verify_names_the_config(self, capsys):
+        with pytest.raises(SystemExit, match="^the config does not describe a valid instance: .*k <= n - 1"):
+            main(["verify", "--n", "50", "--k", "50", "--seeds", "0..1"])
+        assert capsys.readouterr().out == ""
+
     def test_run_names_the_instance_file(self, tmp_path):
         path = tmp_path / "ids.csv"
         path.write_text("item_id,value\n0,0.5\n2,0.3\n")
@@ -79,6 +85,25 @@ class TestInstanceErrors:
         missing = tmp_path / "missing.csv"
         with pytest.raises(SystemExit, match=r"^--instance .*missing\.csv: .*No such file"):
             main(["run", "--algo", "stc", "--instance", str(missing), "--k", "1"])
+
+
+class TestMissingOutDirectory:
+    def test_gen_names_out(self, tmp_path):
+        out = tmp_path / "missing" / "gap.csv"
+        with pytest.raises(SystemExit, match=r"^--out .*gap\.csv: directory .*missing' does not exist"):
+            main(["gen", "--n", "60", "--k", "6", "--out", str(out)])
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_names_out_before_running(self, tmp_path, monkeypatch):
+        def fail(spec):
+            raise AssertionError("run_sweep was called")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        out = tmp_path / "missing" / "rows.csv"
+        args = ["sweep", "--experiment", "scaling_n", "--grid", "100", "--out", str(out)]
+        with pytest.raises(SystemExit, match=r"^--out .*rows\.csv: directory .*missing' does not exist"):
+            main(args)
+        assert not list(tmp_path.iterdir())
 
 
 class TestGen:

@@ -10,21 +10,14 @@ from topkcert.confidence import (
     AnytimeEmpiricalBernstein,
     DeltaBudget,
     EmpiricalBernstein,
-    StreamStats,
     SubGaussian,
-    anytime_radius,
-    anytime_subgaussian_radius,
-    bonferroni_split,
     build_fixed_intervals,
     ci_method_from_config,
     epoch_delta,
-    fixed_radius,
-    _fixed_radii,
-    intersect_update,
 )
 from topkcert.core import Instance, coverage_event_holds
 from topkcert.oracles import WeakOracle
-from topkcert._hashing import gaussian_matrix, item_keys
+from topkcert._hashing import gaussian_rows, item_keys
 
 
 class TestBonferroni:
@@ -33,7 +26,7 @@ class TestBonferroni:
         [(0.05, 100, 5e-4), (0.05, 1, 0.05), (0.1, 10**4, 1e-5)],
     )
     def test_uniform_split(self, delta_weak, n, expected):
-        assert bonferroni_split(delta_weak, n) == pytest.approx(expected)
+        assert DeltaBudget.split(delta_weak, n).per_item == pytest.approx(expected)
 
     def test_budget_split(self):
         budget = DeltaBudget.split(0.05, 200)
@@ -47,71 +40,48 @@ class TestBonferroni:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            bonferroni_split(1.5, 10)
+            DeltaBudget.split(1.5, 10)
         with pytest.raises(ValueError):
             DeltaBudget.split(0.05, 0)
 
 
-class TestStreamStats:
-    def test_matches_batch_recomputation(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            values = rng.random(int(rng.integers(2, 200)))
-            stats = StreamStats.from_values(values)
-            assert stats.count == values.size
-            assert stats.mean == pytest.approx(values.mean(), rel=1e-12)
-            assert stats.variance == pytest.approx(values.var(ddof=1), rel=1e-12, abs=1e-15)
-
-    def test_variance_needs_two(self):
-        stats = StreamStats.from_values([0.5])
-        with pytest.raises(ValueError):
-            _ = stats.variance
-
-
 class TestFixedRadius:
     def test_subgaussian_closed_form(self):
-        stats = StreamStats(count=100)
-        r = fixed_radius(SubGaussian(sigma=0.1), stats, 0.01)
+        r = SubGaussian(sigma=0.1).radius(100, 0.0, 0.01)
         assert r == pytest.approx(0.1 * math.sqrt(2 * math.log(200.0) / 100), rel=1e-12)
         assert r == pytest.approx(0.03255, abs=2e-5)
 
     def test_subgaussian_bonferroni_defaults(self):
         # n = 10^4 items, delta 0.05, 12 pulls, sigma 0.1
-        stats = StreamStats(count=12)
-        r = fixed_radius(SubGaussian(sigma=0.1), stats, 0.05 / 10**4)
+        r = SubGaussian(sigma=0.1).radius(12, 0.0, 0.05 / 10**4)
         assert r == pytest.approx(0.1 * math.sqrt(2 * math.log(2 / 5e-6) / 12), rel=1e-12)
         assert r == pytest.approx(0.1466, abs=2e-4)
 
     def test_empirical_bernstein_zero_variance(self):
-        stats = StreamStats.from_values([0.5] * 12)
+        variance = np.full(12, 0.5).var(ddof=1)
         delta_x = 5e-6
-        r = fixed_radius(EmpiricalBernstein(support_range=1.0), stats, delta_x)
+        r = EmpiricalBernstein(support_range=1.0).radius(12, variance, delta_x)
         assert r == pytest.approx(3 * math.log(3 / delta_x) / 12, rel=1e-12)
 
     def test_empirical_bernstein_general(self):
         rng = np.random.default_rng(1)
         values = rng.random(30)
-        stats = StreamStats.from_values(values)
         delta_x = 1e-3
         log_term = math.log(3 / delta_x)
         expected = math.sqrt(2 * values.var(ddof=1) * log_term / 30) + 3 * log_term / 30
-        assert fixed_radius(EmpiricalBernstein(), stats, delta_x) == pytest.approx(expected)
+        assert EmpiricalBernstein().radius(30, values.var(ddof=1), delta_x) == pytest.approx(expected)
 
     def test_monotone_in_count_and_delta(self):
-        radii_n = [
-            fixed_radius(SubGaussian(0.1), StreamStats(count=n), 1e-3) for n in (2, 5, 20, 100)
-        ]
+        radii_n = [SubGaussian(0.1).radius(n, 0.0, 1e-3) for n in (2, 5, 20, 100)]
         assert radii_n == sorted(radii_n, reverse=True)
-        radii_d = [
-            fixed_radius(SubGaussian(0.1), StreamStats(count=10), d) for d in (1e-6, 1e-4, 1e-2)
-        ]
+        radii_d = [SubGaussian(0.1).radius(10, 0.0, d) for d in (1e-6, 1e-4, 1e-2)]
         assert radii_d == sorted(radii_d, reverse=True)
 
     def test_count_preconditions(self):
         with pytest.raises(ValueError):
-            fixed_radius(EmpiricalBernstein(), StreamStats(count=1), 0.01)
+            EmpiricalBernstein().radius(1, 0.0, 0.01)
         with pytest.raises(ValueError):
-            fixed_radius(SubGaussian(0.1), StreamStats(count=0), 0.01)
+            SubGaussian(0.1).radius(0, 0.0, 0.01)
 
     def test_method_from_config(self):
         assert ci_method_from_config("subgaussian", sigma=0.2) == SubGaussian(0.2)
@@ -122,10 +92,9 @@ class TestFixedRadius:
 
 class TestAnytimeRadius:
     def test_first_pull_falls_back_to_range_bound(self):
-        stats = StreamStats.from_values([0.7])
         delta_x = 0.01
         expected = math.sqrt(math.log(2 / epoch_delta(delta_x, 1)) / 2)
-        assert anytime_radius(stats, delta_x, 1.0) == pytest.approx(expected)
+        assert AnytimeEmpiricalBernstein(1.0).radius(1, 0.0, delta_x) == pytest.approx(expected)
 
     def test_epoch_budgets_sum_to_delta(self):
         delta_x = 0.02
@@ -138,27 +107,29 @@ class TestAnytimeRadius:
         # counts 17..31 share one epoch; keep the variance identical
         radii = []
         for count in range(17, 32):
-            stats = StreamStats(count=count, mean=0.5, m2=0.04 * (count - 1))
-            radii.append(anytime_radius(stats, delta_x, 1.0))
+            m2 = 0.04 * (count - 1)
+            radii.append(AnytimeEmpiricalBernstein(1.0).radius(count, m2 / (count - 1), delta_x))
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_wider_than_fixed_radius(self):
-        stats = StreamStats(count=40, mean=0.5, m2=0.02 * 39)
-        assert anytime_radius(stats, 1e-3, 1.0) > fixed_radius(EmpiricalBernstein(), stats, 1e-3)
+        m2 = 0.02 * 39
+        anytime = AnytimeEmpiricalBernstein(1.0).radius(40, m2 / 39, 1e-3)
+        assert anytime > EmpiricalBernstein().radius(40, m2 / 39, 1e-3)
 
     def test_subgaussian_variant_closed_form(self):
         delta_x = 1e-3
-        r = anytime_subgaussian_radius(0.1, 24, delta_x)
+        r = SubGaussian(0.1).radius(24, 0.0, delta_x, anytime=True)
         assert r == pytest.approx(0.1 * math.sqrt(2 * math.log(2 / epoch_delta(delta_x, 24)) / 24))
 
     def test_general_count_closed_form(self):
         # independent evaluation of the sequence radius on a (count, variance) grid
         delta_x = 5e-4
         for count, variance in [(2, 0.0), (7, 0.03), (33, 0.25), (512, 0.01)]:
-            stats = StreamStats(count=count, mean=0.5, m2=variance * (count - 1))
+            m2 = variance * (count - 1)
             log_term = math.log(3 / (delta_x * 6 / (math.pi**2 * (math.floor(math.log2(count)) + 1) ** 2)))
             expected = math.sqrt(2 * variance * log_term / count) + 3 * log_term / count
-            assert anytime_radius(stats, delta_x, 1.0) == pytest.approx(expected, rel=1e-12)
+            radius = AnytimeEmpiricalBernstein(1.0).radius(count, m2 / (count - 1), delta_x)
+            assert radius == pytest.approx(expected, rel=1e-12)
 
     def test_time_uniform_coverage_bernoulli(self):
         # modest-scale Monte-Carlo check; the acceptance suite runs the full one
@@ -187,16 +158,17 @@ class TestFixedRadii:
         variances = rng.random(200) * 0.1
         variances[::7] = 0.0
         method = AnytimeEmpiricalBernstein(support_range=0.7)
-        radii = _fixed_radii(method, counts, variances, 1e-4)
-        expected = [
-            anytime_radius(StreamStats(count=int(c), m2=v * max(int(c) - 1, 0)), 1e-4, 0.7)
-            for c, v in zip(counts, variances)
-        ]
-        np.testing.assert_array_equal(radii, np.asarray(expected))
+        for c in np.unique(counts).tolist():
+            at = counts == c
+            radii = method.batch_radius(c, variances[at], 1e-4)
+            # the scalar radius reads V as a pull-by-pull phase holds it
+            m2 = variances[at] * max(c - 1, 0)
+            expected = [method.radius(c, m / (c - 1) if c >= 2 else 0.0, 1e-4) for m in m2.tolist()]
+            np.testing.assert_array_equal(radii, np.asarray(expected))
 
     def test_anytime_bernstein_needs_a_pull(self):
         with pytest.raises(ValueError):
-            _fixed_radii(AnytimeEmpiricalBernstein(), np.array([3, 0]), np.zeros(2), 0.01)
+            AnytimeEmpiricalBernstein().batch_radius(0, np.zeros(1), 0.01)
 
 
 class TestBuildFixedIntervals:
@@ -226,7 +198,7 @@ class TestBuildFixedIntervals:
         seed, n_pulls, delta = 11, 6, 0.05
         weak = WeakOracle(inst, sigma=0.2, seed=seed)
         state = build_fixed_intervals(weak, n_pulls, DeltaBudget.split(delta, 3), SubGaussian(0.2))
-        raw = values[:, None] + gaussian_matrix(item_keys(seed, 3), 0, n_pulls, 0.2)
+        raw = values[:, None] + gaussian_rows(item_keys(seed, 3), 0, n_pulls, 0.2)
         means = raw.mean(axis=1)
         radius = 0.2 * math.sqrt(2 * math.log(2 / (delta / 3)) / n_pulls)
         np.testing.assert_allclose(state.lower, np.clip(means - radius, 0, 1))
@@ -272,10 +244,3 @@ class TestBuildFixedIntervals:
 
         with pytest.raises(BudgetExceededError):
             build_fixed_intervals(weak, 3, DeltaBudget.split(0.05, 2), SubGaussian(0.1))
-
-    def test_intersect_update_function(self):
-        from topkcert.core import IntervalState
-
-        state = IntervalState.from_bounds(np.array([0.2]), np.array([0.8]))
-        assert not intersect_update(state, 0, 0.4, 0.9)
-        assert state.interval(0) == (0.4, 0.8)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from topkcert.core import (
     Instance,
-    Interval,
     IntervalState,
     ambiguous_set,
-    check_lemma1,
     coverage_event_holds,
     epsilon_max,
     kth_largest,
@@ -178,7 +176,7 @@ class TestCoverageAndLemma:
         inst = Instance(values=values, k=1)
         state = IntervalState.from_bounds(values, values)
         assert coverage_event_holds(inst, state)
-        assert check_lemma1(inst, state)
+        assert ambiguous_set(state, inst.k).size <= near_tie_mass(inst, 4 * epsilon_max(state))
 
     def test_shifted_interval_breaks_coverage(self):
         inst = Instance(values=np.array([0.2, 0.6, 0.9]), k=1)
@@ -196,30 +194,28 @@ class TestCoverageAndLemma:
                 np.clip(values - radius, 0, 1), np.clip(values + radius, 0, 1)
             )
             assert coverage_event_holds(inst, state)
-            assert check_lemma1(inst, state)
+            # Lemma 1: |A| <= m(4 eps_max) whenever the coverage event holds
+            assert ambiguous_set(state, inst.k).size <= near_tie_mass(inst, 4 * epsilon_max(state))
 
 
 class TestIntervalState:
-    def test_interval_radius(self):
-        assert Interval(0.2, 0.6).radius == pytest.approx(0.2)
-
     def test_intersect_shrinks(self):
         state = _state([(0.2, 0.8)])
         conflict = state.intersect_update(0, 0.4, 0.9)
         assert not conflict
-        assert state.interval(0) == Interval(0.4, 0.8)
+        assert (state.lower[0], state.upper[0]) == (0.4, 0.8)
 
     def test_intersect_idempotent(self):
         state = _state([(0.2, 0.8)])
         state.intersect_update(0, 0.2, 0.8)
-        assert state.interval(0) == Interval(0.2, 0.8)
+        assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
         assert state.conflicts == 0
 
     def test_disjoint_clamps_and_flags(self):
         state = _state([(0.2, 0.4)])
         conflict = state.intersect_update(0, 0.5, 0.6)
         assert conflict
-        assert state.interval(0) == Interval(0.4, 0.4)
+        assert (state.lower[0], state.upper[0]) == (0.4, 0.4)
         assert state.conflicts == 1
         assert state.collapsed[0]
 
@@ -230,7 +226,7 @@ class TestIntervalState:
         for _ in range(200):
             a, b = np.sort(rng.random(2))
             state.intersect_update(0, float(a), float(b))
-            lo, hi = state.interval(0)
+            lo, hi = state.lower[0], state.upper[0]
             assert lo >= prev_lo and hi <= prev_hi and lo <= hi
             prev_lo, prev_hi = lo, hi
 
@@ -239,15 +235,15 @@ class TestIntervalState:
         state = _state([(0.2, 0.8)])
         with pytest.raises(ValueError, match="non-monotone"):
             state.intersect_update(0, lower, upper)
-        assert state.interval(0) == Interval(0.2, 0.8)
+        assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
         assert state.conflicts == 0 and not state.collapsed[0]
 
     def test_collapse_many_with_nan_raises_and_leaves_state(self):
         state = _state([(0.2, 0.8), (0.1, 0.3), (0.4, 0.6)])
         with pytest.raises(ValueError, match="non-monotone"):
             state.collapse_many([0, 2, 1], [0.5, float("nan"), 0.9])
-        assert state.interval(0) == Interval(0.2, 0.8)
-        assert state.interval(1) == Interval(0.1, 0.3)
+        assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
+        assert (state.lower[1], state.upper[1]) == (0.1, 0.3)
         assert state.conflicts == 0 and not state.collapsed.any()
 
     def test_from_bounds_rejects_inverted(self):

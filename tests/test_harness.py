@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topkcert.certify import brute_force_certify
-from topkcert.core import near_tie_mass, true_top_k
+from topkcert.core import IntervalState, near_tie_mass, true_top_k
 from topkcert.harness import (
     BASE_DEFAULTS,
     COLUMNS,
@@ -50,6 +50,21 @@ class TestComputeMetrics:
             metrics = compute_metrics(result.report, instance)
             if metrics["coverage_held"]:
                 assert result.report.ambiguous_initial <= metrics["m_4eps"]
+
+    def test_ambiguity_bound_guard_fires_only_on_covered_states(self, instance):
+        values = instance.values
+        report = dataclasses.replace(
+            brute_force_certify(StrongOracle(instance), k=20),
+            weak_state=IntervalState.from_bounds(values, values),
+            eps_max=0.0,
+            ambiguous_initial=near_tie_mass(instance, 0.0) + 1,
+        )
+        with pytest.raises(RuntimeError, match=r"exceeds m\(4 eps_max\) on a covered run"):
+            compute_metrics(report, instance)
+        shifted = IntervalState.from_bounds(values + 0.01, values + 0.01)
+        metrics = compute_metrics(dataclasses.replace(report, weak_state=shifted), instance)
+        assert metrics["coverage_held"] is False
+        assert report.ambiguous_initial > metrics["m_4eps"]
 
 
 class TestRunSweep:

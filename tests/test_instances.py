@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from topkcert.confidence import StreamStats, SubGaussian, fixed_radius
 from topkcert.core import ambiguous_set, coverage_event_holds, kth_largest, near_tie_mass, true_top_k
 from topkcert.instances import (
     GapInstanceSpec,
@@ -12,7 +11,6 @@ from topkcert.instances import (
     generate_packing_instance,
     load_instance,
     save_instance,
-    sigma_for_target_radius,
 )
 
 
@@ -99,11 +97,6 @@ class TestPackingGenerator:
             PackingSpec(n=100, k=31, m=30)
         with pytest.raises(ValueError):
             generate_packing_instance(PackingSpec(n=100, k=5, m=30), target=[0, 1, 2, 3, 35])
-
-    def test_sigma_helper_reproduces_radius(self):
-        sigma = sigma_for_target_radius(0.05, 12, 1e-4)
-        stats = StreamStats(count=12)
-        assert fixed_radius(SubGaussian(sigma), stats, 1e-4) == pytest.approx(0.05)
 
 
 class TestInstanceFiles:

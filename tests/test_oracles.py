@@ -20,7 +20,7 @@ from topkcert.oracles import (
     WeakOracle,
     snapshot_and_reset,
 )
-from topkcert.validation import check_int, check_item, check_non_negative
+from topkcert.validation import check_int, check_non_negative
 
 
 @pytest.fixture
@@ -45,25 +45,22 @@ class TestWeakOracle:
     def test_scalar_block_and_matrix_paths_agree_bitwise(self, instance):
         a = WeakOracle(instance, sigma=0.1, seed=7)
         b = WeakOracle(instance, sigma=0.1, seed=7)
-        c = WeakOracle(instance, sigma=0.1, seed=7)
         matrix = a.pull_all(8)
         for x in range(instance.n):
-            block = b.pull_block(x, 8)
-            singles = [c.pull(x) for _ in range(8)]
-            assert list(matrix[x]) == list(block) == singles
+            singles = [b.pull(x) for _ in range(8)]
+            assert list(matrix[x]) == singles
 
     @pytest.mark.parametrize("clamp", [False, True])
     def test_pull_all_matches_scalar_paths_across_row_blocks(self, clamp):
         n = 2 * ROW_BLOCK + 37
         inst = Instance(values=np.random.default_rng(3).random(n), k=5)
         # sigma wide enough that clamping changes some observations
-        a, b, c = (WeakOracle(inst, sigma=0.3, seed=11, clamp=clamp) for _ in range(3))
-        for weak in (a, b, c):
+        a, b = (WeakOracle(inst, sigma=0.3, seed=11, clamp=clamp) for _ in range(2))
+        for weak in (a, b):
             weak.pull_all(2)
         matrix = a.pull_all(3)
-        blocks = np.array([b.pull_block(x, 3) for x in range(n)])
-        singles = np.array([[c.pull(x) for _ in range(3)] for x in range(n)])
-        assert matrix.tobytes() == blocks.tobytes() == singles.tobytes()
+        singles = np.array([[b.pull(x) for _ in range(3)] for x in range(n)])
+        assert matrix.tobytes() == singles.tobytes()
         assert clamp == bool(np.any((matrix == 0.0) | (matrix == 1.0)))
 
     def test_pull_rejects_out_of_range_item(self, instance):
@@ -83,8 +80,8 @@ class TestWeakOracle:
 
     def test_sample_mean_converges(self, instance):
         weak = WeakOracle(instance, sigma=0.1, seed=5)
-        obs = weak.pull_block(4, 100_000)
-        assert abs(obs.mean() - instance.values[4]) < 0.002
+        means, _ = weak.pull_all_moments(100_000)
+        assert abs(means[4] - instance.values[4]) < 0.002
 
     def test_counters(self, instance):
         weak = WeakOracle(instance, sigma=0.1, seed=0)
@@ -271,17 +268,6 @@ class _ReferenceWeakOracle:
                 value = min(1.0, max(0.0, value))
         return value
 
-    def pull_block(self, x, count):
-        x = check_item(x, self.n_items)
-        count = check_int(count, "count", minimum=1)
-        self._charge(count)
-        t0 = self._counts[x]
-        self._counts[x] = t0 + count
-        if self.noise == "exact":
-            return np.full(count, self._values[x])
-        obs = self._values[x] + _hashing.gaussian_block(self._keys_int[x], t0, count, self.sigma)
-        return np.clip(obs, 0.0, 1.0) if self.clamp else obs
-
     def pull_all(self, count):
         count = check_int(count, "count", minimum=1)
         n = self.n_items
@@ -297,7 +283,7 @@ class _ReferenceWeakOracle:
             if self.noise == "exact":
                 cached = np.tile(values[:, None], (1, count))
             else:
-                cached = _hashing.gaussian_matrix(self._keys, t0, count, self.sigma, values)
+                cached = _hashing.gaussian_rows(self._keys, t0, count, self.sigma, values)
                 if self.clamp:
                     np.clip(cached, 0.0, 1.0, out=cached)
             cached.flags.writeable = False
@@ -348,8 +334,8 @@ def _expand(op, n):
     if name == "repeat":
         x, count = args
         return [("pull", x % n)] * count
-    if name in ("pull", "pull_block"):
-        return [(name, args[0] % n, *args[1:])]
+    if name == "pull":
+        return [(name, args[0] % n)]
     return [op]
 
 
@@ -366,7 +352,6 @@ _OP_KINDS = (
     st.tuples(st.just("pull"), st.integers(0, 10**6)),
     st.tuples(st.just("stride"), st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 400)),
     st.tuples(st.just("repeat"), st.integers(0, 10**6), st.integers(1, 60)),
-    st.tuples(st.just("pull_block"), st.integers(0, 10**6), st.integers(1, 20)),
     st.tuples(st.just("pull_all"), st.integers(1, 3)),
     st.just(("reset",)),
     st.just(("pulls_per_item",)),
@@ -400,7 +385,7 @@ class TestLookahead:
     def test_scripted_paths_match_reference(self, clamp, sigma):
         # every path at least once: refills of waiting items, the fill of
         # items at the shared position across row blocks, windows that
-        # outlive pull_block and pull_all, one item's long run, the budget;
+        # outlive pull_all, one item's long run, the budget;
         # with sigma 0, a clamped -0.0 value must read 0.0 as on the scalar path
         n = ROW_BLOCK + 37
         values = np.random.default_rng(1).random(n)
@@ -411,7 +396,6 @@ class TestLookahead:
             ("stride", 0, 7, 600),
             ("stride", 0, 1, n),
             ("repeat", 11, 300),
-            ("pull_block", 11, 5),
             ("stride", 3, 5, 900),
             ("pull_all", 1),
             ("reset",),
@@ -631,8 +615,7 @@ class TestQueryMany:
 @pytest.mark.parametrize("item", [True, False, np.True_])
 def test_boolean_items_are_rejected_on_every_path(instance, item):
     weak, strong = WeakOracle(instance, sigma=0.1, seed=0), StrongOracle(instance)
-    for access in (lambda: weak.pull(item), lambda: weak.pull_block(item, 2),
-                   lambda: strong.query(item)):
+    for access in (lambda: weak.pull(item), lambda: strong.query(item)):
         with pytest.raises(TypeError):
             access()
     assert weak.total_pulls == 0 and strong.calls == 0
