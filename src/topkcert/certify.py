@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import inspect
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -289,32 +288,526 @@ class AdaptiveCertify(BaseCertifier):
 
 
 class _KthLargestOfRising:
-    """The exact k-th largest of values that only ever rise.
+    """The exact k-th largest of values that only ever rise, fed batches of rises.
 
     Keeps the threshold and how many values lie strictly above it.  Only a
     rise across the threshold is counted, and only the one that brings that
-    count to k moves the threshold (up to the smallest value above it), so
-    only threshold moves rescan the values.
+    count to k moves the threshold, up to the smallest value above it.  Every
+    threshold of a batch lies between the one before it and the k-th largest
+    after it, so only the rises that start at or below that and end above
+    this can cross; they are replayed one by one and the rest are applied at
+    the end.  The smallest values above the threshold come from a heap of
+    (value, item) holding an entry for every item whose value lies in
+    (threshold, ceiling]; an entry goes stale once its item rises again and
+    is fixed when it reaches the top.  Only an empty heap rescans the values.
     """
+
+    _REFILL = 64
 
     def __init__(self, values: np.ndarray, k: int):
         self.values = values
         self.k = k
         self.threshold = kth_largest(values, k)
         self.above = int(np.count_nonzero(values > self.threshold))
+        self._heap: list[tuple[float, int]] = []
+        self._ceiling = -math.inf
 
-    def rise(self, x: int, old: float, new: float) -> float:
-        """Record that values[x] rose from old to new; returns the threshold."""
-        self.values[x] = new
-        t = self.threshold
-        if old <= t < new:
-            self.above += 1
-            if self.above == self.k:
-                values = self.values
-                t = float(np.min(values, where=values > t, initial=np.inf))
-                self.threshold = t
-                self.above = int(np.count_nonzero(values > t))
-        return t
+    def rise_many(self, items, old, new, masks=None) -> np.ndarray:
+        """Record that values[items[i]] rose from old[i] to new[i], for each i
+        in order; returns the threshold in force before each rise.  `masks`
+        are two bool buffers of the rises' size to work in, if given."""
+        values, k, t = self.values, self.k, self.threshold
+        if not items.size:
+            return np.zeros(0)
+        final = values.copy()
+        # an item's rises arrive in order, so its last one is its largest
+        np.maximum.at(final, items, new)
+        crossing, also = masks or (None, None)
+        crossing = np.less_equal(old, kth_largest(final, k), out=crossing)
+        crossing &= np.greater(new, t, out=also)
+        hits = np.flatnonzero(crossing)
+        starts, thresholds = [0], [t]
+        above = self.above
+        for i, x, low, high in zip(
+            hits.tolist(), items[hits].tolist(), old[hits].tolist(), new[hits].tolist()
+        ):
+            values[x] = high
+            if low <= t < high:
+                if high <= self._ceiling:
+                    heapq.heappush(self._heap, (high, x))
+                above += 1
+                if above == k:
+                    t, held = self._next_above(t)
+                    above = k - held
+                    starts.append(i + 1)
+                    thresholds.append(t)
+        self.threshold, self.above = t, above
+        values[:] = final
+        return np.repeat(thresholds, np.diff(starts + [items.size]))
+
+    def _next_above(self, t: float) -> tuple[float, int]:
+        """The smallest value above `t`, and how many items hold it; their
+        entries leave the heap."""
+        found, held = None, 0
+        while True:
+            if not self._heap:
+                if found is not None:
+                    break
+                self._refill(t)
+            value, x = self._heap[0]
+            if found is not None and value != found:
+                break
+            current = self.values.item(x)
+            heapq.heappop(self._heap)
+            if current != value:
+                if current <= self._ceiling:
+                    heapq.heappush(self._heap, (current, x))
+                continue
+            found = value
+            held += 1
+        return found, held
+
+    def _refill(self, t: float) -> None:
+        """Rebuild the heap from the smallest values above `t`."""
+        above = np.flatnonzero(self.values > t)
+        near = self.values[above]
+        self._ceiling = math.inf
+        if near.size > self._REFILL:
+            self._ceiling = float(np.partition(near, self._REFILL - 1)[self._REFILL - 1])
+            keep = near <= self._ceiling
+            above, near = above[keep], near[keep]
+        self._heap = sorted(zip(near.tolist(), above.tolist()))
+
+
+class _WeakPlan:
+    """ACE-W's adaptive weak allocation, planned and pulled a level at a time.
+
+    The allocation pulls, one at a time, the live item with the widest
+    interval, ties to the lower index, until the budget is spent.  An item is
+    live while it is ambiguous (lower <= u_k and upper >= l_k, the k-th largest
+    bounds) and below ``w_max`` pulls.  Three facts let the pull sequence be
+    computed for many pulls at once, bit for bit:
+
+    - Bounds only move inward, so an item's width never rises.  The sequence
+      is therefore the merge, by (-width, index), of per-item trajectories
+      whose every step depends on the item's own draws alone: a column of
+      steps is one numpy pass over many items with the same float operations
+      in the same order as a scalar step.
+    - An item that is not ambiguous lies strictly on one side of both l_k and
+      u_k and keeps doing so, so its later bounds move neither.  l_k and u_k
+      along the merged order can therefore be computed as if every step
+      applied, and an item's steps are live exactly while their before-bounds
+      pass the ambiguity test against them.
+    - l_k and u_k are k-th largest of values that only rise (lower, and
+      -upper), kept by ``_KthLargestOfRising`` over the batch.
+
+    A level previews the steps of some live items (``_walk``, or ``_rows``
+    for a few), then merges and pulls them (``_commit``).  Its frontier is
+    the smallest key of a step not previewed that may still be pulled: every
+    step below it is final, and is checked for liveness and the budget and
+    pulled through one ``pull_many``; the steps above it are dropped and
+    previewed again later.  So how far each item is previewed decides only
+    the cost, never the result:
+
+    - Most levels take the ``m`` live items with the smallest keys, each
+      until its key passes the next item's, so that level's steps all lie
+      below the frontier.  ``m`` aims at ``target`` steps from the steps per
+      item of the last level.
+    - When ``m`` covers every live item, each passes the narrowest key and
+      takes ``extra`` more steps, keeping items that step in turn in step.
+    - Items tied at the narrowest width (a run at width 1 or 0 may never
+      end) are left to later levels, and an item whose run kept the last
+      level from committing much is previewed alone.
+    """
+
+    # steps a level aims at (n / 4 at large n), and the active sets walked
+    # row by row in scalar floats, where a numpy column costs more than a
+    # scalar step for each item
+    TARGET = 8192
+    NARROW = 32
+
+    def __init__(self, weak, method, delta_x, k, w_min, w_max, lower, upper, means, m2):
+        n = lower.size
+        self.weak, self.method, self.delta_x, self.w_max = weak, method, delta_x, w_max
+        self.lower, self.upper, self.means, self.m2 = lower, upper, means, m2
+        self.counts = np.full(n, w_min, dtype=np.int64)
+        # an item's next pull reads its stream at position base + its count
+        self.base = int(weak.pulls_per_item[0]) - w_min
+        self.conflicts = 0
+        self.kth_lower = _KthLargestOfRising(lower.copy(), k)
+        # -upper only rises, and its (n - k + 1)-th largest is -u_k
+        self.kth_neg_upper = _KthLargestOfRising(-upper, n - k + 1)
+        # per pull count c, the (log term, offset) of the radius
+        # sqrt(2 V L / c) + offset; sub-Gaussian radii have no variance term
+        self.log_terms, self.offsets = [0.0], [0.0]
+        self.log_array, self.offset_array = np.zeros(1), np.zeros(1)
+        self.reads_variance = method.reads_variance
+        self.target = max(self.TARGET, n // 4)
+        self._flags = np.empty((3, 0), dtype=bool)
+
+    def _masks(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Three bool buffers of `size` to compute masks in.  numpy keeps
+        freed arrays under 1 KB for reuse, by size; masks of every size a
+        level brings would leave a few MB of them behind."""
+        if size > self._flags.shape[1]:
+            self._flags = np.empty((3, max(size, 2 * self._flags.shape[1])), dtype=bool)
+        return self._flags[0, :size], self._flags[1, :size], self._flags[2, :size]
+
+    def _cover(self, top: int) -> None:
+        """Extend the radius terms to pull counts up to `top`."""
+        for count in range(len(self.offsets), top + 1):
+            log_term, offset = self.method.terms(count, self.delta_x, True)
+            self.log_terms.append(log_term)
+            self.offsets.append(offset)
+
+    def _tables(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """The radius terms as arrays over pull counts up to at least `top`."""
+        if top >= self.offset_array.size:
+            self._cover(max(2 * self.offset_array.size, top))
+            self.log_array = np.array(self.log_terms)
+            self.offset_array = np.array(self.offsets)
+        return self.log_array, self.offset_array
+
+    def run(self, budget_left: int) -> None:
+        """Spend `budget_left` adaptive pulls, a level at a time."""
+        live = np.arange(self.lower.size)
+        target = self.target
+        per_item, alone = 1.0, False
+        while budget_left > 0:
+            l_k, u_k = self.kth_lower.threshold, -self.kth_neg_upper.threshold
+            lower, upper = self.lower[live], self.upper[live]
+            keep, also, _ = self._masks(live.size)
+            np.less_equal(lower, u_k, out=keep)
+            keep &= np.greater_equal(upper, l_k, out=also)
+            keep &= np.less(self.counts[live], self.w_max, out=also)
+            live = live[keep]
+            if not live.size:
+                break
+            widths = upper[keep] - lower[keep]
+            cap = min(2 * target, max(64, 2 * budget_left))
+            m = 1 if alone else int(max(1, min(target, cap, budget_left * per_item) // per_item))
+            extra = 0
+            if m >= live.size:
+                # all of them: unless items tie at the narrowest width, where
+                # a run may never end, each passes the narrowest key and then
+                # takes `extra` more steps
+                narrowest = np.equal(widths, widths.min(), out=also[: live.size])
+                tied = int(np.count_nonzero(narrowest))
+                extra = min(target, cap) // live.size - 1 if tied == 1 else 0
+                m = live.size if extra > 0 else max(1, live.size - tied)
+            if m < live.size:
+                # the m widest, each until its key passes the next one's
+                lead = _leading(-widths, m + 1)
+                bound = lead[m]
+            else:
+                lead = np.argsort(-widths, kind="stable")
+                bound = lead[-1]
+            active = live[lead[:m]]
+            limit = (float(widths[bound]), int(live[bound]))
+            steps, stop_w, stop_x, short = self._walk(
+                active, limit, extra, cap, budget_left, per_item, l_k, u_k
+            )
+            if m < live.size:
+                stop_w, stop_x = np.append(stop_w, limit[0]), np.append(stop_x, limit[1])
+            frontier = _widest(stop_w, stop_x) if stop_x.size else None
+            previewed = steps[0].size
+            kept, budget_left = self._commit(steps, frontier, budget_left)
+            # free this level's steps before the next level previews its own
+            del steps
+            per_item = max(1.0, previewed / m) * (2 if short else 1)
+            alone = short and frontier[1] == active[0] and 2 * kept < previewed
+
+    def _walk(self, active, limit, extra, cap, budget, per_item, l_k, u_k):
+        """Preview the steps of `active` (by ascending key): each item steps
+        until its key (-width, item) passes `limit` and then `extra` more
+        times, for `cap` steps in all.  An item stops early at w_max, once
+        its bounds clear the current l_k or u_k (it is dead from then on),
+        or, among several, at width zero (its key can never grow).  No item
+        takes more than `budget` steps.
+
+        Returns the steps as arrays (item, count, bounds before, bounds after,
+        mean, m2, draw) with the positions of those that conflict; the next
+        width and the index of each item that may still be pulled after its
+        last step; and whether an item stopped short of `limit`.
+        """
+        w_lim, x_lim = limit
+        w_max = self.w_max
+        x = active
+        lo, hi, mu, m2 = self.lower[x], self.upper[x], self.means[x], self.m2[x]
+        c = self.counts[x]
+        # an item's key is below the limit while its width is above its bar
+        bar = np.where(x < x_lim, np.nextafter(w_lim, -np.inf), w_lim)
+        # steps left once past the limit; -1 before
+        left = np.where(x == x_lim, extra, -1) if extra else None
+        top = int(c.max())
+        several = x.size > 1
+        parts: list[tuple] = []
+        stops: list[tuple] = []
+        short = False
+        total = step = 0
+        chunk = min(64, int(per_item) + extra + 2)
+        block = self.weak._draws(x, self.base + c, chunk)
+        rows, column = np.arange(x.size), 0
+        # The arrays hold a power of two of items: those that stop stay,
+        # masked out of `going`, until half have stopped, and the rest pad
+        # out with copies of one of them.  numpy keeps freed arrays under
+        # 1 KB for reuse, by size, so arrays of every size would leave a few
+        # MB behind.
+        going, walking = np.ones(x.size, dtype=bool), x.size
+        columns: list[tuple] = []
+        masks: list[np.ndarray] = []
+        conflicts: list[np.ndarray] = []
+        size = 0
+        while walking:
+            if walking <= self.NARROW:
+                x, lo, hi, mu, m2, c, rows = (a[going] for a in (x, lo, hi, mu, m2, c, rows))
+                if left is not None:
+                    left = left[going]
+                short |= self._rows(
+                    x, lo, hi, mu, m2, c, left, limit, extra, cap - total, budget - step,
+                    block[rows, column:], several, l_k, u_k, parts, stops,
+                )
+                break
+            if 2 * walking <= x.size or x.size & (x.size - 1):
+                keep = np.flatnonzero(going)
+                keep = np.r_[keep, np.full((1 << (walking - 1).bit_length()) - walking, keep[0])]
+                x, lo, hi, mu, m2, c, bar, rows = (
+                    a[keep] for a in (x, lo, hi, mu, m2, c, bar, rows)
+                )
+                if left is not None:
+                    left = left[keep]
+                going = np.arange(x.size) < walking
+            if column == block.shape[1]:
+                chunk *= 2
+                block = self.weak._draws(x, self.base + c, chunk)
+                rows, column = np.arange(x.size), 0
+            value = block[rows, column]
+            column += 1
+            step += 1
+            log_terms, offsets = self._tables(top + step)
+            # the scalar step on arrays: a Welford update, the radius, the
+            # clip to [0, 1], the intersection, and an empty one clamped to
+            # the nearer old bound
+            pulls = c
+            c = c + 1
+            d = value - mu
+            mu = mu + d / c
+            m2 = m2 + d * (value - mu)
+            r = offsets[c]
+            if self.reads_variance:
+                r = np.sqrt(2.0 * (m2 / pulls) * log_terms[c] / c) + r
+            # bounds are never -0.0, so maximum and minimum pick as the
+            # scalar comparisons do
+            new_lo = np.maximum(mu - r, 0.0)
+            new_hi = np.minimum(mu + r, 1.0)
+            next_lo = np.maximum(lo, new_lo)
+            next_hi = np.minimum(hi, new_hi)
+            conflict = next_lo > next_hi
+            if conflict.any():
+                point = np.where(new_lo > hi, hi, lo)
+                next_lo[conflict] = point[conflict]
+                next_hi[conflict] = point[conflict]
+                conflicts.append(size + np.flatnonzero(conflict))
+            columns.append((x, c, lo, hi, next_lo, next_hi, mu, m2, value))
+            masks.append(going)
+            size += x.size
+            total += walking
+            lo, hi = next_lo, next_hi
+            w = hi - lo
+            ahead = w > bar
+            if left is None:
+                done = ~ahead
+            else:
+                left = np.where(left > 0, left - 1, np.where(ahead, -1, extra))
+                done = left == 0
+            if several:
+                done |= w == 0.0
+            if total >= cap or step >= budget:
+                done[:] = True
+            # a dead item, or one at w_max, is never pulled again
+            over = (c >= w_max) | (lo > u_k) | (hi < l_k)
+            stop = going & (done | over)
+            if stop.any():
+                held = stop & ~over
+                short |= bool(np.any(held & ahead))
+                stops.append((w[held], x[held]))
+                going = going & ~stop
+                walking = int(np.count_nonzero(going))
+        if columns:
+            mask = np.concatenate(masks)
+            # conflicts as positions among the steps kept
+            at = np.concatenate([np.zeros(0, dtype=np.int64), *conflicts])
+            at = np.cumsum(mask)[at[mask[at]]] - 1
+            parts.append(tuple(np.concatenate(a)[mask] for a in zip(*columns)) + (at,))
+        stop_w, stop_x = (np.concatenate(a) for a in zip(*stops)) if stops else (np.zeros(0),) * 2
+        if len(parts) == 1:
+            return parts[0], stop_w, stop_x, short
+        starts = np.cumsum([0] + [part[0].size for part in parts])
+        steps = tuple(np.concatenate(a) for a in zip(*(part[:-1] for part in parts)))
+        at = np.concatenate([start + part[-1] for start, part in zip(starts, parts)])
+        return steps + (at,), stop_w, stop_x, short
+
+    def _rows(self, x, lo, hi, mu, m2, c, left, limit, extra, cap, budget, block, several,
+              l_k, u_k, parts, stops) -> bool:
+        """``_walk`` for a few items, one after another by key, in scalar
+        floats, with `block` their next draws; appends to `parts` and
+        `stops` and returns whether an item stopped short."""
+        w_lim, x_lim = limit
+        w_max, reads_variance, sqrt = self.w_max, self.reads_variance, math.sqrt
+        columns = tuple([] for _ in range(10))
+        items, counts, lo_b, hi_b, lo_a, hi_a, mus, m2s, values, conflicts = columns
+        put_lo, put_hi, put_mu, put_m2 = lo_a.append, hi_a.append, mus.append, m2s.append
+        short = False
+        stop_w, stop_x = [], []
+        order = np.lexsort((x, lo - hi)).tolist()
+        for rank, i in enumerate(order):
+            # an even share of the cap, so that no item starves the rest
+            share = cap // (len(order) - rank)
+            xi, c_i = int(x[i]), int(c[i])
+            lo_i, hi_i, mu_i, m2_i = float(lo[i]), float(hi[i]), float(mu[i]), float(m2[i])
+            start, first = c_i, len(lo_a)
+            draws = block[i].tolist()
+            todo = min(share, w_max - c_i, budget)
+            # the key is below the limit while the width is above `bar`; a
+            # width at or below `low` needs a look
+            bar = math.nextafter(w_lim, -math.inf) if xi < x_lim else w_lim
+            passed = left is not None and left[i] >= 0
+            if passed:
+                todo = min(todo, int(left[i]))
+                low = 0.0 if several else -1.0
+            else:
+                low = max(bar, 0.0) if several else bar
+            held, ended = True, False
+            while not ended and c_i - start < todo:
+                if c_i - start == len(draws):
+                    more = self.weak._draws([xi], self.base + c_i, len(draws) + 16)
+                    draws += more.ravel().tolist()
+                self._cover(start + min(len(draws), todo))
+                log_terms, offsets = self.log_terms, self.offsets
+                for value in draws[c_i - start : todo]:
+                    pulls = c_i
+                    c_i += 1
+                    d = value - mu_i
+                    mu_i += d / c_i
+                    m2_i += d * (value - mu_i)
+                    r = offsets[c_i]
+                    if reads_variance:
+                        r = sqrt(2.0 * (m2_i / pulls) * log_terms[c_i] / c_i) + r
+                    new_lo = mu_i - r
+                    if new_lo < 0.0:
+                        new_lo = 0.0
+                    new_hi = mu_i + r
+                    if new_hi > 1.0:
+                        new_hi = 1.0
+                    next_lo = lo_i if lo_i >= new_lo else new_lo
+                    next_hi = hi_i if hi_i <= new_hi else new_hi
+                    if next_lo > next_hi:
+                        next_lo = next_hi = hi_i if new_lo > hi_i else lo_i
+                        conflicts.append(len(lo_a))
+                    lo_i, hi_i = next_lo, next_hi
+                    put_lo(lo_i)
+                    put_hi(hi_i)
+                    put_mu(mu_i)
+                    put_m2(m2_i)
+                    w = hi_i - lo_i
+                    if w <= low or lo_i > u_k or hi_i < l_k:
+                        if lo_i > u_k or hi_i < l_k:
+                            held, ended = False, True
+                        elif w == 0.0 and several:
+                            ended = True
+                        if not passed and w <= bar:
+                            passed = True
+                            ended = ended or left is None
+                            # `extra` more steps: leave the slice to end there
+                            todo = min(todo, c_i - start + extra)
+                            low = 0.0 if several else -1.0
+                            break
+                        if ended:
+                            break
+            size = c_i - start
+            cap -= size
+            if size:
+                items.extend([xi] * size)
+                counts.extend(range(start + 1, c_i + 1))
+                lo_b.append(float(lo[i]))
+                lo_b.extend(lo_a[first : first + size - 1])
+                hi_b.append(float(hi[i]))
+                hi_b.extend(hi_a[first : first + size - 1])
+                values.extend(draws[:size])
+            if held and c_i < w_max:
+                stop_w.append(hi_i - lo_i)
+                stop_x.append(xi)
+                short = short or not passed
+        if items:
+            at = np.array(conflicts, dtype=np.int64)
+            parts.append(tuple(np.array(a) for a in columns[:9]) + (at,))
+        stops.append((np.array(stop_w), np.array(stop_x, dtype=np.int64)))
+        return short
+
+    def _commit(self, steps, frontier, budget_left):
+        """Merge the steps below the frontier, pull the live ones within the
+        budget, and take their results; returns (steps below the frontier,
+        budget left)."""
+        x, c, lo_b, hi_b, lo_a, hi_a, mu, m2, value, conflict = steps
+        width = hi_b - lo_b
+        mask, also, live = self._masks(x.size)
+        if frontier is None:
+            below = np.arange(x.size)
+        else:
+            w_f, x_f = frontier
+            np.equal(width, w_f, out=mask)
+            mask &= np.less_equal(x, x_f, out=also)
+            mask |= np.greater(width, w_f, out=also)
+            below = np.flatnonzero(mask)
+        order = below[_pull_order(width[below], x[below], c[below], self._masks(below.size))]
+        del width
+        items, before_lo, before_hi = x[order], lo_b[order], hi_b[order]
+        mask, also, live = self._masks(order.size)
+        l_k = self.kth_lower.rise_many(items, before_lo, lo_a[order], (mask, also))
+        np.greater_equal(before_hi, l_k, out=live)
+        del l_k
+        u_k = -self.kth_neg_upper.rise_many(items, -before_hi, -hi_a[order], (mask, also))
+        live &= np.less_equal(before_lo, u_k, out=mask)
+        del u_k, items, before_lo, before_hi
+        taken = order[np.flatnonzero(live)[:budget_left]]
+        items = x[taken]
+        observed = self.weak.pull_many(items)
+        if observed.tobytes() != value[taken].tobytes():
+            raise RuntimeError("the weak oracle did not return the draws its streams define")
+        counts = c[taken]
+        np.maximum.at(self.counts, items, counts)
+        last = taken[np.equal(counts, self.counts[items], out=self._masks(taken.size)[0])]
+        ends = x[last]
+        self.lower[ends], self.upper[ends] = lo_a[last], hi_a[last]
+        self.means[ends], self.m2[ends] = mu[last], m2[last]
+        if conflict.size:
+            self.conflicts += int(np.count_nonzero(np.isin(taken, conflict)))
+        return order.size, budget_left - items.size
+
+
+def _pull_order(widths, items, counts, masks) -> np.ndarray:
+    """The order of steps by ascending (-width, item, count): one sort by
+    width, and a sort of each run of equal widths by (item, count).
+    `masks` are bool buffers of the steps' size."""
+    order = np.argsort(-widths)
+    ranked = widths[order]
+    member, tied = masks[:2]
+    tied = np.equal(ranked[1:], ranked[:-1], out=tied[1:])
+    if tied.any():
+        member[1:] = tied
+        member[0] = False
+        member[:-1] |= tied
+        at = np.flatnonzero(member)
+        runs = np.cumsum(np.r_[True, ~tied])[at]
+        steps = order[at]
+        order[at] = steps[np.lexsort((counts[steps], items[steps], runs))]
+    return order
+
+
+def _widest(widths: np.ndarray, items: np.ndarray) -> tuple[float, int]:
+    """The smallest key (-width, item)."""
+    widest = widths.max()
+    return float(widest), int(items[widths == widest].min())
 
 
 class AdaptiveCertifyWeak(AdaptiveCertify):
@@ -326,10 +819,10 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
     interval (skipping items that reached ``w_max``).  Phase II freezes the
     intervals and runs the adaptive strong loop on them.
 
-    Each adaptive pull costs O(log n): the widest ambiguous item comes from a
-    heap, and the k-th largest lower and upper bounds that define the
-    ambiguous set are tracked exactly, rescanning all n bounds only on the
-    pulls that move one of them.
+    The pull order of phase I is planned rather than found pull by pull: it is
+    the merge of per-item interval trajectories, computed in numpy over many
+    items at once and pulled in counted batches (see ``_WeakPlan``); the pulls,
+    bounds and conflicts are those of the pull-by-pull rule, bit for bit.
     """
 
     def __init__(
@@ -371,103 +864,17 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
     def _phase1(self, weak, n, k, w_min, w_max, budget) -> IntervalState:
         method = self._method()
         delta_x = DeltaBudget.split(self.delta, n, self.delta_weak_fraction).per_item
-
-        means_arr, variances = weak.pull_all_moments(w_min, variance=w_min >= 2)
+        means, variances = weak.pull_all_moments(w_min, variance=w_min >= 2)
         if variances is None:
             variances = np.zeros(n)
         radii = method.batch_radius(w_min, variances, delta_x, anytime=True)
-        lower_arr = np.clip(means_arr - radii, 0.0, 1.0)
-        upper_arr = np.clip(means_arr + radii, 0.0, 1.0)
-        lower = lower_arr.tolist()
-        upper = upper_arr.tolist()
-        means = means_arr.tolist()
-        m2 = (variances * (w_min - 1)).tolist()
-        counts = [w_min] * n
-        budget_left = budget - n * w_min
-        conflicts = 0
-        # per pull count c, the (log term, offset) of the radius
-        # sqrt(2 V L / c) + offset, memoised as the counts grow
-        terms = [None]
-
-        # Only the k-th largest bounds l_k and u_k are read.  -upper only
-        # rises, and its (n - k + 1)-th largest is -u_k.
-        kth_lower = _KthLargestOfRising(lower_arr.copy(), k)
-        kth_neg_upper = _KthLargestOfRising(-upper_arr, n - k + 1)
-        l_k, u_k = kth_lower.threshold, -kth_neg_upper.threshold
-        # Items are pulled by ascending (lower - upper, index), from a heap
-        # holding each as the int ((2**63 - bits(upper - lower)) << shift) |
-        # index.  The bit pattern of a double >= 0 orders like the double, so
-        # these ints order like the pairs; an int is smaller and faster to
-        # compare than a tuple.  l_k only rises and u_k only falls, so an item
-        # that is clear once stays clear: it starts outside the heap, or
-        # leaves it at the top.
-        shift = n.bit_length()
-        index_mask = (1 << shift) - 1
-        live = np.flatnonzero((lower_arr <= u_k) & (upper_arr >= l_k))
-        if w_min == w_max:
-            live = live[:0]
-        width_bits = (upper_arr[live] - lower_arr[live]).view(np.int64).tolist()
-        heap = [(((1 << 63) - b) << shift) | x for b, x in zip(width_bits, live.tolist())]
-        heapq.heapify(heap)
-        pack_double, unpack_int = struct.Struct("<d").pack, struct.Struct("<q").unpack
-        pull = weak.pull
-        heappop, heapreplace = heapq.heappop, heapq.heapreplace
-
-        while budget_left > 0:
-            while heap:
-                x = heap[0] & index_mask
-                if lower[x] <= u_k and upper[x] >= l_k:
-                    break
-                heappop(heap)
-            else:
-                break
-
-            value = pull(x)
-            c = counts[x] + 1
-            counts[x] = c
-            mu = means[x]
-            d = value - mu
-            mu += d / c
-            means[x] = mu
-            m2x = m2[x] + d * (value - mu)
-            m2[x] = m2x
-            if c >= len(terms):
-                terms.extend(method.terms(cc, delta_x, True) for cc in range(len(terms), 2 * c))
-            log_term, offset = terms[c]
-            # a sub-Gaussian radius has no variance term; skip its arithmetic
-            r = math.sqrt(2.0 * (m2x / (c - 1)) * log_term / c) + offset if log_term else offset
-            new_lo = mu - r
-            new_hi = mu + r
-            if new_lo < 0.0:
-                new_lo = 0.0
-            if new_hi > 1.0:
-                new_hi = 1.0
-            old_lo = lower[x]
-            old_hi = upper[x]
-            lo = old_lo if old_lo >= new_lo else new_lo
-            hi = old_hi if old_hi <= new_hi else new_hi
-            if lo > hi:
-                lo = hi = old_hi if new_lo > old_hi else old_lo
-                conflicts += 1
-            budget_left -= 1
-            if lo == old_lo and hi == old_hi and c < w_max:
-                # x's interval, and so its key, l_k and u_k, are unchanged:
-                # x is still live and still on top of the heap
-                continue
-            if lo != old_lo:
-                l_k = kth_lower.rise(x, old_lo, lo)
-                lower[x] = lo
-            if hi != old_hi:
-                u_k = -kth_neg_upper.rise(x, -old_hi, -hi)
-                upper[x] = hi
-            if c < w_max:
-                bits = unpack_int(pack_double(hi - lo))[0]
-                heapreplace(heap, (((1 << 63) - bits) << shift) | x)
-            else:
-                heappop(heap)
-
-        state = IntervalState.from_bounds(lower, upper, pulls=counts, means=means)
-        state.conflicts = conflicts
+        lower = np.clip(means - radii, 0.0, 1.0)
+        upper = np.clip(means + radii, 0.0, 1.0)
+        m2 = variances * (w_min - 1)
+        plan = _WeakPlan(weak, method, delta_x, k, w_min, w_max, lower, upper, means.copy(), m2)
+        plan.run(budget - n * w_min)
+        state = IntervalState.from_bounds(lower, upper, pulls=plan.counts, means=plan.means)
+        state.conflicts = plan.conflicts
         return state
 
 

@@ -185,7 +185,10 @@ def _instance_errors(source: str):
 
 
 def _check_out(path: str) -> None:
-    """Exit naming --out before any work when the directory it writes into is missing."""
+    """Exit naming --out before any work when it names a directory, or when
+    the directory it writes into is missing."""
+    if os.path.isdir(path):
+        raise SystemExit(f"--out {path}: is a directory, not a file")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise SystemExit(f"--out {path}: directory {directory!r} does not exist")

@@ -27,13 +27,20 @@ the scalar path.  Windows hold the same bits as the scalar path, and stream
 positions only grow until the oracle rewinds, so a window stays valid until
 it runs out.
 
+A batch of pulls goes through ``pull_many``, which charges and returns what
+the same scalar pulls would, the i-th pull of an item in the batch reading
+its stream i places on, and computes the draws in one vectorized pass without
+the windows.  ``AdaptiveCertifyWeak`` plans its adaptive pulls from the draws
+``_draws`` computes, which are never charged and which no public method
+returns, and then pulls them through ``pull_many``.
+
 After construction, ``reset`` or ``pull_all`` every item sits at one shared
-position, held in one integer, and no window exists.  The first ``pull``
-after that maps an array of (position, window end) pairs beside the windows,
-the only position store from then on.  Its pages are committed only when
-written: a lone item pulled again and again from position 0 commits a few,
-but after a ``pull_all`` the first such pull writes all n positions (16 MB at
-n = 1e6).
+position, held in one integer, and no window exists.  The first ``pull`` or
+``pull_many`` after that maps an array of (position, window end) pairs beside
+the windows, the only position store from then on.  Its pages are committed
+only when written: a lone item pulled again and again from position 0
+commits a few, but after a ``pull_all`` the first such pull writes all n
+positions (16 MB at n = 1e6).
 
 A uniform screen reads only each item's sample mean, and its sample variance
 for empirical-Bernstein radii.  ``pull_all_moments`` pulls exactly as
@@ -172,8 +179,56 @@ class WeakOracle:
             self._refill()
         return value
 
+    def pull_many(self, items) -> np.ndarray:
+        """``[pull(x) for x in items]`` as one float64 array: the same values,
+        ``total_pulls`` and stream positions.
+
+        At an item out of range, or at the budget, the pulls before it are
+        charged and then the same error as ``pull``'s is raised.  Items that
+        are not integers (bools included) raise ``TypeError`` before anything
+        is charged.  A subclass that overrides ``pull`` has it called once per
+        item, in order.
+        """
+        array = np.asarray(items)
+        # a list that mixes bools into ints becomes an integer array
+        mixed = not isinstance(items, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in items
+        )
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu") or mixed:
+            raise TypeError(f"items must be a 1-D sequence of integers, got {array.dtype}")
+        if type(self).pull is not WeakOracle.pull:
+            return np.array([self.pull(x) for x in items], dtype=np.float64)
+        n, count = self._n, array.size
+        if count and (array.min() < 0 or array.max() >= n):
+            count = int(np.argmax((array < 0) | (array >= n)))
+        inside = count
+        if self.max_pulls is not None:
+            count = min(count, max(0, self.max_pulls - self.total_pulls))
+        taken = array[:count].astype(np.int64)
+        values = np.zeros(0)
+        if count:
+            self.total_pulls += count
+            positions = np.frombuffer(self._track or self._start_track(), np.int64)[::2]
+            # an item's i-th pull in the batch reads its stream i places on
+            order = np.argsort(taken, kind="stable")
+            ranked = taken[order]
+            first = np.concatenate(([0], 1 + np.flatnonzero(np.diff(ranked))))
+            lengths = np.diff(np.append(first, count))
+            rank = np.empty(count, dtype=np.int64)
+            rank[order] = np.arange(count) - np.repeat(first, lengths)
+            values = self._draws(taken, positions[taken] + rank, 1).reshape(-1)
+            positions[ranked[first]] += lengths
+        if count < inside:
+            raise BudgetExceededError("weak", self.max_pulls)
+        if count < array.size:
+            raise ValueError(f"item must lie in [0, {n}), got {array[count]}")
+        return values
+
     def _draws(self, items, starts, count: int) -> np.ndarray:
-        """The observations `pull` returns for `count` positions from each start."""
+        """The observations `pull` returns for `count` positions from each start;
+        uncharged, so never returned by a public method."""
+        if self.noise == "exact":
+            return np.repeat(self._instance.values[items].reshape(-1, 1), count, axis=1)
         rows = _hashing.gaussian_rows(
             self._keys[items], starts, count, self.sigma, self._instance.values[items]
         )

@@ -1,6 +1,7 @@
 """Tests for the five certifiers: exactness, cost identities, budget discipline."""
 
 import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from topkcert.certify import (
     ThresholdCertify,
     _ace_loop,
     _KthLargestOfRising,
+    _WeakPlan,
     ace,
     ace_w,
     brute_force_certify,
@@ -252,33 +254,43 @@ class TestAdaptiveCertify:
         assert report.selected == (0, 1)
 
 
-def _reference_adaptive_weak_phase(
-    instance, seed, k, delta, w_min, w_max, budget, sigma, method="subgaussian", clamp=False
+def _reference_adaptive_weak_phase(*args, **kwargs):
+    """The pull sequence, bounds and pull counts of ``_reference_phase_one``."""
+    return _reference_phase_one(*args, **kwargs)[:4]
+
+
+def _reference_phase_one(
+    instance, seed, k, delta, w_min, w_max, budget, sigma, method="subgaussian", clamp=False,
+    noise="gaussian", ci_sigma=None,
 ):
     """From-scratch reimplementation of the adaptive weak phase.
 
     Recomputes the ambiguous set and the boundary order statistics from
     definitions at every step; only pulls currently ambiguous items below the
     per-item cap, widest interval first with index tie-break.  ``method`` is
-    ``"subgaussian"`` (scale ``sigma``) or ``"anytime_empirical_bernstein"``
-    (support range 1).
+    ``"subgaussian"`` (scale ``ci_sigma``, by default the oracle's ``sigma``)
+    or ``"anytime_empirical_bernstein"`` (support range 1).  Returns the pull
+    sequence, the bounds, the pull counts, the means and the conflicts.
     """
 
     def radius(c, x):
         if method == "subgaussian":
-            return float(SubGaussian(sigma).radius(c, 0.0, delta_x, anytime=True))
+            scale = sigma if ci_sigma is None else ci_sigma
+            return float(SubGaussian(scale).radius(c, 0.0, delta_x, anytime=True))
         variance = m2[x] / (c - 1) if c >= 2 else 0.0
         return float(AnytimeEmpiricalBernstein(1.0).radius(c, variance, delta_x))
 
-    weak = WeakOracle(instance, sigma=sigma, seed=seed, clamp=clamp)
+    weak = WeakOracle(instance, noise=noise, sigma=sigma, seed=seed, clamp=clamp)
     n = instance.n
     delta_x = delta / n
     obs = weak.pull_all(w_min)
     means = obs.mean(axis=1).tolist()
-    m2 = (obs.var(axis=1, ddof=1) * (w_min - 1)).tolist()
+    m2 = (obs.var(axis=1, ddof=1) * (w_min - 1)).tolist() if w_min >= 2 else [0.0] * n
     counts = [w_min] * n
-    lower = [max(0.0, means[x] - radius(w_min, x)) for x in range(n)]
-    upper = [min(1.0, means[x] + radius(w_min, x)) for x in range(n)]
+    conflicts = 0
+    # the warm start clips both bounds to [0, 1]
+    lower = [min(1.0, max(0.0, means[x] - radius(w_min, x))) for x in range(n)]
+    upper = [min(1.0, max(0.0, means[x] + radius(w_min, x))) for x in range(n)]
     sequence = []
     budget_left = budget - n * w_min
     while budget_left > 0:
@@ -302,10 +314,11 @@ def _reference_adaptive_weak_phase(
         lo, hi = max(lower[x], new_lo), min(upper[x], new_hi)
         if lo > hi:
             lo = hi = upper[x] if new_lo > upper[x] else lower[x]
+            conflicts += 1
         lower[x], upper[x] = lo, hi
         sequence.append(x)
         budget_left -= 1
-    return sequence, lower, upper, counts
+    return sequence, lower, upper, counts, means, conflicts
 
 
 class _RecordingWeakOracle(WeakOracle):
@@ -320,23 +333,94 @@ class _RecordingWeakOracle(WeakOracle):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    st.lists(st.integers(0, 4), min_size=1, max_size=30),
-    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 4)), max_size=60),
-    st.integers(1, 30),
+    st.lists(st.integers(0, 4), min_size=1, max_size=200),
+    st.lists(st.tuples(st.integers(0, 199), st.integers(0, 4)), max_size=300),
+    st.integers(1, 200),
+    st.lists(st.integers(0, 300), max_size=4),
 )
-def test_kth_largest_tracker_matches_sorting_under_tied_rises(start, rises, k):
+def test_kth_largest_tracker_matches_sorting_under_tied_rises(start, rises, k, cuts):
     values = [level / 4 for level in start]
     k = min(k, len(values))
     tracker = _KthLargestOfRising(np.array(values), k)
+    items, old, new, expected = [], [], [], []
     for x, step in rises:
         x %= len(values)
-        old = values[x]
-        new = min(1.0, old + step / 4)
-        if new == old:
-            continue
-        values[x] = new
-        tracker.rise(x, old, new)
-        assert tracker.threshold == sorted(values, reverse=True)[k - 1]
+        expected.append(sorted(values, reverse=True)[k - 1])
+        items.append(x)
+        old.append(values[x])
+        values[x] = min(1.0, values[x] + step / 4)
+        new.append(values[x])
+    # the rises arrive in batches split at the cuts
+    bounds = sorted({0, len(items), *(min(cut, len(items)) for cut in cuts)})
+    before = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = [np.array(column[lo:hi], dtype=dtype)
+                 for column, dtype in ((items, np.int64), (old, float), (new, float))]
+        before.extend(tracker.rise_many(*batch).tolist())
+    assert before == expected
+    assert tracker.threshold == sorted(values, reverse=True)[k - 1]
+
+
+@st.composite
+def _phase_one_cases(draw):
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, n - 1))
+    w_min = draw(st.integers(1, 6))
+    w_max = draw(st.one_of(st.none(), st.integers(w_min, w_min + 40)))
+    budget = draw(st.integers(n * w_min, 150 * n))
+    method = draw(st.sampled_from(["subgaussian", "anytime_empirical_bernstein"]))
+    # a misstated scale leaves intervals that miss their values: conflicts
+    ci_sigma = draw(st.sampled_from([None, 0.01, 0.02])) if method == "subgaussian" else None
+    return dict(
+        n=n, k=k, w_min=w_min, w_max=w_max, budget=budget, method=method, ci_sigma=ci_sigma,
+        clamp=draw(st.booleans()), noise=draw(st.sampled_from(["gaussian", "exact"])),
+        # values on a grid of 20 levels, so that values and widths tie
+        levels=draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+def _assert_phase_one_matches_reference(case):
+    instance = Instance(values=np.array(case["levels"]) / 20, k=1)
+    ref_seq, ref_lo, ref_hi, ref_counts, ref_means, ref_conflicts = _reference_phase_one(
+        instance, case["seed"], k=case["k"], delta=0.05, w_min=case["w_min"],
+        w_max=case["budget"] if case["w_max"] is None else case["w_max"],
+        budget=case["budget"], sigma=0.1, method=case["method"], clamp=case["clamp"],
+        noise=case["noise"], ci_sigma=case["ci_sigma"],
+    )
+    params = dict(
+        weak_budget=case["budget"], w_min=case["w_min"], w_max=case["w_max"],
+        ci_method=case["method"], ci_sigma=0.1 if case["ci_sigma"] is None else case["ci_sigma"],
+    )
+    oracle = dict(noise=case["noise"], sigma=0.1, seed=case["seed"], clamp=case["clamp"])
+    recording = _RecordingWeakOracle(instance, **oracle)
+    ace_w(recording, StrongOracle(instance), k=case["k"], **params)
+    assert recording.single_pull_log == ref_seq
+    # the plain oracle pulls each batch in one numpy pass
+    weak = WeakOracle(instance, **oracle)
+    state = ace_w(weak, StrongOracle(instance), k=case["k"], **params).weak_state
+    np.testing.assert_array_equal(state.lower, np.asarray(ref_lo))
+    np.testing.assert_array_equal(state.upper, np.asarray(ref_hi))
+    np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
+    np.testing.assert_array_equal(state.means, np.asarray(ref_means))
+    np.testing.assert_array_equal(weak.pulls_per_item, np.asarray(ref_counts))
+    assert state.conflicts == ref_conflicts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_phase_one_cases())
+def test_planned_phase_one_matches_reference(case):
+    _assert_phase_one_matches_reference(case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_phase_one_cases(), st.integers(1, 64), st.integers(1, 8))
+def test_planned_phase_one_matches_reference_in_small_levels(case, target, narrow):
+    # levels of a few steps: many levels, caps, column walks at n <= 40
+    with mock.patch.object(_WeakPlan, "TARGET", target), mock.patch.object(
+        _WeakPlan, "NARROW", narrow
+    ):
+        _assert_phase_one_matches_reference(case)
 
 
 class TestAdaptiveCertifyWeak:
@@ -408,6 +492,15 @@ class TestAdaptiveCertifyWeak:
             np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
             capped_full = (state.pulls == w_max) & (state.lower == 0.0) & (state.upper == 1.0)
             assert capped_full.any()
+
+    def test_phase_one_rejects_an_oracle_that_does_not_replay_its_draws(self):
+        class Drifting(WeakOracle):
+            def pull(self, x):
+                return super().pull(x) + 1e-9
+
+        inst = generate_gap_instance(GapInstanceSpec(n=60, k=10, seed=0))
+        with pytest.raises(RuntimeError, match="did not return the draws"):
+            ace_w(Drifting(inst, sigma=0.1, seed=0), StrongOracle(inst), k=10, w_min=6)
 
     def test_budget_and_per_item_cap(self):
         inst = generate_gap_instance(GapInstanceSpec(n=120, k=12, seed=4))

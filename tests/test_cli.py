@@ -106,6 +106,29 @@ class TestMissingOutDirectory:
         assert not list(tmp_path.iterdir())
 
 
+class TestOutDirectory:
+    def test_gen_rejects_a_directory(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"^--out .*: is a directory, not a file$"):
+            main(["gen", "--n", "60", "--k", "6", "--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
+    def test_gen_rejects_the_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=r"^--out \.: is a directory, not a file$"):
+            main(["gen", "--n", "100", "--k", "5", "--out", "."])
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_rejects_a_directory_before_running(self, tmp_path, monkeypatch):
+        def fail(spec):
+            raise AssertionError("run_sweep was called")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        args = ["sweep", "--experiment", "scaling_n", "--grid", "100", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit, match=r"^--out .*: is a directory, not a file$"):
+            main(args)
+        assert not list(tmp_path.iterdir())
+
+
 class TestGen:
     def test_gap_instance_roundtrips(self, capsys, tmp_path):
         path = tmp_path / "gap.csv"

@@ -268,6 +268,9 @@ class _ReferenceWeakOracle:
                 value = min(1.0, max(0.0, value))
         return value
 
+    def pull_many(self, items):
+        return np.array([self.pull(x) for x in items], dtype=np.float64)
+
     def pull_all(self, count):
         count = check_int(count, "count", minimum=1)
         n = self.n_items
@@ -336,6 +339,11 @@ def _expand(op, n):
         return [("pull", x % n)] * count
     if name == "pull":
         return [(name, args[0] % n)]
+    if name == "pull_many":
+        # items from the stream, and an out-of-range one where it is -1
+        items, as_array = args
+        items = [x % n if x >= 0 else n for x in items]
+        return [(name, np.array(items, dtype=np.int64) if as_array else items)]
     return [op]
 
 
@@ -353,6 +361,11 @@ _OP_KINDS = (
     st.tuples(st.just("stride"), st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 400)),
     st.tuples(st.just("repeat"), st.integers(0, 10**6), st.integers(1, 60)),
     st.tuples(st.just("pull_all"), st.integers(1, 3)),
+    st.tuples(
+        st.just("pull_many"),
+        st.lists(st.one_of(st.integers(0, 10**6), st.just(-1)), max_size=120),
+        st.booleans(),
+    ),
     st.just(("reset",)),
     st.just(("pulls_per_item",)),
 )
@@ -612,10 +625,89 @@ class TestQueryMany:
         assert strong.calls == 3 and strong.trace == [4, 0, 4]
 
 
+class _RecordingWeakOracle(WeakOracle):
+    def __init__(self, instance, **kwargs):
+        super().__init__(instance, **kwargs)
+        self.seen = []
+
+    def pull(self, x):
+        self.seen.append(x)
+        return super().pull(x)
+
+
+class TestPullMany:
+    def test_overrun_in_a_batch_charges_the_pulls_before_it(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=2, max_pulls=6)
+        loop = _ReferenceWeakOracle(instance, sigma=0.1, seed=2, max_pulls=6)
+        for oracle in (weak, loop):
+            oracle.pull(3)
+            oracle.pull(3)
+        for x in (3, 0, 3, 7):
+            loop.pull(x)
+        with pytest.raises(BudgetExceededError):
+            weak.pull_many([3, 0, 3, 7, 3, 1])
+        assert weak.total_pulls == 6
+        np.testing.assert_array_equal(weak.pulls_per_item, loop.pulls_per_item)
+        # the streams go on from where the charged pulls left them
+        weak.max_pulls = loop.max_pulls = None
+        assert [weak.pull(x) for x in (3, 0, 7, 1)] == [loop.pull(x) for x in (3, 0, 7, 1)]
+
+    def test_matches_a_pull_loop_with_repeats(self, instance):
+        weak = WeakOracle(instance, sigma=0.3, seed=4, clamp=True)
+        loop = WeakOracle(instance, sigma=0.3, seed=4, clamp=True)
+        items = [5, 5, 0, 19, 5, 0, 7] * 3
+        got = weak.pull_many(np.array(items))
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([loop.pull(x) for x in items]).tobytes()
+        np.testing.assert_array_equal(weak.pulls_per_item, loop.pulls_per_item)
+        assert weak.total_pulls == loop.total_pulls == len(items)
+
+    @pytest.mark.parametrize("items", [[True, False], [1, True], [2, np.True_],
+                                       np.array([True]), [0.0, 1.0], [1, 2.5],
+                                       np.zeros((1, 2), dtype=np.int64)])
+    def test_non_integer_items_raise_before_counting(self, instance, items):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        with pytest.raises(TypeError):
+            weak.pull_many(items)
+        assert weak.total_pulls == 0 and not weak.pulls_per_item.any()
+
+    def test_out_of_range_item_raises_after_the_pulls_before_it(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        loop = WeakOracle(instance, sigma=0.1, seed=0)
+        for bad in (instance.n, -1):
+            with pytest.raises(ValueError) as raised:
+                weak.pull_many([4, 4, bad, 2])
+            with pytest.raises(ValueError) as expected:
+                for x in (4, 4, bad, 2):
+                    loop.pull(x)
+            assert str(raised.value) == str(expected.value)
+        assert weak.total_pulls == loop.total_pulls == 4
+        np.testing.assert_array_equal(weak.pulls_per_item, loop.pulls_per_item)
+
+    def test_empty_batch(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0, max_pulls=0)
+        for items in ([], np.zeros(0, dtype=np.int64)):
+            got = weak.pull_many(items)
+            assert got.dtype == np.float64 and got.size == 0
+        assert weak.total_pulls == 0
+
+    def test_an_overriding_pull_sees_every_item_in_order(self, instance):
+        weak = _RecordingWeakOracle(instance, sigma=0.1, seed=3, max_pulls=3)
+        plain = WeakOracle(instance, sigma=0.1, seed=3)
+        got = weak.pull_many([6, 1, 6])
+        assert weak.seen == [6, 1, 6]
+        assert got.tobytes() == plain.pull_many([6, 1, 6]).tobytes()
+        with pytest.raises(BudgetExceededError):
+            weak.pull_many([2, 8])
+        assert weak.seen == [6, 1, 6, 2]
+        assert weak.total_pulls == 3
+
+
 @pytest.mark.parametrize("item", [True, False, np.True_])
 def test_boolean_items_are_rejected_on_every_path(instance, item):
     weak, strong = WeakOracle(instance, sigma=0.1, seed=0), StrongOracle(instance)
-    for access in (lambda: weak.pull(item), lambda: strong.query(item)):
+    accesses = (lambda: weak.pull(item), lambda: weak.pull_many([item]), lambda: strong.query(item))
+    for access in accesses:
         with pytest.raises(TypeError):
             access()
     assert weak.total_pulls == 0 and strong.calls == 0
