@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .confidence import CiMethod, DeltaBudget, build_fixed_intervals, ci_method_from_config
-from .core import IntervalState, ambiguous_set, epsilon_max, kth_largest
+from .core import IntervalState, ambiguous_band, ambiguous_set, epsilon_max, kth_largest
 from .validation import check_int, check_k
 
 
@@ -149,7 +149,8 @@ class BaseCertifier:
     ``_run`` is the one run template: resolve n and k, answer k == 0 or
     k == n without oracle access, run the weak phase (a uniform screen of
     ``n_weak`` pulls per item unless an initial state is given), then the
-    subclass's ``_strong_phase`` on a copy of the weak state.
+    subclass's ``_strong_phase`` on a writable copy of the weak state, which
+    it is handed too.
     """
 
     def __init__(
@@ -206,7 +207,7 @@ class BaseCertifier:
         weak_state = self._weak_phase(weak, initial_state, n, k)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
         work = weak_state.copy()
-        selected, trace = self._strong_phase(work, k, strong)
+        selected, trace = self._strong_phase(work, k, strong, weak_state)
         return self._report(k, selected, weak_state, work, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
@@ -253,13 +254,13 @@ class ScreenThenCertify(BaseCertifier):
     largest upper bound), clear OUT (upper bound below the k-th largest lower
     bound) and the ambiguous rest, which is strong-queried in full, in one
     ``query_many`` batch.  Strong calls therefore equal the ambiguous-set size
-    on every run.
+    on every run.  The ambiguous set and the k-th largest upper bound are
+    those of the weak state, which a shared screen holds already.
     """
 
-    def _strong_phase(self, work: IntervalState, k: int, strong):
-        u_k = kth_largest(work.upper, k)
-        clear_in = np.flatnonzero(work.lower > u_k)
-        amb = ambiguous_set(work, k)
+    def _strong_phase(self, work: IntervalState, k: int, strong, weak_state: IntervalState):
+        amb, u_k = ambiguous_band(weak_state, k)
+        clear_in = np.flatnonzero(weak_state.lower > u_k)
         trace = amb.tolist()
         revealed = strong.query_many(trace)
         work.collapse_many(amb, revealed)
@@ -284,7 +285,8 @@ class AdaptiveCertify(BaseCertifier):
     stops; the strong oracle is still called once per item, in trace order.
     """
 
-    _strong_phase = staticmethod(_ace_loop)
+    def _strong_phase(self, work: IntervalState, k: int, strong, weak_state=None):
+        return _ace_loop(work, k, strong)
 
 
 class _KthLargestOfRising:
@@ -455,10 +457,9 @@ class _WeakPlan:
 
     def _cover(self, top: int) -> None:
         """Extend the radius terms to pull counts up to `top`."""
-        for count in range(len(self.offsets), top + 1):
-            log_term, offset = self.method.terms(count, self.delta_x, True)
-            self.log_terms.append(log_term)
-            self.offsets.append(offset)
+        log_terms, offsets = self.method.anytime_terms(len(self.offsets), top, self.delta_x)
+        self.log_terms += log_terms
+        self.offsets += offsets
 
     def _tables(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         """The radius terms as arrays over pull counts up to at least `top`."""
@@ -873,7 +874,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         m2 = variances * (w_min - 1)
         plan = _WeakPlan(weak, method, delta_x, k, w_min, w_max, lower, upper, means.copy(), m2)
         plan.run(budget - n * w_min)
-        state = IntervalState.from_bounds(lower, upper, pulls=plan.counts, means=plan.means)
+        state = IntervalState.read_only(lower, upper, plan.counts, plan.means)
         state.conflicts = plan.conflicts
         return state
 
@@ -927,7 +928,7 @@ class ThresholdCertify(BaseCertifier):
     belong to the top-k.
     """
 
-    def _strong_phase(self, work: IntervalState, k: int, strong):
+    def _strong_phase(self, work: IntervalState, k: int, strong, weak_state=None):
         trace: list[int] = []
         values: list[float] = []
         top_heap: list[float] = []

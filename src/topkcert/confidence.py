@@ -25,7 +25,7 @@ probability at least 1 - delta_weak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -45,14 +45,38 @@ def epoch_delta(delta_x: float, count: int) -> float:
 class _Radius:
     """The one radius form: sqrt(2 V L / N) + offset after N pulls.
 
-    Each method supplies ``terms(count, delta_x, anytime)``, the log term L
-    that scales the sample variance V and the offset added to it.  The
-    anytime schedule charges pull count N its epoch budget instead of
-    delta_x; it applies with ``anytime=True`` or when the method is anytime.
+    ``terms(count, delta_x, anytime)`` gives the log term L that scales the
+    sample variance V and the offset added to it.  The anytime schedule
+    charges pull count N its epoch budget instead of delta_x; it applies with
+    ``anytime=True`` or when the method is anytime.  Each method states its
+    terms once, in ``_run_terms``, for a run of counts charged one budget, so
+    that a run of an epoch takes one logarithm.
     """
 
     anytime = False
     reads_variance = True
+
+    def terms(self, count: int, delta_x: float, anytime: bool = False) -> tuple[float, float]:
+        """(L, offset) after `count` pulls."""
+        if anytime:
+            delta_x = epoch_delta(delta_x, count)
+        log_terms, offsets = self._run_terms(range(count, count + 1), delta_x, anytime)
+        return log_terms[0], offsets[0]
+
+    def anytime_terms(self, first: int, last: int, delta_x: float) -> tuple[list, list]:
+        """``terms(count, delta_x, True)`` for count = first..last, as two
+        lists, bit for bit, with one logarithm per epoch."""
+        log_terms: list[float] = []
+        offsets: list[float] = []
+        count = first
+        while count <= last:
+            # the end of count's epoch [2^e, 2^(e+1))
+            stop = min(last + 1, 1 << count.bit_length())
+            run = self._run_terms(range(count, stop), epoch_delta(delta_x, count), True)
+            log_terms += run[0]
+            offsets += run[1]
+            count = stop
+        return log_terms, offsets
 
     def radius(self, count: int, variance, delta_x: float, anytime: bool = False):
         """Half-width after `count` pulls; `variance` is a scalar or an array.
@@ -91,11 +115,11 @@ class SubGaussian(_Radius):
     min_count = 1
     reads_variance = False
 
-    def terms(self, count: int, delta_x: float, anytime: bool = False) -> tuple[float, float]:
+    def _run_terms(self, counts: range, delta: float, anytime: bool) -> tuple[list, list]:
         """No variance term: the offset is sigma sqrt(2 ln(2/d) / N)."""
-        if anytime:
-            delta_x = epoch_delta(delta_x, count)
-        return 0.0, self.sigma * math.sqrt(2.0 * math.log(2.0 / delta_x) / count)
+        scale = 2.0 * math.log(2.0 / delta)
+        sigma = self.sigma
+        return [0.0] * len(counts), [sigma * math.sqrt(scale / count) for count in counts]
 
 
 @dataclass(frozen=True)
@@ -109,19 +133,18 @@ class EmpiricalBernstein(_Radius):
 
     min_count = 2
 
-    def terms(self, count: int, delta_x: float, anytime: bool = False) -> tuple[float, float]:
+    def _run_terms(self, counts: range, delta: float, anytime: bool) -> tuple[list, list]:
         """L = ln(3/d) and the range offset 3 R L / N.
 
-        At a single pull of the anytime schedule there is no variance
-        estimate, so the radius falls back to the range-based Hoeffding
-        half-width at the epoch budget.
+        At a single pull of the anytime schedule (epoch 0 holds no other
+        count) there is no variance estimate, so the radius falls back to
+        the range-based Hoeffding half-width at the epoch budget.
         """
-        if anytime:
-            delta_x = epoch_delta(delta_x, count)
-            if count == 1:
-                return 0.0, self.support_range * math.sqrt(math.log(2.0 / delta_x) / 2.0)
-        log_term = math.log(3.0 / delta_x)
-        return log_term, 3.0 * self.support_range * log_term / count
+        if anytime and counts[0] == 1:
+            return [0.0], [self.support_range * math.sqrt(math.log(2.0 / delta) / 2.0)]
+        log_term = math.log(3.0 / delta)
+        scale = 3.0 * self.support_range * log_term
+        return [log_term] * len(counts), [scale / count for count in counts]
 
 
 @dataclass(frozen=True)
@@ -206,15 +229,27 @@ def build_fixed_intervals(
     shrinks them, so validity is preserved).  With ``anytime=True`` the radii
     come from the time-uniform schedule evaluated at n_pulls, which is how an
     adaptive weak phase warm-starts.
+
+    The screen is built once per block of pulls, method, per-item budget and
+    schedule (see ``WeakOracle.pull_all_screen``), so every certifier that
+    screens one oracle's block holds the same read-only arrays: the bounds,
+    the collapse flags, the oracle's cached means and a broadcast pull count.
+    Each call returns a state of its own over them.
     """
     n_pulls = check_int(n_pulls, "n_pulls", minimum=method.min_count)
     if weak.n_items != budget.n_items:
         raise ValueError("budget sized for a different number of items")
     # sub-Gaussian radii never read the sample variance
     variance = n_pulls >= 2 and method.reads_variance
-    means, variances = weak.pull_all_moments(n_pulls, variance=variance)
-    radii = method.batch_radius(n_pulls, variances if variance else 0.0, budget.per_item, anytime)
-    lower = np.clip(means - radii, 0.0, 1.0)
-    upper = np.clip(means + radii, 0.0, 1.0)
-    counts = np.full(weak.n_items, n_pulls, dtype=np.int64)
-    return IntervalState.from_bounds(lower, upper, pulls=counts, means=means)
+
+    def screen(means, variances) -> IntervalState:
+        radii = method.batch_radius(n_pulls, variances if variance else 0.0, budget.per_item, anytime)
+        lower = np.clip(means - radii, 0.0, 1.0)
+        upper = np.clip(means + radii, 0.0, 1.0)
+        pulls = np.broadcast_to(np.int64(n_pulls), lower.shape)
+        return IntervalState.read_only(lower, upper, pulls, means)
+
+    shared = weak.pull_all_screen(n_pulls, variance, (method, budget.per_item, anytime), screen)
+    state = replace(shared)
+    state.bands = shared.bands
+    return state

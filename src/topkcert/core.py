@@ -11,7 +11,7 @@ only test and harness code may call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -62,7 +62,9 @@ class IntervalState:
     :meth:`intersect_update`, so lower bounds never decrease and upper bounds
     never increase.  ``collapsed[x]`` records that item x was revealed exactly
     (lower == upper).  ``conflicts`` counts empty intersections, which can
-    only occur when some interval failed to cover its true value.
+    only occur when some interval failed to cover its true value.  A state
+    from :meth:`read_only`, such as a uniform weak screen, cannot be updated;
+    its :meth:`copy` can.
     """
 
     lower: np.ndarray
@@ -71,11 +73,46 @@ class IntervalState:
     collapsed: np.ndarray
     means: Optional[np.ndarray] = None
     conflicts: int = 0
+    # k -> (ambiguous set, u_k) of a read-only state's bounds; see ambiguous_band
+    bands: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_bounds(cls, lower, upper, pulls=None, means=None) -> "IntervalState":
-        lower = np.asarray(lower, dtype=np.float64).copy()
-        upper = np.asarray(upper, dtype=np.float64).copy()
+        """A state holding copies of the bounds, pull counts (zeros when None)
+        and means, with ``collapsed`` where the bounds meet."""
+        lower = np.array(lower, dtype=np.float64)
+        if pulls is None:
+            pulls = np.zeros(lower.shape, dtype=np.int64)
+        return cls._checked(
+            lower,
+            np.array(upper, dtype=np.float64),
+            np.array(pulls, dtype=np.int64),
+            None if means is None else np.array(means, dtype=np.float64),
+        )
+
+    @classmethod
+    def read_only(cls, lower, upper, pulls, means) -> "IntervalState":
+        """A state of the given arrays themselves, checked as ``from_bounds``
+        checks its copies, and made read-only.
+
+        Nothing can change such a state's bounds, so a state that wraps the
+        same arrays may share its ambiguous sets in ``bands``; ``copy`` gives
+        a writable state.
+        """
+        state = cls._checked(
+            np.asarray(lower, dtype=np.float64),
+            np.asarray(upper, dtype=np.float64),
+            np.asarray(pulls, dtype=np.int64),
+            None if means is None else np.asarray(means, dtype=np.float64),
+        )
+        for array in (state.lower, state.upper, state.pulls, state.collapsed, state.means):
+            if array is not None:
+                array.flags.writeable = False
+        state.bands = {}
+        return state
+
+    @classmethod
+    def _checked(cls, lower, upper, pulls, means) -> "IntervalState":
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         # false where an interval is empty, and where a bound is NaN, which
@@ -85,22 +122,10 @@ class IntervalState:
             bad = int(np.argmin(valid))
             what = "NaN bound" if np.isnan([lower[bad], upper[bad]]).any() else "empty interval"
             raise ValueError(f"{what} at item {bad}: [{lower[bad]}, {upper[bad]}]")
-        if pulls is None:
-            pulls = np.zeros(lower.size, dtype=np.int64)
-        else:
-            pulls = np.asarray(pulls, dtype=np.int64).copy()
-        if means is not None:
-            means = np.asarray(means, dtype=np.float64).copy()
         for name, array in (("pulls", pulls), ("means", means)):
             if array is not None and array.shape != lower.shape:
                 raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
-        return cls(
-            lower=lower,
-            upper=upper,
-            pulls=pulls,
-            collapsed=(lower == upper).copy(),
-            means=means,
-        )
+        return cls(lower=lower, upper=upper, pulls=pulls, collapsed=lower == upper, means=means)
 
     @classmethod
     def full_range(cls, n: int) -> "IntervalState":
@@ -122,12 +147,15 @@ class IntervalState:
         return 0.5 * (self.lower + self.upper)
 
     def copy(self) -> "IntervalState":
+        """A writable state that no change to this one reaches.  Read-only
+        ``pulls`` and ``means`` are shared rather than copied: no state
+        writes them."""
         return IntervalState(
             lower=self.lower.copy(),
             upper=self.upper.copy(),
-            pulls=self.pulls.copy(),
+            pulls=_shared(self.pulls),
             collapsed=self.collapsed.copy(),
-            means=None if self.means is None else self.means.copy(),
+            means=None if self.means is None else _shared(self.means),
             conflicts=self.conflicts,
         )
 
@@ -195,6 +223,11 @@ class IntervalState:
         self.lower[items] = new_lo
         self.upper[items] = new_hi
         self.collapsed[items] = True
+
+
+def _shared(array: np.ndarray) -> np.ndarray:
+    """`array` itself when read-only, else a copy."""
+    return array if not array.flags.writeable else array.copy()
 
 
 # kth_largest cuts arrays at least this long, for k up to a 64th of their
@@ -285,10 +318,27 @@ def ambiguous_set(state: IntervalState, k: int) -> np.ndarray:
     k-th largest lower and upper bounds.  A is never empty: any item attaining
     U_(k) belongs to it.
     """
+    return ambiguous_band(state, k)[0]
+
+
+def ambiguous_band(state: IntervalState, k: int) -> tuple[np.ndarray, float]:
+    """``ambiguous_set(state, k)`` and U_(k), the k-th largest upper bound.
+
+    A read-only state (see :meth:`IntervalState.read_only`) keeps them per k
+    in ``bands``, which every state wrapping its arrays shares, and returns
+    the set read-only.
+    """
     k = check_k(k, state.n)
+    bands = state.bands
+    if bands is not None and k in bands:
+        return bands[k]
     u_k = kth_largest(state.upper, k)
     l_k = kth_largest(state.lower, k)
-    return np.flatnonzero((state.lower <= u_k) & (state.upper >= l_k))
+    band = np.flatnonzero((state.lower <= u_k) & (state.upper >= l_k)), u_k
+    if bands is not None:
+        band[0].flags.writeable = False
+        bands[k] = band
+    return band
 
 
 def epsilon_max(state: IntervalState, restrict_to=None) -> float:

@@ -399,12 +399,17 @@ def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
     return _csv_text(rows, "\n")
 
 
+# the certifiers whose weak phase is the uniform screen of n_weak pulls per item
+_SCREENED = ("stc", "ace", "ta")
+
+
 def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[str]:
     """Run the structural invariant battery over a seed range.
 
     Checks, per seed: one-shot strong calls equal the ambiguous-set size;
     adaptive strong calls never exceed one-shot calls and stay inside the
-    initial ambiguous set; traces are duplicate-free; the adaptive weak phase
+    initial ambiguous set; every uniform-screen certifier reports
+    bit-identical weak bounds; traces are duplicate-free; the adaptive weak phase
     respects its budget and per-item cap; covered runs recover the exact
     top-k and satisfy the ambiguity bound.  Returns human-readable problem
     strings; empty means all invariants hold.
@@ -439,6 +444,13 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
             amb0 = set(int(x) for x in ambiguous_set(ace_res.report.weak_state, instance.k))
             if not set(ace_res.report.trace) <= amb0:
                 problems.append(f"seed {seed}: adaptive queried outside the ambiguous set")
+        screens = {
+            (res.report.weak_state.lower.tobytes(), res.report.weak_state.upper.tobytes())
+            for res in results
+            if res.algorithm in _SCREENED and res.report is not None
+        }
+        if len(screens) > 1:
+            problems.append(f"seed {seed}: uniform-screen certifiers report different weak bounds")
         acew_res = by_name.get("ace_w")
         if acew_res and acew_res.report is not None and acew_res.stats is not None:
             budget = _weak_budget(full, instance.n)

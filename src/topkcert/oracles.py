@@ -48,8 +48,10 @@ for empirical-Bernstein radii.  ``pull_all_moments`` pulls exactly as
 it, so the (n, count) matrix that ``pull_all`` returns is never built; at
 n = 1e6 and 12 pulls that matrix is 96 MB.  Both results are cached per
 (shared position, count), the matrix and the moments in separate caches, and
-returned read-only, so every certifier of a replicate screens from the same
-arrays and none can change them.
+returned read-only.  ``pull_all_screen`` caches what a screen builds from the
+moments beside them, so every certifier of a replicate holds the same screen
+and none can change it.  While every item sits at the shared position,
+``pulls_per_item`` is a read-only broadcast of it rather than n integers.
 
 The strong oracle returns true values exactly and keeps an ordered trace of
 queries; its call count is the cost objective everywhere in this package.
@@ -93,6 +95,18 @@ def _zeroed(count: int, typecode: str) -> memoryview:
     return memoryview(mmap.mmap(-1, 8 * count)).cast(typecode)
 
 
+def _item_array(items) -> np.ndarray:
+    """`items` as a 1-D integer array; ``TypeError`` for anything else, bools
+    included."""
+    array = np.asarray(items)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu") or (
+        # a sequence that mixes bools into ints becomes an integer array
+        not isinstance(items, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, items))
+    ):
+        raise TypeError(f"items must be a 1-D sequence of integers, got {array.dtype}")
+    return array
+
+
 class BudgetExceededError(RuntimeError):
     """An oracle budget would be exceeded by the attempted query."""
 
@@ -126,9 +140,11 @@ class WeakOracle:
         self.max_pulls = None if max_pulls is None else check_int(max_pulls, "max_pulls", minimum=0)
         self._keys = _hashing.item_keys(self.seed, instance.n)
         self._n = instance.n
-        # (shared position, count) -> pull_all's block, pull_all_moments' moments
+        # (shared position, count) -> pull_all's block, pull_all_moments'
+        # moments; ((shared position, count), key) -> pull_all_screen's result
         self._block_cache: dict[tuple[int, int], np.ndarray] = {}
         self._moments_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+        self._screen_cache: dict[tuple, object] = {}
         self.reset()
 
     @property
@@ -137,8 +153,9 @@ class WeakOracle:
 
     @property
     def pulls_per_item(self) -> np.ndarray:
+        """Each item's stream position; read-only where all share one."""
         if self._track is None:
-            return np.full(self._n, self._shared_position, dtype=np.int64)
+            return np.broadcast_to(np.int64(self._shared_position), self._n)
         return np.frombuffer(self._track, np.int64)[::2].copy()
 
     def pull(self, x: int) -> float:
@@ -189,13 +206,7 @@ class WeakOracle:
         is charged.  A subclass that overrides ``pull`` has it called once per
         item, in order.
         """
-        array = np.asarray(items)
-        # a list that mixes bools into ints becomes an integer array
-        mixed = not isinstance(items, np.ndarray) and any(
-            isinstance(x, (bool, np.bool_)) for x in items
-        )
-        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu") or mixed:
-            raise TypeError(f"items must be a 1-D sequence of integers, got {array.dtype}")
+        array = _item_array(items)
         if type(self).pull is not WeakOracle.pull:
             return np.array([self.pull(x) for x in items], dtype=np.float64)
         n, count = self._n, array.size
@@ -304,7 +315,30 @@ class WeakOracle:
         if type(self).pull_all is not WeakOracle.pull_all:
             block = self.pull_all(count)
             return block.mean(axis=1), block.var(axis=1, ddof=1) if variance else None
-        key = self._advance_all(count)
+        return self._cached_moments(self._advance_all(count), variance)
+
+    def pull_all_screen(self, count: int, variance: bool, key, build):
+        """``build(*pull_all_moments(count, variance))``, built once per block.
+
+        Pulls, checks and counts as ``pull_all_moments`` does.  What `build`
+        returns is cached beside the moments, under their (shared position,
+        count) and the hashable `key`, and survives ``reset`` as they do: a
+        later call on the same block with an equal key returns it unbuilt.
+        `build` must depend on nothing but the moments and `key`.  A subclass
+        that overrides ``pull_all`` or ``pull_all_moments`` has `build` called
+        on every call.
+        """
+        if (type(self).pull_all is not WeakOracle.pull_all
+                or type(self).pull_all_moments is not WeakOracle.pull_all_moments):
+            return build(*self.pull_all_moments(count, variance))
+        count = check_int(count, "count", minimum=2 if variance else 1)
+        entry = (self._advance_all(count), key)
+        if entry not in self._screen_cache:
+            self._screen_cache[entry] = build(*self._cached_moments(entry[0], variance))
+        return self._screen_cache[entry]
+
+    def _cached_moments(self, key: tuple[int, int], variance: bool):
+        """The moments of the block at `key`, (shared position, count)."""
         cached = self._moments_cache.get(key)
         if cached is None or (variance and cached[1] is None):
             t0, count = key
@@ -397,13 +431,11 @@ class StrongOracle:
 
         At an item out of range, or at the cap, the items before it are
         counted and traced and then the same error as ``query``'s is raised.
-        Items that are not integers raise ``TypeError`` before anything is
-        counted.  A subclass that overrides ``query`` has it called once per
+        Items that are not integers (bools included) raise ``TypeError``
+        before anything is counted.  A subclass that overrides ``query`` has it called once per
         item.
         """
-        array = np.asarray(items)
-        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
-            raise TypeError(f"items must be a 1-D sequence of integers, got {array.dtype}")
+        array = _item_array(items)
         if type(self).query is not StrongOracle.query:
             return np.array([self.query(x) for x in items], dtype=np.float64)
         if not array.size:

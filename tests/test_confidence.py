@@ -244,3 +244,112 @@ class TestBuildFixedIntervals:
 
         with pytest.raises(BudgetExceededError):
             build_fixed_intervals(weak, 3, DeltaBudget.split(0.05, 2), SubGaussian(0.1))
+
+
+def _reference_terms(method, count, delta_x):
+    """The anytime (log term, offset) stated one pull count at a time."""
+    delta = epoch_delta(delta_x, count)
+    if isinstance(method, SubGaussian):
+        return 0.0, method.sigma * math.sqrt(2.0 * math.log(2.0 / delta) / count)
+    if count == 1:
+        return 0.0, method.support_range * math.sqrt(math.log(2.0 / delta) / 2.0)
+    log_term = math.log(3.0 / delta)
+    return log_term, 3.0 * method.support_range * log_term / count
+
+
+class TestAnytimeTerms:
+    @pytest.mark.parametrize(
+        "method", [SubGaussian(0.1), EmpiricalBernstein(0.7), AnytimeEmpiricalBernstein(1.0)]
+    )
+    def test_one_log_per_epoch_matches_terms_bitwise(self, method):
+        last, delta_x = 1 << 17, 0.05 / 300
+        log_terms, offsets = method.anytime_terms(1, last, delta_x)
+        assert len(log_terms) == len(offsets) == last
+        got = np.array([log_terms, offsets])
+        one_at_a_time = np.array([method.terms(c, delta_x, True) for c in range(1, last + 1)]).T
+        reference = np.array([_reference_terms(method, c, delta_x) for c in range(1, last + 1)]).T
+        assert got.tobytes() == one_at_a_time.tobytes() == reference.tobytes()
+
+    def test_runs_that_split_an_epoch_agree(self):
+        method, delta_x = AnytimeEmpiricalBernstein(1.0), 1e-4
+        whole = method.anytime_terms(1, 100, delta_x)
+        parts = [method.anytime_terms(a, b, delta_x) for a, b in ((1, 1), (2, 40), (41, 100))]
+        assert whole == tuple(sum((part[i] for part in parts), []) for i in range(2))
+        assert method.anytime_terms(5, 4, delta_x) == ([], [])
+
+
+class TestSharedScreen:
+    def _oracle(self, n=400, clamp=False):
+        inst = Instance(values=np.random.default_rng(3).random(n), k=10)
+        return WeakOracle(inst, sigma=0.2, seed=3, clamp=clamp)
+
+    def test_one_block_gives_every_caller_the_same_read_only_arrays(self):
+        weak = self._oracle()
+        budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
+        first = build_fixed_intervals(weak, 12, budget, method)
+        weak.reset()
+        second = build_fixed_intervals(weak, 12, budget, SubGaussian(0.2))
+        assert first is not second and first.bands is second.bands
+        for name in ("lower", "upper", "collapsed", "means", "pulls"):
+            array = getattr(first, name)
+            assert array is getattr(second, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        np.testing.assert_array_equal(first.pulls, np.full(400, 12))
+        # each call has a conflict count of its own
+        first.conflicts = 3
+        assert second.conflicts == 0
+        assert weak.total_pulls == 400 * 12
+        weak.reset()
+        assert first.means is weak.pull_all_moments(12)[0]
+
+    def test_copy_is_writable_and_independent(self):
+        weak = self._oracle()
+        screen = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 400), SubGaussian(0.2))
+        lower = screen.lower.copy()
+        work = screen.copy()
+        assert work.bands is None
+        work.collapse_to(0, float(work.lower[0]))
+        work.intersect_update(1, float(work.lower[1]), float(work.lower[1]))
+        assert work.lower.flags.writeable and work.collapsed[1]
+        assert screen.lower.tobytes() == lower.tobytes() and not screen.collapsed[1]
+        # the constant columns are shared, not copied
+        assert work.pulls is screen.pulls and work.means is screen.means
+
+    @pytest.mark.parametrize(
+        "delta, method, anytime",
+        [(0.1, SubGaussian(0.2), False), (0.05, SubGaussian(0.3), False),
+         (0.05, EmpiricalBernstein(1.0), False), (0.05, SubGaussian(0.2), True)],
+    )
+    def test_another_delta_method_or_schedule_builds_a_new_screen(self, delta, method, anytime):
+        weak = self._oracle()
+        base = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 400), SubGaussian(0.2))
+        weak.reset()
+        other = build_fixed_intervals(weak, 12, DeltaBudget.split(delta, 400), method, anytime)
+        assert other.lower is not base.lower
+        assert other.lower.tobytes() != base.lower.tobytes()
+        weak.reset()
+        fresh = self._oracle()
+        alone = build_fixed_intervals(fresh, 12, DeltaBudget.split(delta, 400), method, anytime)
+        assert other.lower.tobytes() == alone.lower.tobytes()
+        assert other.upper.tobytes() == alone.upper.tobytes()
+
+    def test_another_position_or_count_builds_a_new_screen(self):
+        weak = self._oracle()
+        budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
+        first = build_fixed_intervals(weak, 12, budget, method)
+        later = build_fixed_intervals(weak, 12, budget, method)
+        weak.reset()
+        shorter = build_fixed_intervals(weak, 6, budget, method)
+        assert len({id(first.lower), id(later.lower), id(shorter.lower)}) == 3
+        assert later.pulls[0] == 12 and shorter.pulls[0] == 6
+
+    def test_a_screen_is_checked_when_built(self):
+        # infinite noise makes every mean NaN, so every bound is NaN
+        inst = Instance(values=np.array([0.1, 0.5, 0.9]), k=1)
+        weak = WeakOracle(inst, sigma=math.inf, seed=0)
+        for _ in range(2):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN bound"):
+                build_fixed_intervals(weak, 4, DeltaBudget.split(0.05, 3), SubGaussian(0.1))
+            weak.reset()

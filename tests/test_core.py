@@ -1,5 +1,7 @@
 """Tests for instances, order statistics, and interval-state operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from topkcert.core import (
     Instance,
     IntervalState,
+    ambiguous_band,
     ambiguous_set,
     coverage_event_holds,
     epsilon_max,
@@ -245,6 +248,44 @@ class TestIntervalState:
         assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
         assert (state.lower[1], state.upper[1]) == (0.1, 0.3)
         assert state.conflicts == 0 and not state.collapsed.any()
+
+    def test_read_only_state_holds_its_arrays_and_shares_its_bands(self):
+        lower, upper = np.array([0.1, 0.5, 0.2, 0.7]), np.array([0.4, 0.5, 0.6, 0.9])
+        pulls, means = np.broadcast_to(np.int64(3), 4), np.array([0.2, 0.5, 0.4, 0.8])
+        state = IntervalState.read_only(lower, upper, pulls, means)
+        assert state.lower is lower and state.means is means
+        assert list(state.collapsed) == [False, True, False, False]
+        for array in (state.lower, state.upper, state.collapsed, state.means):
+            with pytest.raises(ValueError):
+                array[0] = 0.3
+        with pytest.raises(ValueError):
+            state.intersect_update(0, 0.2, 0.3)
+        twin = dataclasses.replace(state)
+        assert twin.bands is None
+        twin.bands = state.bands
+        band = ambiguous_band(state, 2)
+        assert ambiguous_band(twin, 2) is band
+        assert list(band[0]) == [1, 2] and band[1] == 0.6
+        assert not band[0].flags.writeable
+        assert ambiguous_set(twin, 2) is band[0]
+        work = twin.copy()
+        work.collapse_to(2, 0.3)
+        assert list(ambiguous_set(work, 2)) == [1] and list(ambiguous_set(state, 2)) == [1, 2]
+
+    def test_read_only_state_is_checked(self):
+        with pytest.raises(ValueError, match="empty interval at item 1"):
+            IntervalState.read_only(np.array([0.1, 0.6]), np.array([0.2, 0.5]), np.zeros(2), None)
+        with pytest.raises(ValueError, match="means has shape"):
+            IntervalState.read_only(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(3))
+
+    def test_copy_shares_read_only_columns_and_copies_writable_ones(self):
+        state = IntervalState.from_bounds([0.1, 0.2], [0.3, 0.4], pulls=[1, 2], means=[0.2, 0.3])
+        work = state.copy()
+        assert work.pulls is not state.pulls and work.means is not state.means
+        state.pulls.flags.writeable = state.means.flags.writeable = False
+        work = state.copy()
+        assert work.pulls is state.pulls and work.means is state.means
+        assert work.lower is not state.lower and work.lower.flags.writeable
 
     def test_from_bounds_rejects_inverted(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Tests for metrics, sweeps, and CSV emission."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from topkcert import harness
 from topkcert.certify import brute_force_certify
 from topkcert.core import IntervalState, near_tie_mass, true_top_k
 from topkcert.harness import (
@@ -185,6 +187,51 @@ class TestVerifyInvariants:
     def test_clean_seeds(self):
         problems = verify_invariants(range(4), {"n": 150, "k": 15})
         assert problems == []
+
+    def test_screens_that_differ_are_reported(self, monkeypatch):
+        def run_with_a_moved_bound(*args, **kwargs):
+            results = run_replicate(*args, **kwargs)
+            ta = next(res for res in results if res.algorithm == "ta")
+            moved = ta.report.weak_state.copy()
+            moved.lower[0] = np.nextafter(moved.lower[0], -1.0)
+            ta.report = dataclasses.replace(ta.report, weak_state=moved)
+            return results
+
+        monkeypatch.setattr(harness, "run_replicate", run_with_a_moved_bound)
+        problems = verify_invariants(range(1), {"n": 150, "k": 15})
+        assert problems == ["seed 0: uniform-screen certifiers report different weak bounds"]
+
+
+class TestSharedScreen:
+    def test_screen_certifiers_of_a_replicate_share_one_read_only_screen(self, instance):
+        cfg = {**BASE_DEFAULTS, "n": 200, "k": 20}
+        results = run_replicate(instance, 0, ["stc", "ace", "ace_w", "ta"], cfg)
+        stc, ace, ace_w, ta = (res.report.weak_state for res in results)
+        assert stc.lower is ace.lower is ta.lower and stc.upper is ta.upper
+        assert ace_w.lower is not stc.lower
+        for state in (stc, ace_w):
+            with pytest.raises(ValueError):
+                state.lower[0] = 0.5
+        # the strong phases revealed items in their own copies
+        assert not stc.collapsed.any()
+        assert all(res.report.strong_calls for res in results)
+
+    def test_peak_allocation_per_item_of_a_screened_replicate(self):
+        # every n-sized array of doubles costs 8 bytes per item: the bound
+        # holds one shared screen and one work copy at a time, not a screen
+        # and a copy of it per certifier
+        n = 200_000
+        cfg = {**BASE_DEFAULTS, "n": n, "k": 200}
+        inst = generate_gap_instance(GapInstanceSpec(n=n, k=200, seed=0))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            results = run_replicate(inst, 0, ["stc", "ta"], cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert all(res.error is None for res in results)
+        assert peak / n < 118
 
 
 def _byte_rows():

@@ -210,6 +210,53 @@ class TestPullAllMoments:
         for got, want in zip(replay, first):
             np.testing.assert_array_equal(got, want)
 
+    def test_pulls_per_item_at_the_shared_position_is_a_read_only_view(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        for count in (0, 3, 7):
+            if count:
+                weak.pull_all_moments(count - weak.pulls_per_item[0])
+            got = weak.pulls_per_item
+            assert _bits(got) == _bits(np.full(instance.n, count, dtype=np.int64))
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1
+        weak.pull(2)
+        assert weak.pulls_per_item.flags.writeable
+        assert list(weak.pulls_per_item[:3]) == [7, 7, 8]
+
+    def test_a_screen_is_built_once_per_block_and_key(self, instance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        built = []
+
+        def build(means, variances):
+            built.append((means, variances))
+            return object()
+
+        first = weak.pull_all_screen(4, True, "a", build)
+        weak.reset()
+        assert weak.pull_all_screen(4, True, "a", build) is first
+        assert weak.total_pulls == 4 * instance.n
+        weak.reset()
+        assert weak.pull_all_screen(4, True, "b", build) is not first
+        assert weak.pull_all_screen(4, True, "a", build) is not first
+        assert len(built) == 3
+        means, variances = built[0]
+        weak.reset()
+        assert weak.pull_all_moments(4, variance=True) == (means, variances)
+
+    def test_an_overriding_pull_all_builds_every_screen(self, instance):
+        weak = _RecordingPullAllOracle(instance, sigma=0.1, seed=3)
+        plain = WeakOracle(instance, sigma=0.1, seed=3)
+        for oracle, builds in ((weak, 2), (plain, 1)):
+            built = []
+            for _ in range(2):
+                oracle.pull_all_screen(3, True, "a", lambda *moments: built.append(moments))
+                oracle.reset()
+            assert len(built) == builds
+            assert _bits(built[0]) == _bits(plain.pull_all_moments(3, variance=True))
+            plain.reset()
+        assert weak.pull_all_counts == [3, 3]
+
     def test_overriding_pull_all_is_called_once_per_screen(self, instance):
         plain = WeakOracle(instance, sigma=0.1, seed=3)
         weak = _RecordingPullAllOracle(instance, sigma=0.1, seed=3)
@@ -603,7 +650,8 @@ class TestQueryMany:
         assert strong.trace == [2, 5] and all(type(x) is int for x in strong.trace)
 
     @pytest.mark.parametrize("items", [[0.0, 1.0], np.array([1, 2], dtype=float), [1, 2.5],
-                                       [True, False], np.zeros((1, 2), dtype=np.int64)])
+                                       [True, False], np.zeros((1, 2), dtype=np.int64),
+                                       [0, True], [2, np.True_], (False, 3)])
     def test_non_integer_items_raise_before_counting(self, instance, items):
         strong = StrongOracle(instance)
         with pytest.raises(TypeError):
