@@ -58,8 +58,9 @@ class CertificationReport:
     weak_state: Optional[IntervalState]
 
 
-def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[int]]:
-    """Adaptive strong-query loop on an interval state (mutated in place).
+def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[int], list[float]]:
+    """Adaptive strong-query loop on an interval state, which it only reads;
+    returns the selected items, the queried items and their values.
 
     Each iteration either certifies the optimistic top-k set or collapses the
     wider of the critical pair; every strong query lands on a distinct item,
@@ -76,13 +77,13 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     O(n log n) sort; each strong call costs O(log n).
 
     The loop reads and writes the bounds as Python floats in lists; each
-    reveal is applied to them as ``collapse_to`` would apply it, and all
-    reveals reach ``state`` at the end in one ``collapse_many``.
+    reveal is applied to them as ``collapse_to`` would apply it.
     """
     n = state.n
     trace: list[int] = []
+    values: list[float] = []
     if k == n:
-        return np.arange(n), trace
+        return np.arange(n), trace, values
     order = np.lexsort((np.arange(n), -state.upper))
     lower, upper = state.lower.tolist(), state.upper.tolist()
     top = order[:k].tolist()
@@ -96,7 +97,6 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     n_rest = len(rest)
     head = 0
     out_heap: list[tuple[float, int]] = []
-    values: list[float] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     for _ in range(n + 1):
         while not (inside[in_heap[0][1]] and in_heap[0][0] == lower[in_heap[0][1]]):
@@ -112,8 +112,7 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
         if out_heap and out_heap[0] < (-upper[j], j):
             j = out_heap[0][1]
         if lower[i] >= upper[j]:
-            state.collapse_many(trace, values)
-            return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)), trace
+            return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)), trace, values
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
         value = strong.query(x)
         # collapse_to(x, value): the comparisons of intersect_update with
@@ -149,8 +148,9 @@ class BaseCertifier:
     ``_run`` is the one run template: resolve n and k, answer k == 0 or
     k == n without oracle access, run the weak phase (a uniform screen of
     ``n_weak`` pulls per item unless an initial state is given), then the
-    subclass's ``_strong_phase`` on a writable copy of the weak state, which
-    it is handed too.
+    subclass's ``_strong_phase``, which reads the weak state and returns the
+    selected set, the queried items and their values.  ``_run`` applies those
+    reveals to one copy of the weak state, which counts the conflicts.
     """
 
     def __init__(
@@ -206,8 +206,9 @@ class BaseCertifier:
         pulls_before = 0 if weak is None else weak.total_pulls
         weak_state = self._weak_phase(weak, initial_state, n, k)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
+        selected, trace, values = self._strong_phase(weak_state, k, strong)
         work = weak_state.copy()
-        selected, trace = self._strong_phase(work, k, strong, weak_state)
+        work.collapse_many(trace, values)
         return self._report(k, selected, weak_state, work, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
@@ -258,17 +259,16 @@ class ScreenThenCertify(BaseCertifier):
     those of the weak state, which a shared screen holds already.
     """
 
-    def _strong_phase(self, work: IntervalState, k: int, strong, weak_state: IntervalState):
+    def _strong_phase(self, weak_state: IntervalState, k: int, strong):
         amb, u_k = ambiguous_band(weak_state, k)
         clear_in = np.flatnonzero(weak_state.lower > u_k)
         trace = amb.tolist()
         revealed = strong.query_many(trace)
-        work.collapse_many(amb, revealed)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
         # amb is ascending, so the stable order breaks value ties by index
         chosen = amb[_leading(-revealed, need)]
-        return np.concatenate([clear_in, chosen]), trace
+        return np.concatenate([clear_in, chosen]), trace, revealed
 
 
 class AdaptiveCertify(BaseCertifier):
@@ -280,13 +280,12 @@ class AdaptiveCertify(BaseCertifier):
     the two has the wider interval until dominance certifies the set.  Only
     initially ambiguous items can ever be queried, each at most once.  Past
     the weak phase, the strong loop costs one O(n log n) sort plus O(log n)
-    per strong call.  The loop works on the bounds as Python floats and
-    writes its reveals back to the interval state in one batch when it
-    stops; the strong oracle is still called once per item, in trace order.
+    per strong call.  The loop works on the bounds as Python floats; the
+    strong oracle is called once per item, in trace order.
     """
 
-    def _strong_phase(self, work: IntervalState, k: int, strong, weak_state=None):
-        return _ace_loop(work, k, strong)
+    def _strong_phase(self, weak_state: IntervalState, k: int, strong):
+        return _ace_loop(weak_state, k, strong)
 
 
 class _KthLargestOfRising:
@@ -879,7 +878,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         return state
 
 
-def _by_estimate(work: IntervalState, k: int):
+def _by_estimate(state: IntervalState, k: int):
     """Items by descending weak point estimate, equal estimates by ascending
     index, each paired with the largest weak upper bound among the items after it.
 
@@ -887,16 +886,16 @@ def _by_estimate(work: IntervalState, k: int):
     time the caller reads past it, so a caller that stops early never pays
     for a full sort.
     """
-    n = work.n
-    keys = -work.point_estimates()
+    n = state.n
+    keys = -state.point_estimates()
     done, size = 0, min(n, 2 * k)
     while done < n:
         order = _leading(keys, size)
-        upper = work.upper[order]
+        upper = state.upper[order]
         if size < n:
             rest = np.ones(n, dtype=bool)
             rest[order] = False
-            rest_upper = work.upper[rest].max()
+            rest_upper = state.upper[rest].max()
         else:
             rest_upper = -np.inf
         later = np.empty(size)
@@ -928,11 +927,11 @@ class ThresholdCertify(BaseCertifier):
     belong to the top-k.
     """
 
-    def _strong_phase(self, work: IntervalState, k: int, strong, weak_state=None):
+    def _strong_phase(self, weak_state: IntervalState, k: int, strong):
         trace: list[int] = []
         values: list[float] = []
         top_heap: list[float] = []
-        for x, later_upper in _by_estimate(work, k):
+        for x, later_upper in _by_estimate(weak_state, k):
             value = strong.query(x)
             trace.append(x)
             values.append(value)
@@ -943,8 +942,7 @@ class ThresholdCertify(BaseCertifier):
                 break
         verified = np.asarray(trace, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
-        work.collapse_many(verified, vals)
-        return verified[np.lexsort((verified, -vals))[:k]], trace
+        return verified[np.lexsort((verified, -vals))[:k]], trace, vals
 
 
 class BruteForceCertify(BaseCertifier):

@@ -5,42 +5,21 @@ pull t for item x depends only on (seed, x, t), so a reset oracle replays the
 exact same observations.  That makes paired comparisons across algorithms
 exact: every algorithm in a replicate sees identical weak samples.
 
+A scalar ``pull`` hashes its one draw.  A batch of pulls goes through
+``pull_many``, which charges and returns what the same scalar pulls would, the
+i-th pull of an item in the batch reading its stream i places on, and
+computes the draws in one vectorized pass; a caller that wants speed batches.
 Because a draw depends on nothing but (seed, x, t), it may be computed before
-it is pulled, and a scalar ``pull`` is served from a lookahead window of the
-item's next observations whenever it has one:
-
-- A pull that finds no window takes the scalar path, and the item waits.
-  Once ``_REFILL_AT`` items wait, one vectorized pass fills each of their
-  windows with the next ``_AHEAD`` draws from the item's current position.
-- Once an ``_AHEAD``-th as many pulls as there are items have missed since
-  the shared position was set, the next refill also fills the window of
-  every item still at it.
-- An item that takes the scalar path ``_RUN_AFTER`` times before a refill
-  gets a window of its own, ``_RUN_AHEAD`` draws long; it replaces the
-  previous such window.
-
-A numpy pass costs about as much as a few dozen scalar draws, so each rule
-waits until the scalar pulls already paid are of the order of its cost: an
-adaptive loop that spreads its pulls over many items, or stays on one item
-for long, pays for its draws in numpy, and a pattern that does neither keeps
-the scalar path.  Windows hold the same bits as the scalar path, and stream
-positions only grow until the oracle rewinds, so a window stays valid until
-it runs out.
-
-A batch of pulls goes through ``pull_many``, which charges and returns what
-the same scalar pulls would, the i-th pull of an item in the batch reading
-its stream i places on, and computes the draws in one vectorized pass without
-the windows.  ``AdaptiveCertifyWeak`` plans its adaptive pulls from the draws
+it is pulled: ``AdaptiveCertifyWeak`` plans its adaptive pulls from the draws
 ``_draws`` computes, which are never charged and which no public method
 returns, and then pulls them through ``pull_many``.
 
 After construction, ``reset`` or ``pull_all`` every item sits at one shared
-position, held in one integer, and no window exists.  The first ``pull`` or
-``pull_many`` after that maps an array of (position, window end) pairs beside
-the windows, the only position store from then on.  Its pages are committed
-only when written: a lone item pulled again and again from position 0
-commits a few, but after a ``pull_all`` the first such pull writes all n
-positions (16 MB at n = 1e6).
+position, held in one integer.  The first ``pull`` or ``pull_many`` after that
+maps one int64 position per item, the only position store from then on.  Its
+pages are committed only when written: a lone item pulled again and again
+from position 0 commits a few, but after a ``pull_all`` the first such pull
+writes all n positions (8 MB at n = 1e6).
 
 A uniform screen reads only each item's sample mean, and its sample variance
 for empirical-Bernstein radii.  ``pull_all_moments`` pulls exactly as
@@ -64,7 +43,6 @@ harness code can record partial runs instead of crashing a sweep.
 
 from __future__ import annotations
 
-import math
 import mmap
 import operator
 from dataclasses import dataclass
@@ -76,13 +54,6 @@ from .core import Instance
 from .validation import check_int, check_non_negative
 
 _NOISE_MODELS = ("gaussian", "exact")
-# draws per window, items waiting before a refill, scalar pulls of one item
-# before it gets a window of its own, and that window's length (see the
-# module docstring)
-_AHEAD = 16
-_REFILL_AT = 64
-_RUN_AFTER = 16
-_RUN_AHEAD = 128
 
 
 def _zeroed(count: int, typecode: str) -> memoryview:
@@ -105,6 +76,30 @@ def _item_array(items) -> np.ndarray:
     ):
         raise TypeError(f"items must be a 1-D sequence of integers, got {array.dtype}")
     return array
+
+
+def _index(x) -> int:
+    """An item that is not an int, as one; ``TypeError`` for bools and for
+    anything that is not an integer."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"item must be an integer, got {x!r}")
+
+
+def _served(array: np.ndarray, n: int, oracle: str, limit: int | None, used: int):
+    """How many of `array`'s items a loop of scalar calls serves, and the error
+    it raises after them (None when it serves all): it stops at the first item
+    outside [0, n), and once `used` reaches the budget `limit` (None: none)."""
+    count, error = array.size, None
+    if count and (array.min() < 0 or array.max() >= n):
+        count = int(np.argmax((array < 0) | (array >= n)))
+        error = ValueError(f"item must lie in [0, {n}), got {array[count]}")
+    if limit is not None and limit - used < count:
+        count, error = max(0, limit - used), BudgetExceededError(oracle, limit)
+    return count, error
 
 
 class BudgetExceededError(RuntimeError):
@@ -154,46 +149,28 @@ class WeakOracle:
     @property
     def pulls_per_item(self) -> np.ndarray:
         """Each item's stream position; read-only where all share one."""
-        if self._track is None:
+        if self._positions is None:
             return np.broadcast_to(np.int64(self._shared_position), self._n)
-        return np.frombuffer(self._track, np.int64)[::2].copy()
+        return np.frombuffer(self._positions, np.int64).copy()
 
     def pull(self, x: int) -> float:
         """One observation of item x from its next stream position."""
         if type(x) is not int:
-            if isinstance(x, bool):
-                raise TypeError(f"item must be an integer, got {x!r}")
-            x = operator.index(x)
+            x = _index(x)
         if not 0 <= x < self._n:
             raise ValueError(f"item must lie in [0, {self._n}), got {x}")
         if self.max_pulls is not None and self.total_pulls >= self.max_pulls:
             raise BudgetExceededError("weak", self.max_pulls)
         self.total_pulls += 1
-        track = self._track or self._start_track()
-        i = 2 * x
-        t = track[i]
-        track[i] = t + 1
-        # positions only grow while a window lives, so a window that ends
-        # after t starts at or before it
-        end = track[i + 1]
-        if t < end:
-            return self._windows[(x + 1) * _AHEAD - end + t]
-        if x == self._run_item and t < self._run_end:
-            return self._run[t - self._run_start]
+        positions = self._positions or self._start_positions()
+        t = positions[x]
+        positions[x] = t + 1
         value = self._instance.values.item(x)
         if self.noise == "exact":
             return value
         value += _hashing.gaussian_scalar(self._keys.item(x), t, self.sigma)
         if self.clamp:
             value = min(1.0, max(0.0, value))
-        waiting = self._waiting
-        misses = waiting.get(x, 0) + 1
-        waiting[x] = misses
-        if misses >= _RUN_AFTER:
-            del waiting[x]
-            self._fill_run(x, t + 1)
-        elif len(waiting) >= _REFILL_AT:
-            self._refill()
         return value
 
     def pull_many(self, items) -> np.ndarray:
@@ -209,17 +186,12 @@ class WeakOracle:
         array = _item_array(items)
         if type(self).pull is not WeakOracle.pull:
             return np.array([self.pull(x) for x in items], dtype=np.float64)
-        n, count = self._n, array.size
-        if count and (array.min() < 0 or array.max() >= n):
-            count = int(np.argmax((array < 0) | (array >= n)))
-        inside = count
-        if self.max_pulls is not None:
-            count = min(count, max(0, self.max_pulls - self.total_pulls))
+        count, error = _served(array, self._n, "weak", self.max_pulls, self.total_pulls)
         taken = array[:count].astype(np.int64)
         values = np.zeros(0)
         if count:
             self.total_pulls += count
-            positions = np.frombuffer(self._track or self._start_track(), np.int64)[::2]
+            positions = np.frombuffer(self._positions or self._start_positions(), np.int64)
             # an item's i-th pull in the batch reads its stream i places on
             order = np.argsort(taken, kind="stable")
             ranked = taken[order]
@@ -229,10 +201,8 @@ class WeakOracle:
             rank[order] = np.arange(count) - np.repeat(first, lengths)
             values = self._draws(taken, positions[taken] + rank, 1).reshape(-1)
             positions[ranked[first]] += lengths
-        if count < inside:
-            raise BudgetExceededError("weak", self.max_pulls)
-        if count < array.size:
-            raise ValueError(f"item must lie in [0, {n}), got {array[count]}")
+        if error is not None:
+            raise error
         return values
 
     def _draws(self, items, starts, count: int) -> np.ndarray:
@@ -248,32 +218,6 @@ class WeakOracle:
             # clip keeps -0.0, which the scalar path's max(0.0, v) turns into 0.0
             rows += 0.0
         return rows
-
-    def _refill(self) -> None:
-        """Fill the window of every waiting item in one vectorized pass, and
-        once enough pulls have missed, of every item at the shared position."""
-        n, waiting = self._n, self._waiting
-        items = np.fromiter(waiting, np.int64, len(waiting))
-        self._misses_before_shared_fill -= sum(waiting.values())
-        waiting.clear()
-        track = np.frombuffer(self._track, np.int64).reshape(n, 2)
-        windows = np.frombuffer(self._windows, np.float64).reshape(n, _AHEAD)
-        starts = track[items, 0]
-        windows[items] = self._draws(items, starts, _AHEAD)
-        track[items, 1] = starts + _AHEAD
-        if self._misses_before_shared_fill <= 0:
-            self._misses_before_shared_fill = math.inf
-            shared = self._shared_position
-            items = np.flatnonzero(track[:, 0] == shared)
-            for lo in range(0, items.size, _hashing.ROW_BLOCK):
-                chunk = items[lo : lo + _hashing.ROW_BLOCK]
-                windows[chunk] = self._draws(chunk, shared, _AHEAD)
-            track[items, 1] = shared + _AHEAD
-
-    def _fill_run(self, x: int, start: int) -> None:
-        """Give item x, pulled again and again, a long window of its own from `start`."""
-        self._run = memoryview(self._draws(slice(x, x + 1), start, _RUN_AHEAD).reshape(-1))
-        self._run_item, self._run_start, self._run_end = x, start, start + _RUN_AHEAD
 
     def pull_all(self, count: int) -> np.ndarray:
         """An (n, count) matrix: each item's next `count` observations.
@@ -357,10 +301,10 @@ class WeakOracle:
         """Charge `count` pulls of every item from their one shared position
         and move them all past it; returns (that position, count)."""
         count = check_int(count, "count", minimum=1)
-        if self._track is None:
+        if self._positions is None:
             t0 = self._shared_position
         else:
-            positions = np.frombuffer(self._track, np.int64)[::2]
+            positions = np.frombuffer(self._positions, np.int64)
             t0 = int(positions[0])
             if np.any(positions != t0):
                 raise ValueError("pull_all requires uniform per-item pull counts")
@@ -369,36 +313,24 @@ class WeakOracle:
             raise BudgetExceededError("weak", self.max_pulls)
         self.total_pulls += amount
         self._shared_position = t0 + count
-        self._rewind()
+        self._positions = None
         return t0, count
 
     def reset(self) -> None:
         """Rewind every stream to position zero; replays identical samples."""
         self.total_pulls = 0
         self._shared_position = 0
-        self._rewind()
+        # one position per item once a pull needs it; None while every item
+        # sits at the shared position
+        self._positions: memoryview | None = None
 
-    def _rewind(self) -> None:
-        """Enter the shared state: every item at the shared position, no window."""
-        # once a pull needs them: [position, window end] per item, the window
-        # being _AHEAD draws that end there (0: none), in _windows
-        self._track: memoryview | None = None
-        self._windows: memoryview | None = None
-        # items whose pulls missed every window -> misses since their last one
-        self._waiting: dict[int, int] = {}
-        self._misses_before_shared_fill = self._n // _AHEAD
-        # one item's next _RUN_AHEAD draws from _run_start on
-        self._run: memoryview | None = None
-        self._run_item = self._run_start = self._run_end = -1
-
-    def _start_track(self) -> memoryview:
+    def _start_positions(self) -> memoryview:
         """Leave the shared state: one position per item, all at the shared one."""
-        n = self._n
-        self._track, self._windows = _zeroed(2 * n, "q"), _zeroed(n * _AHEAD, "d")
+        self._positions = _zeroed(self._n, "q")
         if self._shared_position:
             # a fresh map already reads 0
-            np.frombuffer(self._track, np.int64)[::2] = self._shared_position
-        return self._track
+            np.frombuffer(self._positions, np.int64)[:] = self._shared_position
+        return self._positions
 
 
 class StrongOracle:
@@ -416,13 +348,15 @@ class StrongOracle:
         return self._n
 
     def query(self, x: int) -> float:
+        if type(x) is not int:
+            x = _index(x)
         if not 0 <= x < self._n:
             raise ValueError(f"item must lie in [0, {self._n}), got {x}")
         if self.cap is not None and self.calls >= self.cap:
             raise BudgetExceededError("strong", self.cap)
         value = self._values.item(x)
         self.calls += 1
-        self.trace.append(int(x))
+        self.trace.append(x)
         return value
 
     def query_many(self, items) -> np.ndarray:
@@ -440,12 +374,7 @@ class StrongOracle:
             return np.array([self.query(x) for x in items], dtype=np.float64)
         if not array.size:
             return np.zeros(0)
-        n, count = self._n, array.size
-        outside = (array < 0) | (array >= n)
-        if outside.any():
-            count = int(np.argmax(outside))
-        if self.cap is not None:
-            count = min(count, max(0, self.cap - self.calls))
+        count, error = _served(array, self._n, "strong", self.cap, self.calls)
         taken = array[:count]
         values = self._values[taken]
         self.calls += count
@@ -455,10 +384,8 @@ class StrongOracle:
             self.trace.extend(map(int, items[:count]))
         else:
             self.trace.extend(taken.tolist())
-        if count < array.size:
-            if outside[count]:
-                raise ValueError(f"item must lie in [0, {n}), got {array[count]}")
-            raise BudgetExceededError("strong", self.cap)
+        if error is not None:
+            raise error
         return values
 
     def reset(self) -> None:

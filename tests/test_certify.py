@@ -161,7 +161,8 @@ def _assert_ace_loop_matches_reference(state, k, values):
     inst = Instance(values=values, k=k)
     ref_state, new_state = state.copy(), state.copy()
     ref_selected, ref_trace = _reference_ace_loop(ref_state, k, StrongOracle(inst))
-    selected, trace = _ace_loop(new_state, k, StrongOracle(inst))
+    selected, trace, revealed = _ace_loop(new_state, k, StrongOracle(inst))
+    new_state.collapse_many(trace, revealed)
     assert trace == ref_trace
     np.testing.assert_array_equal(selected, ref_selected)
     np.testing.assert_array_equal(new_state.lower, ref_state.lower)
@@ -643,7 +644,8 @@ class TestThresholdCertify:
         state = IntervalState.from_bounds(np.zeros(n), upper, means=means)
         inst = Instance(values=np.nan_to_num(means, nan=0.0), k=k)
         work, reference_work = state.copy(), state.copy()
-        selected, trace = ThresholdCertify(k)._strong_phase(work, k, StrongOracle(inst))
+        selected, trace, revealed = ThresholdCertify(k)._strong_phase(state, k, StrongOracle(inst))
+        work.collapse_many(trace, revealed)
         expected, expected_trace = _reference_ta_phase(reference_work, k, StrongOracle(inst))
         assert trace == expected_trace
         assert len(trace) > 2 * k
@@ -830,6 +832,26 @@ def test_stc_breaks_tied_reveals_by_index():
         report = stc(None, StrongOracle(inst), k=k, initial_state=IntervalState.full_range(n))
         assert report.trace == tuple(range(n))
         assert report.selected == _truth(inst)
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ta"])
+def test_conflicts_are_the_reveals_outside_their_weak_interval(name):
+    # intervals scaled for sigma 0.01 on draws of sigma 0.1 miss many values
+    n, k = 300, 30
+    inst = generate_gap_instance(GapInstanceSpec(n=n, k=k, seed=0))
+    screen = build_fixed_intervals(
+        WeakOracle(inst, sigma=0.1, seed=0), 12, DeltaBudget.split(0.05, n), SubGaussian(0.01)
+    )
+    weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
+    report = ALGORITHMS[name](k, ci_sigma=0.01).fit(weak, strong).report_
+    trace = np.asarray(report.trace)
+    revealed = inst.values[trace]
+    outside = (revealed < screen.lower[trace]) | (revealed > screen.upper[trace])
+    assert report.interval_conflicts == np.count_nonzero(outside) > 0
+    for field in ("lower", "upper", "pulls", "collapsed", "means"):
+        got, expected = getattr(report.weak_state, field), getattr(screen, field)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
+    assert report.weak_state.conflicts == 0
 
 
 class TestTrivialReports:

@@ -13,7 +13,6 @@ from topkcert import _hashing
 from topkcert._hashing import ROW_BLOCK
 from topkcert.core import Instance
 from topkcert.oracles import (
-    _AHEAD,
     BudgetExceededError,
     OracleStats,
     StrongOracle,
@@ -268,7 +267,7 @@ class TestPullAllMoments:
 
 
 class _ReferenceWeakOracle:
-    """The weak oracle before lookahead windows: every scalar pull hashes on its own."""
+    """A weak oracle of Python lists: every pull hashes on its own, one at a time."""
 
     def __init__(self, instance, noise="gaussian", sigma=0.1, seed=0, clamp=False, max_pulls=None):
         if noise not in ("gaussian", "exact"):
@@ -425,6 +424,11 @@ _MOMENT_OPS = st.lists(
 )
 
 
+def _resident_bytes():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
 class TestLookahead:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -443,10 +447,9 @@ class TestLookahead:
 
     @pytest.mark.parametrize("clamp, sigma", [(False, 0.6), (True, 0.6), (True, 0.0)])
     def test_scripted_paths_match_reference(self, clamp, sigma):
-        # every path at least once: refills of waiting items, the fill of
-        # items at the shared position across row blocks, windows that
-        # outlive pull_all, one item's long run, the budget;
-        # with sigma 0, a clamped -0.0 value must read 0.0 as on the scalar path
+        # strides across row blocks, strides and one item's long run around
+        # pull_all and reset, the budget; with sigma 0, a clamped -0.0 value
+        # must read 0.0 on every path
         n = ROW_BLOCK + 37
         values = np.random.default_rng(1).random(n)
         values[::5] = -0.0
@@ -481,11 +484,11 @@ class TestLookahead:
         )
 
     def test_items_waiting_at_pull_all_are_refilled_from_their_new_position(self):
-        # _AHEAD + 1 rounds over every item leave the items whose windows came
-        # from the shared position waiting at a uniform position; after
-        # pull_all, the next refill must start their windows past its block
+        # 17 rounds over every item leave every item at a uniform position;
+        # pull_all must then start its block there, and the pulls after it
+        # past its block
         instance = Instance(values=np.random.default_rng(6).random(100), k=1)
-        ops = [("stride", 0, 1, 100 * (_AHEAD + 1)), ("pull_all", 1), ("stride", 0, 1, 200)]
+        ops = [("stride", 0, 1, 100 * 17), ("pull_all", 1), ("stride", 0, 1, 200)]
         _assert_matches_reference(instance, ops, sigma=0.1, seed=8)
 
     def test_budget_error_leaves_counters(self, instance):
@@ -518,18 +521,25 @@ class TestLookahead:
         # tracemalloc does not see memory maps, so read resident pages instead
         if not os.path.exists("/proc/self/statm"):
             pytest.skip("needs /proc/self/statm")
-
-        def resident_bytes():
-            with open("/proc/self/statm") as handle:
-                return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
         instance = Instance(values=np.random.default_rng(3).random(1_000_000), k=1)
         weak = WeakOracle(instance, sigma=0.1, seed=5)
-        before = resident_bytes()
+        before = _resident_bytes()
         for _ in range(500):
             weak.pull(0)
         # n positions of 8 bytes each would be 8 MB
-        assert resident_bytes() - before < 4_000_000
+        assert _resident_bytes() - before < 4_000_000
+
+    def test_a_pull_after_a_screen_commits_one_position_per_item(self):
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs /proc/self/statm")
+        instance = Instance(values=np.random.default_rng(3).random(1_000_000), k=1)
+        weak = WeakOracle(instance, sigma=0.1, seed=5)
+        weak.pull_all_moments(2)
+        before = _resident_bytes()
+        weak.pull(0)
+        # every item leaves the shared position 2: one int64 each is 8 MB
+        assert _resident_bytes() - before < 12_000_000
+        assert weak.pulls_per_item[:2].tolist() == [3, 2]
 
 
 class TestStrongOracle:
@@ -551,6 +561,19 @@ class TestStrongOracle:
         strong = StrongOracle(instance, cap=0)
         with pytest.raises(BudgetExceededError):
             strong.query(0)
+
+    @pytest.mark.parametrize("item", [True, 1.5, np.float64(2.0)])
+    def test_query_rejects_non_integer_items_as_pull_does(self, instance, item):
+        strong = StrongOracle(instance)
+        for access in (strong.query, WeakOracle(instance, sigma=0.1, seed=0).pull):
+            with pytest.raises(TypeError, match=r"^item must be an integer, got "):
+                access(item)
+        assert strong.calls == 0 and strong.trace == []
+
+    def test_query_traces_numpy_integers_as_ints(self, instance):
+        strong = StrongOracle(instance)
+        assert strong.query(np.int64(3)) == instance.values[3]
+        assert strong.trace == [3] and type(strong.trace[0]) is int
 
 
 class TestSnapshotAndReset:
