@@ -313,20 +313,16 @@ class _KthLargestOfRising:
         self._heap: list[tuple[float, int]] = []
         self._ceiling = -math.inf
 
-    def rise_many(self, items, old, new, masks=None) -> np.ndarray:
+    def rise_many(self, items, old, new) -> np.ndarray:
         """Record that values[items[i]] rose from old[i] to new[i], for each i
-        in order; returns the threshold in force before each rise.  `masks`
-        are two bool buffers of the rises' size to work in, if given."""
+        in order; returns the threshold in force before each rise."""
         values, k, t = self.values, self.k, self.threshold
         if not items.size:
             return np.zeros(0)
         final = values.copy()
         # an item's rises arrive in order, so its last one is its largest
         np.maximum.at(final, items, new)
-        crossing, also = masks or (None, None)
-        crossing = np.less_equal(old, kth_largest(final, k), out=crossing)
-        crossing &= np.greater(new, t, out=also)
-        hits = np.flatnonzero(crossing)
+        hits = np.flatnonzero((old <= kth_largest(final, k)) & (new > t))
         starts, thresholds = [0], [t]
         above = self.above
         for i, x, low, high in zip(
@@ -444,15 +440,6 @@ class _WeakPlan:
         self.log_array, self.offset_array = np.zeros(1), np.zeros(1)
         self.reads_variance = method.reads_variance
         self.target = max(self.TARGET, n // 4)
-        self._flags = np.empty((3, 0), dtype=bool)
-
-    def _masks(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Three bool buffers of `size` to compute masks in.  numpy keeps
-        freed arrays under 1 KB for reuse, by size; masks of every size a
-        level brings would leave a few MB of them behind."""
-        if size > self._flags.shape[1]:
-            self._flags = np.empty((3, max(size, 2 * self._flags.shape[1])), dtype=bool)
-        return self._flags[0, :size], self._flags[1, :size], self._flags[2, :size]
 
     def _cover(self, top: int) -> None:
         """Extend the radius terms to pull counts up to `top`."""
@@ -476,10 +463,7 @@ class _WeakPlan:
         while budget_left > 0:
             l_k, u_k = self.kth_lower.threshold, -self.kth_neg_upper.threshold
             lower, upper = self.lower[live], self.upper[live]
-            keep, also, _ = self._masks(live.size)
-            np.less_equal(lower, u_k, out=keep)
-            keep &= np.greater_equal(upper, l_k, out=also)
-            keep &= np.less(self.counts[live], self.w_max, out=also)
+            keep = (lower <= u_k) & (upper >= l_k) & (self.counts[live] < self.w_max)
             live = live[keep]
             if not live.size:
                 break
@@ -491,8 +475,7 @@ class _WeakPlan:
                 # all of them: unless items tie at the narrowest width, where
                 # a run may never end, each passes the narrowest key and then
                 # takes `extra` more steps
-                narrowest = np.equal(widths, widths.min(), out=also[: live.size])
-                tied = int(np.count_nonzero(narrowest))
+                tied = int(np.count_nonzero(widths == widths.min()))
                 extra = min(target, cap) // live.size - 1 if tied == 1 else 0
                 m = live.size if extra > 0 else max(1, live.size - tied)
             if m < live.size:
@@ -526,9 +509,9 @@ class _WeakPlan:
         takes more than `budget` steps.
 
         Returns the steps as arrays (item, count, bounds before, bounds after,
-        mean, m2, draw) with the positions of those that conflict; the next
-        width and the index of each item that may still be pulled after its
-        last step; and whether an item stopped short of `limit`.
+        mean, m2, draw, whether it conflicts); the next width and the index
+        of each item that may still be pulled after its last step; and
+        whether an item stopped short of `limit`.
         """
         w_lim, x_lim = limit
         w_max = self.w_max
@@ -556,8 +539,6 @@ class _WeakPlan:
         going, walking = np.ones(x.size, dtype=bool), x.size
         columns: list[tuple] = []
         masks: list[np.ndarray] = []
-        conflicts: list[np.ndarray] = []
-        size = 0
         while walking:
             if walking <= self.NARROW:
                 x, lo, hi, mu, m2, c, rows = (a[going] for a in (x, lo, hi, mu, m2, c, rows))
@@ -607,10 +588,8 @@ class _WeakPlan:
                 point = np.where(new_lo > hi, hi, lo)
                 next_lo[conflict] = point[conflict]
                 next_hi[conflict] = point[conflict]
-                conflicts.append(size + np.flatnonzero(conflict))
-            columns.append((x, c, lo, hi, next_lo, next_hi, mu, m2, value))
+            columns.append((x, c, lo, hi, next_lo, next_hi, mu, m2, value, conflict))
             masks.append(going)
-            size += x.size
             total += walking
             lo, hi = next_lo, next_hi
             w = hi - lo
@@ -635,17 +614,10 @@ class _WeakPlan:
                 walking = int(np.count_nonzero(going))
         if columns:
             mask = np.concatenate(masks)
-            # conflicts as positions among the steps kept
-            at = np.concatenate([np.zeros(0, dtype=np.int64), *conflicts])
-            at = np.cumsum(mask)[at[mask[at]]] - 1
-            parts.append(tuple(np.concatenate(a)[mask] for a in zip(*columns)) + (at,))
+            parts.append(tuple(np.concatenate(a)[mask] for a in zip(*columns)))
         stop_w, stop_x = (np.concatenate(a) for a in zip(*stops)) if stops else (np.zeros(0),) * 2
-        if len(parts) == 1:
-            return parts[0], stop_w, stop_x, short
-        starts = np.cumsum([0] + [part[0].size for part in parts])
-        steps = tuple(np.concatenate(a) for a in zip(*(part[:-1] for part in parts)))
-        at = np.concatenate([start + part[-1] for start, part in zip(starts, parts)])
-        return steps + (at,), stop_w, stop_x, short
+        steps = parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
+        return steps, stop_w, stop_x, short
 
     def _rows(self, x, lo, hi, mu, m2, c, left, limit, extra, cap, budget, block, several,
               l_k, u_k, parts, stops) -> bool:
@@ -654,11 +626,11 @@ class _WeakPlan:
         `stops` and returns whether an item stopped short."""
         w_lim, x_lim = limit
         w_max, reads_variance, sqrt = self.w_max, self.reads_variance, math.sqrt
-        columns = tuple([] for _ in range(10))
-        items, counts, lo_b, hi_b, lo_a, hi_a, mus, m2s, values, conflicts = columns
+        columns = tuple([] for _ in range(9))
+        items, counts, lo_b, hi_b, lo_a, hi_a, mus, m2s, values = columns
         put_lo, put_hi, put_mu, put_m2 = lo_a.append, hi_a.append, mus.append, m2s.append
         short = False
-        stop_w, stop_x = [], []
+        stop_w, stop_x, conflicts = [], [], []
         order = np.lexsort((x, lo - hi)).tolist()
         for rank, i in enumerate(order):
             # an even share of the cap, so that no item starves the rest
@@ -739,8 +711,9 @@ class _WeakPlan:
                 stop_x.append(xi)
                 short = short or not passed
         if items:
-            at = np.array(conflicts, dtype=np.int64)
-            parts.append(tuple(np.array(a) for a in columns[:9]) + (at,))
+            conflict = np.zeros(len(items), dtype=bool)
+            conflict[conflicts] = True
+            parts.append(tuple(np.array(a) for a in columns) + (conflict,))
         stops.append((np.array(stop_w), np.array(stop_x, dtype=np.int64)))
         return short
 
@@ -750,24 +723,19 @@ class _WeakPlan:
         budget left)."""
         x, c, lo_b, hi_b, lo_a, hi_a, mu, m2, value, conflict = steps
         width = hi_b - lo_b
-        mask, also, live = self._masks(x.size)
         if frontier is None:
             below = np.arange(x.size)
         else:
             w_f, x_f = frontier
-            np.equal(width, w_f, out=mask)
-            mask &= np.less_equal(x, x_f, out=also)
-            mask |= np.greater(width, w_f, out=also)
-            below = np.flatnonzero(mask)
-        order = below[_pull_order(width[below], x[below], c[below], self._masks(below.size))]
+            below = np.flatnonzero(((width == w_f) & (x <= x_f)) | (width > w_f))
+        order = below[_pull_order(width[below], x[below], c[below])]
         del width
         items, before_lo, before_hi = x[order], lo_b[order], hi_b[order]
-        mask, also, live = self._masks(order.size)
-        l_k = self.kth_lower.rise_many(items, before_lo, lo_a[order], (mask, also))
-        np.greater_equal(before_hi, l_k, out=live)
+        l_k = self.kth_lower.rise_many(items, before_lo, lo_a[order])
+        live = before_hi >= l_k
         del l_k
-        u_k = -self.kth_neg_upper.rise_many(items, -before_hi, -hi_a[order], (mask, also))
-        live &= np.less_equal(before_lo, u_k, out=mask)
+        u_k = -self.kth_neg_upper.rise_many(items, -before_hi, -hi_a[order])
+        live &= before_lo <= u_k
         del u_k, items, before_lo, before_hi
         taken = order[np.flatnonzero(live)[:budget_left]]
         items = x[taken]
@@ -776,26 +744,23 @@ class _WeakPlan:
             raise RuntimeError("the weak oracle did not return the draws its streams define")
         counts = c[taken]
         np.maximum.at(self.counts, items, counts)
-        last = taken[np.equal(counts, self.counts[items], out=self._masks(taken.size)[0])]
+        last = taken[counts == self.counts[items]]
         ends = x[last]
         self.lower[ends], self.upper[ends] = lo_a[last], hi_a[last]
         self.means[ends], self.m2[ends] = mu[last], m2[last]
-        if conflict.size:
-            self.conflicts += int(np.count_nonzero(np.isin(taken, conflict)))
+        self.conflicts += int(np.count_nonzero(conflict[taken]))
         return order.size, budget_left - items.size
 
 
-def _pull_order(widths, items, counts, masks) -> np.ndarray:
+def _pull_order(widths, items, counts) -> np.ndarray:
     """The order of steps by ascending (-width, item, count): one sort by
-    width, and a sort of each run of equal widths by (item, count).
-    `masks` are bool buffers of the steps' size."""
+    width, and a sort of each run of equal widths by (item, count)."""
     order = np.argsort(-widths)
     ranked = widths[order]
-    member, tied = masks[:2]
-    tied = np.equal(ranked[1:], ranked[:-1], out=tied[1:])
+    tied = ranked[1:] == ranked[:-1]
     if tied.any():
+        member = np.zeros(widths.size, dtype=bool)
         member[1:] = tied
-        member[0] = False
         member[:-1] |= tied
         at = np.flatnonzero(member)
         runs = np.cumsum(np.r_[True, ~tied])[at]
@@ -864,7 +829,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
     def _phase1(self, weak, n, k, w_min, w_max, budget) -> IntervalState:
         method = self._method()
         delta_x = DeltaBudget.split(self.delta, n, self.delta_weak_fraction).per_item
-        means, variances = weak.pull_all_moments(w_min, variance=w_min >= 2)
+        means, variances = weak.pull_all_moments(w_min, w_min >= 2 and method.reads_variance)
         if variances is None:
             variances = np.zeros(n)
         radii = method.batch_radius(w_min, variances, delta_x, anytime=True)
@@ -957,7 +922,6 @@ class BruteForceCertify(BaseCertifier):
         trace = list(range(n))
         values = strong.query_many(trace)
         state = IntervalState.from_bounds(values, values, means=values)
-        state.collapsed[:] = True
         selected = np.lexsort((np.arange(n), -values))[:k]
         return self._report(k, selected, state, state, trace, 0)
 

@@ -47,21 +47,26 @@ def _dest(key: str) -> str:
 
 
 def _coerce(key: str, raw):
+    """`raw` as `key`'s type; ``""`` and ``none`` mean None, if `key` defaults to None."""
     if raw is None or isinstance(raw, (int, float, bool)):
         return raw
     text = str(raw).strip()
+    kind, default = CONFIG_KEYS[key]
+    value = None
     if text == "" or text.lower() == "none":
-        return None
-    kind = CONFIG_KEYS[key][0]
-    if kind is bool:
+        if default is None:
+            return None
+    elif kind is bool:
         value = _BOOLEANS.get(text.lower())
-        if value is None:
-            raise SystemExit(f"config key {key!r} takes {'/'.join(_BOOLEANS)}, not {text!r}")
-        return value
-    try:
-        return kind(text)
-    except ValueError:
-        raise SystemExit(f"config key {key!r} takes {kind.__name__}, not {text!r}") from None
+    else:
+        try:
+            value = kind(text)
+        except ValueError:
+            pass
+    if value is None:
+        takes = "/".join(_BOOLEANS) if kind is bool else kind.__name__
+        raise SystemExit(f"config key {key!r} takes {takes}, not {text!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:

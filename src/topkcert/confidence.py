@@ -233,7 +233,7 @@ def build_fixed_intervals(
     The screen is built once per block of pulls, method, per-item budget and
     schedule (see ``WeakOracle.pull_all_screen``), so every certifier that
     screens one oracle's block holds the same read-only arrays: the bounds,
-    the collapse flags, the oracle's cached means and a broadcast pull count.
+    the means the oracle computed and a broadcast pull count.
     Each call returns a state of its own over them.
     """
     n_pulls = check_int(n_pulls, "n_pulls", minimum=method.min_count)

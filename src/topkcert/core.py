@@ -2,7 +2,7 @@
 
 An :class:`Instance` is the hidden truth (item values and the target size k);
 an :class:`IntervalState` is everything an algorithm is allowed to see: one
-confidence interval per item, pull counts, and collapse flags.  The module
+confidence interval per item and pull counts.  The module
 also provides the near-tie mass and ambiguous-set computations that drive
 every strong-call bound, plus ground-truth diagnostics (coverage checks) that
 only test and harness code may call.
@@ -56,21 +56,19 @@ class Instance:
 
 @dataclass
 class IntervalState:
-    """Per-item confidence intervals with pull counts and collapse flags.
+    """Per-item confidence intervals with pull counts.
 
     Intervals only shrink over an algorithm's lifetime: updates go through
     :meth:`intersect_update`, so lower bounds never decrease and upper bounds
-    never increase.  ``collapsed[x]`` records that item x was revealed exactly
-    (lower == upper).  ``conflicts`` counts empty intersections, which can
-    only occur when some interval failed to cover its true value.  A state
-    from :meth:`read_only`, such as a uniform weak screen, cannot be updated;
-    its :meth:`copy` can.
+    never increase; an exact reveal makes lower == upper.  ``conflicts``
+    counts empty intersections, which can only occur when some interval
+    failed to cover its true value.  A state from :meth:`read_only`, such as
+    a uniform weak screen, cannot be updated; its :meth:`copy` can.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     pulls: np.ndarray
-    collapsed: np.ndarray
     means: Optional[np.ndarray] = None
     conflicts: int = 0
     # k -> (ambiguous set, u_k) of a read-only state's bounds; see ambiguous_band
@@ -79,7 +77,7 @@ class IntervalState:
     @classmethod
     def from_bounds(cls, lower, upper, pulls=None, means=None) -> "IntervalState":
         """A state holding copies of the bounds, pull counts (zeros when None)
-        and means, with ``collapsed`` where the bounds meet."""
+        and means."""
         lower = np.array(lower, dtype=np.float64)
         if pulls is None:
             pulls = np.zeros(lower.shape, dtype=np.int64)
@@ -105,7 +103,7 @@ class IntervalState:
             np.asarray(pulls, dtype=np.int64),
             None if means is None else np.asarray(means, dtype=np.float64),
         )
-        for array in (state.lower, state.upper, state.pulls, state.collapsed, state.means):
+        for array in (state.lower, state.upper, state.pulls, state.means):
             if array is not None:
                 array.flags.writeable = False
         state.bands = {}
@@ -125,7 +123,7 @@ class IntervalState:
         for name, array in (("pulls", pulls), ("means", means)):
             if array is not None and array.shape != lower.shape:
                 raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
-        return cls(lower=lower, upper=upper, pulls=pulls, collapsed=lower == upper, means=means)
+        return cls(lower=lower, upper=upper, pulls=pulls, means=means)
 
     @classmethod
     def full_range(cls, n: int) -> "IntervalState":
@@ -154,7 +152,6 @@ class IntervalState:
             lower=self.lower.copy(),
             upper=self.upper.copy(),
             pulls=_shared(self.pulls),
-            collapsed=self.collapsed.copy(),
             means=None if self.means is None else _shared(self.means),
             conflicts=self.conflicts,
         )
@@ -184,22 +181,18 @@ class IntervalState:
             self.conflicts += 1
         self.lower[item] = new_lo
         self.upper[item] = new_hi
-        if new_lo == new_hi:
-            self.collapsed[item] = True
         return bool(conflict)
 
     def collapse_to(self, item: int, value: float) -> bool:
         """Record an exact reveal of item's value; returns True on conflict."""
-        conflict = self.intersect_update(item, value, value)
-        self.collapsed[item] = True
-        return conflict
+        return self.intersect_update(item, value, value)
 
     def collapse_many(self, items, values) -> None:
         """``collapse_to(items[i], values[i])`` for every i, vectorised.
 
-        Items must be distinct.  Bounds, conflict clamping, the ``conflicts``
-        count and the ``collapsed`` flags come out bit for bit as from the
-        sequential calls; a NaN raises before anything is written.
+        Items must be distinct.  Bounds, conflict clamping and the
+        ``conflicts`` count come out bit for bit as from the sequential
+        calls; a NaN raises before anything is written.
         """
         items = np.asarray(items, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -222,7 +215,6 @@ class IntervalState:
         self.conflicts += int(np.count_nonzero(conflict))
         self.lower[items] = new_lo
         self.upper[items] = new_hi
-        self.collapsed[items] = True
 
 
 def _shared(array: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ A uniform screen reads only each item's sample mean, and its sample variance
 for empirical-Bernstein radii.  ``pull_all_moments`` pulls exactly as
 ``pull_all`` does but reduces each block of rows while the kernel still holds
 it, so the (n, count) matrix that ``pull_all`` returns is never built; at
-n = 1e6 and 12 pulls that matrix is 96 MB.  Both results are cached per
-(shared position, count), the matrix and the moments in separate caches, and
-returned read-only.  ``pull_all_screen`` caches what a screen builds from the
-moments beside them, so every certifier of a replicate holds the same screen
-and none can change it.  While every item sits at the shared position,
+n = 1e6 and 12 pulls that matrix is 96 MB.  Both results are returned
+read-only; the matrix is cached per (shared position, count), the moments are
+not.  ``pull_all_screen`` caches what a screen builds from the moments under
+the same key, so every certifier of a replicate holds the same screen and none
+can change it.  While every item sits at the shared position,
 ``pulls_per_item`` is a read-only broadcast of it rather than n integers.
 
 The strong oracle returns true values exactly and keeps an ordered trace of
@@ -135,10 +135,9 @@ class WeakOracle:
         self.max_pulls = None if max_pulls is None else check_int(max_pulls, "max_pulls", minimum=0)
         self._keys = _hashing.item_keys(self.seed, instance.n)
         self._n = instance.n
-        # (shared position, count) -> pull_all's block, pull_all_moments'
-        # moments; ((shared position, count), key) -> pull_all_screen's result
+        # (shared position, count) -> pull_all's block;
+        # ((shared position, count), key) -> pull_all_screen's result
         self._block_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._moments_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
         self._screen_cache: dict[tuple, object] = {}
         self.reset()
 
@@ -251,26 +250,24 @@ class WeakOracle:
 
         Pulls, checks and counts exactly as ``pull_all`` does, and is
         bit-identical to ``.mean(axis=1)`` and ``.var(axis=1, ddof=1)`` of its
-        block.  The moments are cached by position and returned read-only.  A
-        subclass that overrides ``pull_all`` has it called once and its block
-        reduced.
+        block.  The moments are returned read-only.  A subclass that overrides
+        ``pull_all`` has it called once and its block reduced.
         """
         count = check_int(count, "count", minimum=2 if variance else 1)
         if type(self).pull_all is not WeakOracle.pull_all:
             block = self.pull_all(count)
             return block.mean(axis=1), block.var(axis=1, ddof=1) if variance else None
-        return self._cached_moments(self._advance_all(count), variance)
+        return self._moments(self._advance_all(count), variance)
 
     def pull_all_screen(self, count: int, variance: bool, key, build):
         """``build(*pull_all_moments(count, variance))``, built once per block.
 
         Pulls, checks and counts as ``pull_all_moments`` does.  What `build`
-        returns is cached beside the moments, under their (shared position,
-        count) and the hashable `key`, and survives ``reset`` as they do: a
-        later call on the same block with an equal key returns it unbuilt.
-        `build` must depend on nothing but the moments and `key`.  A subclass
-        that overrides ``pull_all`` or ``pull_all_moments`` has `build` called
-        on every call.
+        returns is cached under the block and the hashable `key`, and survives
+        ``reset``: a later call on the same block with an equal key returns it
+        unbuilt.  `build` must depend on nothing but the moments and `key`.  A
+        subclass that overrides ``pull_all`` or ``pull_all_moments`` has `build`
+        called on every call.
         """
         if (type(self).pull_all is not WeakOracle.pull_all
                 or type(self).pull_all_moments is not WeakOracle.pull_all_moments):
@@ -278,24 +275,20 @@ class WeakOracle:
         count = check_int(count, "count", minimum=2 if variance else 1)
         entry = (self._advance_all(count), key)
         if entry not in self._screen_cache:
-            self._screen_cache[entry] = build(*self._cached_moments(entry[0], variance))
+            self._screen_cache[entry] = build(*self._moments(entry[0], variance))
         return self._screen_cache[entry]
 
-    def _cached_moments(self, key: tuple[int, int], variance: bool):
-        """The moments of the block at `key`, (shared position, count)."""
-        cached = self._moments_cache.get(key)
-        if cached is None or (variance and cached[1] is None):
-            t0, count = key
-            keys = None if self.noise == "exact" else self._keys
-            cached = _hashing.row_moments(
-                keys, t0, count, self.sigma, self._instance.values, self.clamp, variance
-            )
-            for moments in cached:
-                if moments is not None:
-                    moments.flags.writeable = False
-            self._moments_cache[key] = cached
-        means, variances = cached
-        return means, variances if variance else None
+    def _moments(self, key: tuple[int, int], variance: bool):
+        """The read-only moments of the block at `key`, (shared position, count)."""
+        t0, count = key
+        keys = None if self.noise == "exact" else self._keys
+        moments = _hashing.row_moments(
+            keys, t0, count, self.sigma, self._instance.values, self.clamp, variance
+        )
+        for array in moments:
+            if array is not None:
+                array.flags.writeable = False
+        return moments
 
     def _advance_all(self, count: int) -> tuple[int, int]:
         """Charge `count` pulls of every item from their one shared position

@@ -167,7 +167,9 @@ def _assert_ace_loop_matches_reference(state, k, values):
     np.testing.assert_array_equal(selected, ref_selected)
     np.testing.assert_array_equal(new_state.lower, ref_state.lower)
     np.testing.assert_array_equal(new_state.upper, ref_state.upper)
-    np.testing.assert_array_equal(new_state.collapsed, ref_state.collapsed)
+    np.testing.assert_array_equal(
+        new_state.lower == new_state.upper, ref_state.lower == ref_state.upper
+    )
     assert new_state.conflicts == ref_state.conflicts
 
 
@@ -493,6 +495,29 @@ class TestAdaptiveCertifyWeak:
             np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
             capped_full = (state.pulls == w_max) & (state.lower == 0.0) & (state.upper == 1.0)
             assert capped_full.any()
+
+    @pytest.mark.parametrize(
+        "method, variance",
+        [("subgaussian", False), ("anytime_empirical_bernstein", True)],
+    )
+    def test_warm_start_reads_variances_only_for_radii_that_use_them(self, method, variance):
+        class Recording(WeakOracle):
+            def pull_all_moments(self, count, variance=False):
+                asked.append((count, variance))
+                return super().pull_all_moments(count, variance)
+
+        asked = []
+        inst = generate_gap_instance(GapInstanceSpec(n=60, k=10, seed=0))
+        weak = Recording(inst, sigma=0.1, seed=0, clamp=True)
+        got = ace_w(weak, StrongOracle(inst), k=10, weak_budget=60 * 9, w_min=6, ci_method=method)
+        want = ace_w(
+            WeakOracle(inst, sigma=0.1, seed=0, clamp=True), StrongOracle(inst),
+            k=10, weak_budget=60 * 9, w_min=6, ci_method=method,
+        )
+        assert asked == [(6, variance)]
+        assert got.trace == want.trace
+        assert got.weak_state.lower.tobytes() == want.weak_state.lower.tobytes()
+        assert got.weak_state.upper.tobytes() == want.weak_state.upper.tobytes()
 
     def test_phase_one_rejects_an_oracle_that_does_not_replay_its_draws(self):
         class Drifting(WeakOracle):
@@ -848,9 +873,11 @@ def test_conflicts_are_the_reveals_outside_their_weak_interval(name):
     revealed = inst.values[trace]
     outside = (revealed < screen.lower[trace]) | (revealed > screen.upper[trace])
     assert report.interval_conflicts == np.count_nonzero(outside) > 0
-    for field in ("lower", "upper", "pulls", "collapsed", "means"):
+    for field in ("lower", "upper", "pulls", "means"):
         got, expected = getattr(report.weak_state, field), getattr(screen, field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
+    got, expected = report.weak_state, screen
+    assert (got.lower == got.upper).tobytes() == (expected.lower == expected.upper).tobytes()
     assert report.weak_state.conflicts == 0
 
 
@@ -880,6 +907,6 @@ class TestTrivialReports:
         np.testing.assert_array_equal(state.upper, np.ones(15))
         np.testing.assert_array_equal(state.pulls, np.zeros(15, dtype=np.int64))
         assert state.pulls.dtype == np.int64
-        np.testing.assert_array_equal(state.collapsed, np.zeros(15, dtype=bool))
+        np.testing.assert_array_equal(state.lower == state.upper, np.zeros(15, dtype=bool))
         assert state.means is None and state.conflicts == 0
         assert weak.total_pulls == 0 and strong.calls == 0

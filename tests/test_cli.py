@@ -290,6 +290,39 @@ class TestNumericText:
             main(["gen", "--n", "50", "--k", "5", "--out", str(tmp_path / "x.csv")])
 
 
+class TestNoneText:
+    """``""`` and ``none`` stand for None, which only keys defaulting to None take."""
+
+    @pytest.mark.parametrize("variable, text, args, key", [
+        ("TOPKCERT_N", "", ["run", "--algo", "stc"], "n"),
+        ("TOPKCERT_N_WEAK", "none", ["verify", "--seeds", "0..1"], "n_weak"),
+    ])
+    def test_a_required_key_exits_with_one_line(self, monkeypatch, variable, text, args, key):
+        monkeypatch.setenv(variable, text)
+        done = subprocess.run(
+            [sys.executable, "-m", "topkcert.cli", *args], capture_output=True, text=True
+        )
+        assert done.returncode != 0 and done.stdout == ""
+        assert done.stderr == f"config key {key!r} takes int, not {text!r}\n"
+
+    def test_a_required_key_in_a_config_file_is_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("k=none\n")
+        with pytest.raises(SystemExit, match="^config key 'k' takes int, not 'none'$"):
+            main(["run", "--algo", "stc", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("key", ["near_ties", "weak_budget", "w_max", "oracle.strong_cap", "ci.sigma"])
+    @pytest.mark.parametrize("text", ["", "None"])
+    def test_keys_that_default_to_none_take_it(self, key, text, tmp_path, monkeypatch):
+        from topkcert.cli import build_parser, resolve_config
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}=5\n")
+        monkeypatch.setenv("TOPKCERT_" + key.upper().replace(".", "_"), text)
+        args = build_parser().parse_args(["verify", "--config", str(cfg)])
+        assert resolve_config(args)[key] is None
+
+
 def _sweep_args(tmp_path, *extra):
     return ["sweep", "--replicates", "1", "--algorithms", "stc", "--n", "100", "--k", "10",
             "--out", str(tmp_path / "rows.csv"), *extra]

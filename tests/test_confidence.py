@@ -290,7 +290,7 @@ class TestSharedScreen:
         weak.reset()
         second = build_fixed_intervals(weak, 12, budget, SubGaussian(0.2))
         assert first is not second and first.bands is second.bands
-        for name in ("lower", "upper", "collapsed", "means", "pulls"):
+        for name in ("lower", "upper", "means", "pulls"):
             array = getattr(first, name)
             assert array is getattr(second, name)
             assert not array.flags.writeable
@@ -301,8 +301,9 @@ class TestSharedScreen:
         first.conflicts = 3
         assert second.conflicts == 0
         assert weak.total_pulls == 400 * 12
+        assert not (first.lower == first.upper).any()
         weak.reset()
-        assert first.means is weak.pull_all_moments(12)[0]
+        assert first.means.tobytes() == weak.pull_all_moments(12)[0].tobytes()
 
     def test_copy_is_writable_and_independent(self):
         weak = self._oracle()
@@ -312,8 +313,8 @@ class TestSharedScreen:
         assert work.bands is None
         work.collapse_to(0, float(work.lower[0]))
         work.intersect_update(1, float(work.lower[1]), float(work.lower[1]))
-        assert work.lower.flags.writeable and work.collapsed[1]
-        assert screen.lower.tobytes() == lower.tobytes() and not screen.collapsed[1]
+        assert work.lower.flags.writeable and work.lower[1] == work.upper[1]
+        assert screen.lower.tobytes() == lower.tobytes() and screen.lower[1] != screen.upper[1]
         # the constant columns are shared, not copied
         assert work.pulls is screen.pulls and work.means is screen.means
 

@@ -220,7 +220,7 @@ class TestIntervalState:
         assert conflict
         assert (state.lower[0], state.upper[0]) == (0.4, 0.4)
         assert state.conflicts == 1
-        assert state.collapsed[0]
+        assert state.lower[0] == state.upper[0]
 
     def test_monotone_under_random_updates(self):
         rng = np.random.default_rng(6)
@@ -239,7 +239,7 @@ class TestIntervalState:
         with pytest.raises(ValueError, match="non-monotone"):
             state.intersect_update(0, lower, upper)
         assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
-        assert state.conflicts == 0 and not state.collapsed[0]
+        assert state.conflicts == 0 and state.lower[0] != state.upper[0]
 
     def test_collapse_many_with_nan_raises_and_leaves_state(self):
         state = _state([(0.2, 0.8), (0.1, 0.3), (0.4, 0.6)])
@@ -247,15 +247,15 @@ class TestIntervalState:
             state.collapse_many([0, 2, 1], [0.5, float("nan"), 0.9])
         assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
         assert (state.lower[1], state.upper[1]) == (0.1, 0.3)
-        assert state.conflicts == 0 and not state.collapsed.any()
+        assert state.conflicts == 0 and not (state.lower == state.upper).any()
 
     def test_read_only_state_holds_its_arrays_and_shares_its_bands(self):
         lower, upper = np.array([0.1, 0.5, 0.2, 0.7]), np.array([0.4, 0.5, 0.6, 0.9])
         pulls, means = np.broadcast_to(np.int64(3), 4), np.array([0.2, 0.5, 0.4, 0.8])
         state = IntervalState.read_only(lower, upper, pulls, means)
         assert state.lower is lower and state.means is means
-        assert list(state.collapsed) == [False, True, False, False]
-        for array in (state.lower, state.upper, state.collapsed, state.means):
+        assert list(state.lower == state.upper) == [False, True, False, False]
+        for array in (state.lower, state.upper, state.means):
             with pytest.raises(ValueError):
                 array[0] = 0.3
         with pytest.raises(ValueError):
@@ -309,8 +309,9 @@ def test_collapse_many_matches_sequential_collapse_to(data):
     for x, value in zip(items, values):
         expected.collapse_to(x, value)
     state.collapse_many(np.array(items, dtype=np.int64), np.array(values, dtype=float))
-    for name in ("lower", "upper", "collapsed"):
+    for name in ("lower", "upper"):
         assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
+    assert (state.lower == state.upper).tobytes() == (expected.lower == expected.upper).tobytes()
     assert state.conflicts == expected.conflicts
 
 

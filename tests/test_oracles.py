@@ -194,7 +194,7 @@ class TestPullAllMoments:
             weak.pull_all_moments(1, variance=True)
         assert weak.total_pulls == 0
 
-    def test_cached_moments_are_read_only(self, instance):
+    def test_moments_are_read_only(self, instance):
         weak = WeakOracle(instance, sigma=0.1, seed=0)
         means, variances = weak.pull_all_moments(4, variance=True)
         first = means.copy(), variances.copy()
@@ -202,12 +202,25 @@ class TestPullAllMoments:
             with pytest.raises(ValueError):
                 array[0] = 99.0
         weak.reset()
-        # a means-only call replays from the same cache entry
-        assert weak.pull_all_moments(4)[0] is means
+        # a means-only call replays the same means
+        assert _bits(weak.pull_all_moments(4)[0]) == _bits(means)
         weak.reset()
         replay = weak.pull_all_moments(4, variance=True)
         for got, want in zip(replay, first):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("variance", [False, True])
+    def test_a_replayed_block_gives_equal_distinct_read_only_moments(self, instance, variance):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        first = weak.pull_all_moments(4, variance=variance)
+        weak.reset()
+        second = weak.pull_all_moments(4, variance=variance)
+        assert _bits(first) == _bits(second)
+        for a, b in zip(first, second):
+            if a is not None:
+                assert not np.shares_memory(a, b)
+                assert not a.flags.writeable and not b.flags.writeable
+        assert (second[1] is None) != variance
 
     def test_pulls_per_item_at_the_shared_position_is_a_read_only_view(self, instance):
         weak = WeakOracle(instance, sigma=0.1, seed=0)
@@ -239,9 +252,8 @@ class TestPullAllMoments:
         assert weak.pull_all_screen(4, True, "b", build) is not first
         assert weak.pull_all_screen(4, True, "a", build) is not first
         assert len(built) == 3
-        means, variances = built[0]
         weak.reset()
-        assert weak.pull_all_moments(4, variance=True) == (means, variances)
+        assert _bits(weak.pull_all_moments(4, variance=True)) == _bits(built[0])
 
     def test_an_overriding_pull_all_builds_every_screen(self, instance):
         weak = _RecordingPullAllOracle(instance, sigma=0.1, seed=3)
