@@ -20,7 +20,8 @@ exported as well.
 * ``BruteForceCertify`` -- strong-query everything; the reference oracle.
 
 All tie-breaks (set membership, argmin/argmax, width comparisons) resolve by
-ascending item index, so runs are exactly reproducible.
+ascending item index, so runs are exactly reproducible; every order by key
+that breaks ties this way comes from ``core._stable_argsort``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from typing import Optional
 import numpy as np
 
 from .confidence import CiMethod, DeltaBudget, build_fixed_intervals, ci_method_from_config
-from .core import IntervalState, ambiguous_band, ambiguous_set, epsilon_max, kth_largest
+from .core import (
+    IntervalState,
+    _stable_argsort,
+    ambiguous_band,
+    ambiguous_set,
+    epsilon_max,
+    kth_largest,
+)
 from .validation import check_int, check_k
 
 
@@ -71,10 +79,11 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     at most that item swaps places with the best tentative-out item.  The
     worst tentative-in item comes from a lazy heap of ``(lower, index)``.
     The best tentative-out item, by ``(-upper, index)``, is either the first
-    one in the initial sort that still has its initial bound, or the top of a
-    lazy heap of items that were queried or swapped out.  Stale entries are
-    recognised because bounds only ever move inward.  Set-up costs one
-    O(n log n) sort; each strong call costs O(log n).
+    one in the initial sort that was never queried, and so still has its
+    initial bound, or the top of a lazy heap of items that were queried or
+    swapped out.  Stale entries are recognised because bounds only ever move
+    inward.  Set-up costs one O(n log n) sort; each strong call costs
+    O(log n).
 
     The loop reads and writes the bounds as Python floats in lists; each
     reveal is applied to them as ``collapse_to`` would apply it.
@@ -84,16 +93,16 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     values: list[float] = []
     if k == n:
         return np.arange(n), trace, values
-    order = np.lexsort((np.arange(n), -state.upper))
+    order = _stable_argsort(-state.upper)
     lower, upper = state.lower.tolist(), state.upper.tolist()
     top = order[:k].tolist()
     inside = bytearray(n)
+    queried = bytearray(n)
     for x in top:
         inside[x] = 1
     in_heap = [(lower[x], x) for x in top]
     heapq.heapify(in_heap)
     rest = order[k:].tolist()
-    rest_upper = [upper[x] for x in rest]
     n_rest = len(rest)
     head = 0
     out_heap: list[tuple[float, int]] = []
@@ -103,7 +112,7 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
             heappop(in_heap)
         # an item passed over here is inside, or was queried and so entered
         # out_heap whenever it is outside
-        while head < n_rest and (inside[rest[head]] or upper[rest[head]] != rest_upper[head]):
+        while head < n_rest and (inside[rest[head]] or queried[rest[head]]):
             head += 1
         while out_heap and (inside[out_heap[0][1]] or out_heap[0][0] != -upper[out_heap[0][1]]):
             heappop(out_heap)
@@ -128,6 +137,7 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
                 f"non-monotone update of item {x}: [{old_lo}, {old_hi}] -> [{lo}, {hi}]"
             )
         lower[x], upper[x] = lo, hi
+        queried[x] = 1
         trace.append(x)
         values.append(value)
         if not inside[x]:
@@ -322,7 +332,13 @@ class _KthLargestOfRising:
         final = values.copy()
         # an item's rises arrive in order, so its last one is its largest
         np.maximum.at(final, items, new)
-        hits = np.flatnonzero((old <= kth_largest(final, k)) & (new > t))
+        # the k-th largest after the batch, for a k past half as the mirrored
+        # (n - k + 1)-th largest, which kth_largest cuts from a sample instead
+        # of partitioning all n; it feeds only this comparison, so the sign of
+        # a zero does not matter
+        n = final.size
+        after = kth_largest(final, k) if 2 * k <= n else -kth_largest(-final, n - k + 1)
+        hits = np.flatnonzero((old <= after) & (new > t))
         starts, thresholds = [0], [t]
         above = self.above
         for i, x, low, high in zip(
@@ -483,7 +499,7 @@ class _WeakPlan:
                 lead = _leading(-widths, m + 1)
                 bound = lead[m]
             else:
-                lead = np.argsort(-widths, kind="stable")
+                lead = _stable_argsort(-widths)
                 bound = lead[-1]
             active = live[lead[:m]]
             limit = (float(widths[bound]), int(live[bound]))
@@ -631,7 +647,9 @@ class _WeakPlan:
         put_lo, put_hi, put_mu, put_m2 = lo_a.append, hi_a.append, mus.append, m2s.append
         short = False
         stop_w, stop_x, conflicts = [], [], []
-        order = np.lexsort((x, lo - hi)).tolist()
+        # by (lo - hi, item): the items are distinct, so put them in order first
+        by_item = np.argsort(x)
+        order = by_item[_stable_argsort((lo - hi)[by_item])].tolist()
         for rank, i in enumerate(order):
             # an even share of the cap, so that no item starves the rest
             share = cap // (len(order) - rank)
@@ -753,20 +771,11 @@ class _WeakPlan:
 
 
 def _pull_order(widths, items, counts) -> np.ndarray:
-    """The order of steps by ascending (-width, item, count): one sort by
-    width, and a sort of each run of equal widths by (item, count)."""
-    order = np.argsort(-widths)
-    ranked = widths[order]
-    tied = ranked[1:] == ranked[:-1]
-    if tied.any():
-        member = np.zeros(widths.size, dtype=bool)
-        member[1:] = tied
-        member[:-1] |= tied
-        at = np.flatnonzero(member)
-        runs = np.cumsum(np.r_[True, ~tied])[at]
-        steps = order[at]
-        order[at] = steps[np.lexsort((counts[steps], items[steps], runs))]
-    return order
+    """The order of steps by ascending (-width, item, count): the steps put
+    in (item, count) order, which no two share, then by -width, equal widths
+    kept in that order."""
+    by_step = _stable_argsort(items * (int(counts.max(initial=0)) + 1) + counts)
+    return by_step[_stable_argsort(-widths[by_step])]
 
 
 def _widest(widths: np.ndarray, items: np.ndarray) -> tuple[float, int]:
@@ -871,16 +880,18 @@ def _by_estimate(state: IntervalState, k: int):
 
 
 def _leading(keys: np.ndarray, size: int) -> np.ndarray:
-    """The first `size` indices of the stable ascending order of `keys`."""
-    if size < keys.size:
+    """``_stable_argsort(keys)[:size]``: the `size` smallest keys' indices,
+    by key and then index.  A `size` short of the whole array takes the
+    indices at or below a partition's cut, and sorts only those."""
+    if 0 < size < keys.size:
         cut = np.partition(keys, size - 1)[size - 1]
         # NaN sorts last and equals nothing; a NaN cut falls back to sorting
         if cut == cut:
             below = np.flatnonzero(keys < cut)
             tied = np.flatnonzero(keys == cut)[: size - below.size]
             chosen = np.sort(np.concatenate([below, tied]))
-            return chosen[np.argsort(keys[chosen], kind="stable")]
-    return np.argsort(keys, kind="stable")[:size]
+            return chosen[_stable_argsort(keys[chosen])]
+    return _stable_argsort(keys)[:size]
 
 
 class ThresholdCertify(BaseCertifier):
@@ -907,7 +918,9 @@ class ThresholdCertify(BaseCertifier):
                 break
         verified = np.asarray(trace, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
-        return verified[np.lexsort((verified, -vals))[:k]], trace, vals
+        # by (-value, item): the items are distinct, so put them in order first
+        by_item = np.argsort(verified)
+        return verified[by_item][_leading(-vals[by_item], k)], trace, vals
 
 
 class BruteForceCertify(BaseCertifier):
@@ -922,7 +935,7 @@ class BruteForceCertify(BaseCertifier):
         trace = list(range(n))
         values = strong.query_many(trace)
         state = IntervalState.from_bounds(values, values, means=values)
-        selected = np.lexsort((np.arange(n), -values))[:k]
+        selected = _leading(-values, k)
         return self._report(k, selected, state, state, trace, 0)
 
 

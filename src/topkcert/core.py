@@ -284,6 +284,53 @@ def _kth_largest_by_cut(arr: np.ndarray, k: int) -> float | None:
     return value
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of a 1-D array, bit for bit: the
+    positions by ascending key, equal keys by ascending position.  Every
+    order in the package that breaks ties by item index is built here.
+
+    numpy's stable sort runs several times slower than its unstable one, so
+    the order comes from unstable sorts of tie-free keys:
+
+    - integer keys: one sort of ``(key - min) << bits | position``, where
+      ``bits`` holds any position; the stable sort where that overflows int64;
+    - float keys: one sort, then each run of equal keys (NaNs equal each
+      other and sort last, -0.0 equals 0.0) put in position order by the same
+      tie-free sort of ``run << bits | position``.  Other dtypes take the
+      stable sort.
+    """
+    keys = np.asarray(keys)
+    size = keys.size
+    bits = (size - 1).bit_length() if size else 0
+    if keys.dtype.kind == "i" and size:
+        low = int(keys.min())
+        if (int(keys.max()) - low + 1) << bits <= 1 << 63:
+            return _by_key_then_position(keys.astype(np.int64) - low, np.arange(size), bits)
+    if keys.dtype.kind != "f" or not 0 < size <= 1 << 31:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = ranked[1:] == ranked[:-1]
+    if ranked[-1] != ranked[-1]:
+        # NaNs sort last, so a NaN short of the end ties with the next entry
+        tied |= np.isnan(ranked[:-1])
+    if tied.any():
+        member = np.zeros(size, dtype=bool)
+        member[1:] = tied
+        member[:-1] |= tied
+        at = np.flatnonzero(member)
+        # run numbers are at most size <= 2**31, so run << bits fits int64
+        runs = np.cumsum(np.concatenate(([True], ~tied)))[at]
+        order[at] = _by_key_then_position(runs, order[at], bits)
+    return order
+
+
+def _by_key_then_position(keys: np.ndarray, positions: np.ndarray, bits: int) -> np.ndarray:
+    """`positions` (below ``1 << bits``) by ascending (key, position), for
+    non-negative int64 keys with ``(max key + 1) << bits`` within int64."""
+    return np.sort((keys << bits) | positions) & ((1 << bits) - 1)
+
+
 def true_top_k(instance: Instance) -> np.ndarray:
     """Indices of the k largest values, ascending-index tie-break; sorted.
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _hashing
-from .core import Instance
+from .core import Instance, _stable_argsort
 from .validation import check_int, check_non_negative
 
 _NOISE_MODELS = ("gaussian", "exact")
@@ -174,7 +174,9 @@ class WeakOracle:
 
     def pull_many(self, items) -> np.ndarray:
         """``[pull(x) for x in items]`` as one float64 array: the same values,
-        ``total_pulls`` and stream positions.
+        in pull order, and the same ``total_pulls`` and stream positions.  An
+        item's i-th pull in the batch reads its stream i places on; that rank
+        comes from the batch's order by item, ties by place in the batch.
 
         At an item out of range, or at the budget, the pulls before it are
         charged and then the same error as ``pull``'s is raised.  Items that
@@ -191,8 +193,7 @@ class WeakOracle:
         if count:
             self.total_pulls += count
             positions = np.frombuffer(self._positions or self._start_positions(), np.int64)
-            # an item's i-th pull in the batch reads its stream i places on
-            order = np.argsort(taken, kind="stable")
+            order = _stable_argsort(taken)
             ranked = taken[order]
             first = np.concatenate(([0], 1 + np.flatnonzero(np.diff(ranked))))
             lengths = np.diff(np.append(first, count))

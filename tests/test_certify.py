@@ -17,6 +17,7 @@ from topkcert.certify import (
     ThresholdCertify,
     _ace_loop,
     _KthLargestOfRising,
+    _leading,
     _WeakPlan,
     ace,
     ace_w,
@@ -36,6 +37,7 @@ from topkcert.core import (
     ambiguous_set,
     coverage_event_holds,
     epsilon_max,
+    kth_largest,
     true_top_k,
 )
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
@@ -362,6 +364,46 @@ def test_kth_largest_tracker_matches_sorting_under_tied_rises(start, rises, k, c
         before.extend(tracker.rise_many(*batch).tolist())
     assert before == expected
     assert tracker.threshold == sorted(values, reverse=True)[k - 1]
+
+
+def test_kth_largest_tracker_at_a_large_k_matches_sorting():
+    # the u_k tracker's shape: k = n - top + 1 of -upper, with upper bounds
+    # clipped to 1.0 and lowered on a grid, so that values tie at the
+    # threshold; at n >= 16384 its k-th largest is cut from a sample
+    rng = np.random.default_rng(5)
+    n, top = 20_000, 100
+    k = n - top + 1
+    upper = np.round(np.minimum(rng.uniform(0.5, 1.005, n), 1.0), 3)
+    values = -upper
+    tracker = _KthLargestOfRising(values.copy(), k)
+    start = tracker.threshold
+    candidates = np.argsort(-upper, kind="stable")[:600]
+    with mock.patch("topkcert.certify.kth_largest", wraps=kth_largest) as spy:
+        for _ in range(4):
+            items = rng.choice(candidates, 400)
+            old, new, expected = [], [], []
+            for x in items:
+                expected.append(np.partition(values, n - k)[n - k])
+                old.append(values[x])
+                values[x] = min(0.0, np.round(values[x] + rng.uniform(0.0, 0.03), 3))
+                new.append(values[x])
+            before = tracker.rise_many(items, np.array(old), np.array(new))
+            np.testing.assert_array_equal(before, expected)
+    assert tracker.threshold == np.partition(values, n - k)[n - k] != start
+    assert any(args[1] <= n // 64 for args, _ in spy.call_args_list)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]), max_size=60
+    )
+)
+def test_leading_is_the_head_of_the_stable_order(keys):
+    keys = np.array(keys, dtype=np.float64)
+    expected = np.argsort(keys, kind="stable")
+    for size in range(keys.size + 1):
+        np.testing.assert_array_equal(_leading(keys, size), expected[:size])
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from topkcert.core import (
     Instance,
     IntervalState,
+    _stable_argsort,
     ambiguous_band,
     ambiguous_set,
     coverage_event_holds,
@@ -47,6 +48,47 @@ class TestKthLargest:
             kth_largest([0.5], 0)
         with pytest.raises(ValueError):
             kth_largest([], 1)
+
+
+# a small grid, so that keys tie, with both zeros, both infinities and NaN
+_FLOAT_KEYS = st.sampled_from([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+
+
+class TestStableArgsort:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_FLOAT_KEYS, max_size=300))
+    def test_float_keys_match_the_stable_sort(self, keys):
+        keys = np.array(keys, dtype=np.float64)
+        order = _stable_argsort(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == expected.dtype
+        np.testing.assert_array_equal(order, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(-3, 3), max_size=300),
+        st.sampled_from([1, 1 << 20, 1 << 61]),
+    )
+    def test_int_keys_match_the_stable_sort(self, keys, scale):
+        # the largest scale overflows the tie-free key and takes the stable sort
+        keys = np.array(keys, dtype=np.int64) * scale
+        order = _stable_argsort(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == expected.dtype
+        np.testing.assert_array_equal(order, expected)
+
+    def test_int64_extremes(self):
+        info = np.iinfo(np.int64)
+        keys = np.array([info.max, info.min, 0, info.max, info.min])
+        np.testing.assert_array_equal(_stable_argsort(keys), [1, 4, 2, 0, 3])
+
+    def test_other_dtypes_match_the_stable_sort(self):
+        rng = np.random.default_rng(4)
+        for dtype in (np.int8, np.uint8, np.uint64, np.float32, np.bool_):
+            keys = rng.integers(0, 3, 200).astype(dtype)
+            np.testing.assert_array_equal(
+                _stable_argsort(keys), np.argsort(keys, kind="stable")
+            )
 
 
 class TestTrueTopK:
