@@ -50,8 +50,11 @@ from .validation import check_int, check_k
 class CertificationReport:
     """Outcome of one certification run.
 
-    ``weak_state`` is the frozen weak-phase interval state (before any strong
+    ``weak_state`` is the weak-phase interval state (before any strong
     reveal); harness code uses it for coverage and near-tie diagnostics.
+    Like every state it is read-only: an ``initial_state`` run reports the
+    caller's own state, and the certifiers screening one block of pulls
+    report the same state.
     """
 
     selected: tuple[int, ...]
@@ -86,7 +89,7 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     O(log n).
 
     The loop reads and writes the bounds as Python floats in lists; each
-    reveal is applied to them as ``collapse_to`` would apply it.
+    reveal is applied to them as ``IntervalState.revealed`` applies it.
     """
     n = state.n
     trace: list[int] = []
@@ -124,9 +127,9 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
             return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)), trace, values
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
         value = strong.query(x)
-        # collapse_to(x, value): the comparisons of intersect_update with
-        # lower == upper == value, an empty intersection clamped to the
-        # nearer old bound
+        # the comparisons of IntervalState.revealed: [old_lo, old_hi]
+        # intersected with [value, value], an empty intersection clamped to
+        # the nearer old bound
         old_lo, old_hi = lower[x], upper[x]
         lo = old_lo if old_lo >= value else value
         hi = old_hi if old_hi <= value else value
@@ -160,7 +163,7 @@ class BaseCertifier:
     ``n_weak`` pulls per item unless an initial state is given), then the
     subclass's ``_strong_phase``, which reads the weak state and returns the
     selected set, the queried items and their values.  ``_run`` applies those
-    reveals to one copy of the weak state, which counts the conflicts.
+    reveals once, as ``weak_state.revealed``, which counts the conflicts.
     """
 
     def __init__(
@@ -217,9 +220,8 @@ class BaseCertifier:
         weak_state = self._weak_phase(weak, initial_state, n, k)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
         selected, trace, values = self._strong_phase(weak_state, k, strong)
-        work = weak_state.copy()
-        work.collapse_many(trace, values)
-        return self._report(k, selected, weak_state, work, trace, weak_pulls)
+        final = weak_state.revealed(trace, values)
+        return self._report(k, selected, weak_state, final, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
         if isinstance(self.ci_method, str):
@@ -228,7 +230,7 @@ class BaseCertifier:
 
     def _weak_phase(self, weak, initial_state, n: int, k: int) -> IntervalState:
         if initial_state is not None:
-            return initial_state.copy()
+            return initial_state
         budget = DeltaBudget.split(self.delta, n, self.delta_weak_fraction)
         return build_fixed_intervals(weak, self.n_weak, budget, self._method())
 
@@ -237,12 +239,12 @@ class BaseCertifier:
         k: int,
         selected,
         weak_state: IntervalState,
-        work: IntervalState,
+        final: IntervalState,
         trace,
         weak_pulls: int,
     ) -> CertificationReport:
         amb0 = ambiguous_set(weak_state, k) if k >= 1 else np.zeros(0, dtype=np.int64)
-        amb_final = ambiguous_set(work, k) if k >= 1 else np.zeros(0, dtype=np.int64)
+        amb_final = ambiguous_set(final, k) if k >= 1 else np.zeros(0, dtype=np.int64)
         eps = epsilon_max(weak_state)
         return CertificationReport(
             selected=tuple(int(x) for x in np.sort(np.asarray(selected, dtype=np.int64))),
@@ -253,7 +255,7 @@ class BaseCertifier:
             eps_max=eps,
             eps_max_ambiguous=epsilon_max(weak_state, amb0) if amb0.size else eps,
             trace=tuple(map(int, trace)),
-            interval_conflicts=int(work.conflicts),
+            interval_conflicts=int(final.conflicts),
             weak_state=weak_state,
         )
 
@@ -847,9 +849,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         m2 = variances * (w_min - 1)
         plan = _WeakPlan(weak, method, delta_x, k, w_min, w_max, lower, upper, means.copy(), m2)
         plan.run(budget - n * w_min)
-        state = IntervalState.read_only(lower, upper, plan.counts, plan.means)
-        state.conflicts = plan.conflicts
-        return state
+        return IntervalState.read_only(lower, upper, plan.counts, plan.means, plan.conflicts)
 
 
 def _by_estimate(state: IntervalState, k: int):

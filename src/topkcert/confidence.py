@@ -25,7 +25,7 @@ probability at least 1 - delta_weak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -216,25 +216,17 @@ class DeltaBudget:
         return self.delta_weak / self.n_items
 
 
-def build_fixed_intervals(
-    weak,
-    n_pulls: int,
-    budget: DeltaBudget,
-    method: CiMethod,
-    anytime: bool = False,
-) -> IntervalState:
+def build_fixed_intervals(weak, n_pulls: int, budget: DeltaBudget, method: CiMethod) -> IntervalState:
     """Pull every item n_pulls times and build jointly valid intervals.
 
     Intervals are [mean - r, mean + r] clipped to [0, 1] (clipping only
-    shrinks them, so validity is preserved).  With ``anytime=True`` the radii
-    come from the time-uniform schedule evaluated at n_pulls, which is how an
-    adaptive weak phase warm-starts.
+    shrinks them, so validity is preserved).  An anytime method's radii come
+    from its time-uniform schedule evaluated at n_pulls.
 
-    The screen is built once per block of pulls, method, per-item budget and
-    schedule (see ``WeakOracle.pull_all_screen``), so every certifier that
-    screens one oracle's block holds the same read-only arrays: the bounds,
-    the means the oracle computed and a broadcast pull count.
-    Each call returns a state of its own over them.
+    The screen is built once per block of pulls, method and per-item budget
+    (see ``WeakOracle.pull_all_screen``), and a state never changes, so every
+    certifier that screens one oracle's block gets the same state: the
+    bounds, the means the oracle computed and a broadcast pull count.
     """
     n_pulls = check_int(n_pulls, "n_pulls", minimum=method.min_count)
     if weak.n_items != budget.n_items:
@@ -243,13 +235,10 @@ def build_fixed_intervals(
     variance = n_pulls >= 2 and method.reads_variance
 
     def screen(means, variances) -> IntervalState:
-        radii = method.batch_radius(n_pulls, variances if variance else 0.0, budget.per_item, anytime)
+        radii = method.batch_radius(n_pulls, variances if variance else 0.0, budget.per_item)
         lower = np.clip(means - radii, 0.0, 1.0)
         upper = np.clip(means + radii, 0.0, 1.0)
         pulls = np.broadcast_to(np.int64(n_pulls), lower.shape)
         return IntervalState.read_only(lower, upper, pulls, means)
 
-    shared = weak.pull_all_screen(n_pulls, variance, (method, budget.per_item, anytime), screen)
-    state = replace(shared)
-    state.bands = shared.bands
-    return state
+    return weak.pull_all_screen(n_pulls, variance, (method, budget.per_item), screen)

@@ -2,7 +2,7 @@
 
 An :class:`Instance` is the hidden truth (item values and the target size k);
 an :class:`IntervalState` is everything an algorithm is allowed to see: one
-confidence interval per item and pull counts.  The module
+confidence interval per item and pull counts, as an immutable value.  The module
 also provides the near-tie mass and ambiguous-set computations that drive
 every strong-call bound, plus ground-truth diagnostics (coverage checks) that
 only test and harness code may call.
@@ -54,16 +54,16 @@ class Instance:
         return self.threshold - kth_largest(self.values, self.k + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntervalState:
-    """Per-item confidence intervals with pull counts.
+    """Per-item confidence intervals with pull counts; an immutable value.
 
-    Intervals only shrink over an algorithm's lifetime: updates go through
-    :meth:`intersect_update`, so lower bounds never decrease and upper bounds
-    never increase; an exact reveal makes lower == upper.  ``conflicts``
-    counts empty intersections, which can only occur when some interval
-    failed to cover its true value.  A state from :meth:`read_only`, such as
-    a uniform weak screen, cannot be updated; its :meth:`copy` can.
+    Every state's arrays are read-only, so states may share them: a reveal
+    returns a new state (see :meth:`revealed`), whose bounds only ever
+    shrink and whose pull counts and means are the old state's own.
+    ``conflicts`` counts reveals outside their interval, which can only
+    occur when some interval failed to cover its true value.  ``bands``
+    keeps each k's ambiguous set and u_k; see :func:`ambiguous_band`.
     """
 
     lower: np.ndarray
@@ -71,17 +71,21 @@ class IntervalState:
     pulls: np.ndarray
     means: Optional[np.ndarray] = None
     conflicts: int = 0
-    # k -> (ambiguous set, u_k) of a read-only state's bounds; see ambiguous_band
-    bands: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for array in (self.lower, self.upper, self.pulls, self.means):
+            if array is not None:
+                array.flags.writeable = False
 
     @classmethod
     def from_bounds(cls, lower, upper, pulls=None, means=None) -> "IntervalState":
         """A state holding copies of the bounds, pull counts (zeros when None)
-        and means."""
+        and means, checked as ``read_only`` checks its arrays."""
         lower = np.array(lower, dtype=np.float64)
         if pulls is None:
             pulls = np.zeros(lower.shape, dtype=np.int64)
-        return cls._checked(
+        return cls.read_only(
             lower,
             np.array(upper, dtype=np.float64),
             np.array(pulls, dtype=np.int64),
@@ -89,28 +93,14 @@ class IntervalState:
         )
 
     @classmethod
-    def read_only(cls, lower, upper, pulls, means) -> "IntervalState":
-        """A state of the given arrays themselves, checked as ``from_bounds``
-        checks its copies, and made read-only.
-
-        Nothing can change such a state's bounds, so a state that wraps the
-        same arrays may share its ambiguous sets in ``bands``; ``copy`` gives
-        a writable state.
-        """
-        state = cls._checked(
-            np.asarray(lower, dtype=np.float64),
-            np.asarray(upper, dtype=np.float64),
-            np.asarray(pulls, dtype=np.int64),
-            None if means is None else np.asarray(means, dtype=np.float64),
-        )
-        for array in (state.lower, state.upper, state.pulls, state.means):
-            if array is not None:
-                array.flags.writeable = False
-        state.bands = {}
-        return state
-
-    @classmethod
-    def _checked(cls, lower, upper, pulls, means) -> "IntervalState":
+    def read_only(cls, lower, upper, pulls, means, conflicts=0) -> "IntervalState":
+        """A state of the given arrays themselves, made read-only.  Bounds of
+        unequal shape, an empty interval, a NaN bound, and pulls or means of
+        another shape raise."""
+        lower = np.asarray(lower, dtype=np.float64)
+        upper = np.asarray(upper, dtype=np.float64)
+        pulls = np.asarray(pulls, dtype=np.int64)
+        means = None if means is None else np.asarray(means, dtype=np.float64)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         # false where an interval is empty, and where a bound is NaN, which
@@ -123,7 +113,7 @@ class IntervalState:
         for name, array in (("pulls", pulls), ("means", means)):
             if array is not None and array.shape != lower.shape:
                 raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
-        return cls(lower=lower, upper=upper, pulls=pulls, means=means)
+        return cls(lower, upper, pulls, means, conflicts)
 
     @classmethod
     def full_range(cls, n: int) -> "IntervalState":
@@ -144,61 +134,24 @@ class IntervalState:
             return self.means
         return 0.5 * (self.lower + self.upper)
 
-    def copy(self) -> "IntervalState":
-        """A writable state that no change to this one reaches.  Read-only
-        ``pulls`` and ``means`` are shared rather than copied: no state
-        writes them."""
-        return IntervalState(
-            lower=self.lower.copy(),
-            upper=self.upper.copy(),
-            pulls=_shared(self.pulls),
-            means=None if self.means is None else _shared(self.means),
-            conflicts=self.conflicts,
-        )
+    def revealed(self, items, values) -> "IntervalState":
+        """This state after the exact reveal of ``values[i]`` at ``items[i]``,
+        for distinct items.
 
-    def intersect_update(self, item: int, lower: float, upper: float) -> bool:
-        """Intersect item's interval with [lower, upper]; returns True on conflict.
-
-        An empty intersection is clamped to the boundary point nearest the new
-        interval and flagged rather than raised, so runs where coverage failed
-        still terminate (and get counted as incorrect).
-        """
-        if lower > upper:
-            raise ValueError(f"empty update interval [{lower}, {upper}]")
-        old_lo = self.lower[item]
-        old_hi = self.upper[item]
-        new_lo = old_lo if old_lo >= lower else lower
-        new_hi = old_hi if old_hi <= upper else upper
-        conflict = new_lo > new_hi
-        if conflict:
-            new_lo = new_hi = old_hi if lower > old_hi else old_lo
-        # false only when a bound is NaN; checked before anything is written
-        if not (old_lo <= new_lo <= new_hi <= old_hi):
-            raise ValueError(
-                f"non-monotone update of item {item}: [{old_lo}, {old_hi}] -> [{new_lo}, {new_hi}]"
-            )
-        if conflict:
-            self.conflicts += 1
-        self.lower[item] = new_lo
-        self.upper[item] = new_hi
-        return bool(conflict)
-
-    def collapse_to(self, item: int, value: float) -> bool:
-        """Record an exact reveal of item's value; returns True on conflict."""
-        return self.intersect_update(item, value, value)
-
-    def collapse_many(self, items, values) -> None:
-        """``collapse_to(items[i], values[i])`` for every i, vectorised.
-
-        Items must be distinct.  Bounds, conflict clamping and the
-        ``conflicts`` count come out bit for bit as from the sequential
-        calls; a NaN raises before anything is written.
+        A value inside its item's interval collapses the interval onto it; a
+        value outside collapses the interval onto the nearer bound and counts
+        a conflict.  A NaN value raises before any state is built.  The new
+        state shares this one's pull counts and means.
         """
         items = np.asarray(items, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        old_lo = self.lower[items]
-        old_hi = self.upper[items]
-        # the scalar comparisons of intersect_update with lower == upper == value
+        # the bounds are copied before the temporaries are built: at n = 1e6
+        # the other order reads a few MB more peak RSS
+        lower = self.lower.copy()
+        upper = self.upper.copy()
+        old_lo = lower[items]
+        old_hi = upper[items]
+        # the interval [old_lo, old_hi] intersected with [value, value]
         new_lo = np.where(old_lo >= values, old_lo, values)
         new_hi = np.where(old_hi <= values, old_hi, values)
         conflict = new_lo > new_hi
@@ -212,14 +165,10 @@ class IntervalState:
                 f"non-monotone update of item {items[at]}: [{old_lo[at]}, {old_hi[at]}] "
                 f"-> [{new_lo[at]}, {new_hi[at]}]"
             )
-        self.conflicts += int(np.count_nonzero(conflict))
-        self.lower[items] = new_lo
-        self.upper[items] = new_hi
-
-
-def _shared(array: np.ndarray) -> np.ndarray:
-    """`array` itself when read-only, else a copy."""
-    return array if not array.flags.writeable else array.copy()
+        lower[items] = new_lo
+        upper[items] = new_hi
+        conflicts = self.conflicts + int(np.count_nonzero(conflict))
+        return IntervalState(lower, upper, self.pulls, self.means, conflicts)
 
 
 # kth_largest cuts arrays at least this long, for k up to a 64th of their
@@ -363,20 +312,17 @@ def ambiguous_set(state: IntervalState, k: int) -> np.ndarray:
 def ambiguous_band(state: IntervalState, k: int) -> tuple[np.ndarray, float]:
     """``ambiguous_set(state, k)`` and U_(k), the k-th largest upper bound.
 
-    A read-only state (see :meth:`IntervalState.read_only`) keeps them per k
-    in ``bands``, which every state wrapping its arrays shares, and returns
-    the set read-only.
+    Nothing changes a state's bounds, so both are kept per k in
+    ``state.bands``, and the set is returned read-only.
     """
     k = check_k(k, state.n)
-    bands = state.bands
-    if bands is not None and k in bands:
-        return bands[k]
-    u_k = kth_largest(state.upper, k)
-    l_k = kth_largest(state.lower, k)
-    band = np.flatnonzero((state.lower <= u_k) & (state.upper >= l_k)), u_k
-    if bands is not None:
-        band[0].flags.writeable = False
-        bands[k] = band
+    band = state.bands.get(k)
+    if band is None:
+        u_k = kth_largest(state.upper, k)
+        l_k = kth_largest(state.lower, k)
+        amb = np.flatnonzero((state.lower <= u_k) & (state.upper >= l_k))
+        amb.flags.writeable = False
+        band = state.bands[k] = amb, u_k
     return band
 
 

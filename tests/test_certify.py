@@ -1,5 +1,6 @@
 """Tests for the five certifiers: exactness, cost identities, budget discipline."""
 
+import dataclasses
 import heapq
 from unittest import mock
 
@@ -43,6 +44,7 @@ from topkcert.core import (
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import StrongOracle, WeakOracle, snapshot_and_reset
 
+from test_core import _assert_read_only, _reveal_point
 from test_oracles import _RecordingPullAllOracle, _RecordingStrongOracle
 
 
@@ -56,11 +58,11 @@ def _random_instance(seed, n=40, k=8):
 
 
 def _final_state_from(report, instance):
-    """Reconstruct the final intervals from the frozen state plus the trace."""
-    state = report.weak_state.copy()
+    """The final bounds: the weak state's, with the trace's values revealed."""
+    lower, upper = report.weak_state.lower.copy(), report.weak_state.upper.copy()
     for x in report.trace:
-        state.collapse_to(x, float(instance.values[x]))
-    return state
+        _reveal_point(lower, upper, x, float(instance.values[x]))
+    return lower, upper
 
 
 class TestZeroNoise:
@@ -131,17 +133,18 @@ class TestScreenThenCertify:
                 assert report.selected == _truth(inst)
 
 
-def _reference_ace_loop(state, k, strong):
-    """The O(n)-per-call adaptive strong loop, recomputed from definitions.
+def _reference_ace_loop(lower, upper, k, strong):
+    """The O(n)-per-call adaptive strong loop, recomputed from definitions on
+    writable bounds; returns the selected items, the trace and the conflicts.
 
     Every call partitions the upper bounds for the tentative-in set and scans
     both sides for the critical pair.
     """
-    lower, upper = state.lower, state.upper
     n = lower.size
     trace = []
+    conflicts = 0
     if k == n:
-        return np.arange(n), trace
+        return np.arange(n), trace, conflicts
     for _ in range(n + 1):
         u_k = np.partition(upper, n - k)[n - k]
         mask = upper > u_k
@@ -151,28 +154,25 @@ def _reference_ace_loop(state, k, strong):
         i = int(np.argmin(np.where(mask, lower, np.inf)))
         j = int(np.argmax(np.where(mask, -np.inf, upper)))
         if lower[i] >= upper[j]:
-            return np.flatnonzero(mask), trace
+            return np.flatnonzero(mask), trace, conflicts
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
-        value = strong.query(x)
-        state.collapse_to(x, value)
+        conflicts += _reveal_point(lower, upper, x, strong.query(x))
         trace.append(x)
     raise AssertionError("adaptive certification did not terminate")
 
 
 def _assert_ace_loop_matches_reference(state, k, values):
     inst = Instance(values=values, k=k)
-    ref_state, new_state = state.copy(), state.copy()
-    ref_selected, ref_trace = _reference_ace_loop(ref_state, k, StrongOracle(inst))
-    selected, trace, revealed = _ace_loop(new_state, k, StrongOracle(inst))
-    new_state.collapse_many(trace, revealed)
+    lower, upper = state.lower.copy(), state.upper.copy()
+    ref_selected, ref_trace, ref_conflicts = _reference_ace_loop(lower, upper, k, StrongOracle(inst))
+    selected, trace, revealed = _ace_loop(state, k, StrongOracle(inst))
+    final = state.revealed(trace, revealed)
     assert trace == ref_trace
     np.testing.assert_array_equal(selected, ref_selected)
-    np.testing.assert_array_equal(new_state.lower, ref_state.lower)
-    np.testing.assert_array_equal(new_state.upper, ref_state.upper)
-    np.testing.assert_array_equal(
-        new_state.lower == new_state.upper, ref_state.lower == ref_state.upper
-    )
-    assert new_state.conflicts == ref_state.conflicts
+    np.testing.assert_array_equal(final.lower, lower)
+    np.testing.assert_array_equal(final.upper, upper)
+    np.testing.assert_array_equal(final.lower == final.upper, lower == upper)
+    assert final.conflicts == state.conflicts + ref_conflicts
 
 
 @st.composite
@@ -230,10 +230,10 @@ class TestAdaptiveCertify:
             inst = _random_instance(seed, n=80, k=15)
             weak, strong = WeakOracle(inst, sigma=0.08, seed=seed), StrongOracle(inst)
             report = ace(weak, strong, k=15)
-            final = _final_state_from(report, inst)
+            lower, upper = _final_state_from(report, inst)
             inside = np.asarray(report.selected)
             outside = np.setdiff1d(np.arange(inst.n), inside)
-            assert final.lower[inside].min() >= final.upper[outside].max()
+            assert lower[inside].min() >= upper[outside].max()
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_ace_loop_cases())
@@ -593,8 +593,12 @@ class TestAdaptiveCertifyWeak:
         weak = WeakOracle(inst, sigma=0.1, seed=6)
         rep_w = ace_w(weak, StrongOracle(inst), k=15, weak_budget=150 * 6, w_min=6)
         weak.reset()
-        state = build_fixed_intervals(
-            weak, 6, DeltaBudget.split(0.05, 150), SubGaussian(0.1), anytime=True
+        # the warm start: 6 pulls each, radii on the anytime schedule
+        means, _ = weak.pull_all_moments(6)
+        delta_x = DeltaBudget.split(0.05, 150).per_item
+        radii = SubGaussian(0.1).batch_radius(6, 0.0, delta_x, anytime=True)
+        state = IntervalState.from_bounds(
+            np.clip(means - radii, 0.0, 1.0), np.clip(means + radii, 0.0, 1.0)
         )
         rep_a = ace(None, StrongOracle(inst), k=15, initial_state=state)
         assert rep_w.trace == rep_a.trace
@@ -710,15 +714,14 @@ class TestThresholdCertify:
         upper = np.where(np.isnan(means), 1.0, means + 0.15)
         state = IntervalState.from_bounds(np.zeros(n), upper, means=means)
         inst = Instance(values=np.nan_to_num(means, nan=0.0), k=k)
-        work, reference_work = state.copy(), state.copy()
         selected, trace, revealed = ThresholdCertify(k)._strong_phase(state, k, StrongOracle(inst))
-        work.collapse_many(trace, revealed)
-        expected, expected_trace = _reference_ta_phase(reference_work, k, StrongOracle(inst))
+        final = state.revealed(trace, revealed)
+        expected, expected_trace, lower, upper = _reference_ta_phase(state, k, StrongOracle(inst))
         assert trace == expected_trace
         assert len(trace) > 2 * k
         np.testing.assert_array_equal(selected, expected)
-        assert work.lower.tobytes() == reference_work.lower.tobytes()
-        assert work.upper.tobytes() == reference_work.upper.tobytes()
+        assert final.lower.tobytes() == lower.tobytes()
+        assert final.upper.tobytes() == upper.tobytes()
 
     def test_stopping_rule_certificate(self):
         # at the stop, the k-th largest verified value dominates every
@@ -733,13 +736,14 @@ class TestThresholdCertify:
             assert kth_verified >= report.weak_state.upper[unverified].max()
 
 
-def _reference_ta_phase(work, k, strong):
-    """ThresholdCertify's strong phase as a full stable sort of the estimates."""
-    n = work.n
-    order = np.argsort(-work.point_estimates(), kind="stable")
+def _reference_ta_phase(state, k, strong):
+    """ThresholdCertify's strong phase as a full stable sort of the estimates;
+    returns the selected items, the trace and the bounds after its reveals."""
+    n = state.n
+    order = np.argsort(-state.point_estimates(), kind="stable")
     suffix_max = np.empty(n + 1)
     suffix_max[n] = -np.inf
-    suffix_max[:n] = np.maximum.accumulate(work.upper[order][::-1])[::-1]
+    suffix_max[:n] = np.maximum.accumulate(state.upper[order][::-1])[::-1]
     trace, values, top_heap = [], [], []
     for pos in range(n):
         x = int(order[pos])
@@ -751,10 +755,12 @@ def _reference_ta_phase(work, k, strong):
             heapq.heappop(top_heap)
         if len(top_heap) == k and top_heap[0] >= suffix_max[pos + 1]:
             break
+    lower, upper = state.lower.copy(), state.upper.copy()
+    for x, value in zip(trace, values):
+        _reveal_point(lower, upper, x, value)
     verified = np.asarray(trace, dtype=np.int64)
     vals = np.asarray(values, dtype=np.float64)
-    work.collapse_many(verified, vals)
-    return verified[np.lexsort((verified, -vals))[:k]], trace
+    return verified[np.lexsort((verified, -vals))[:k]], trace, lower, upper
 
 
 class TestBruteForce:
@@ -952,3 +958,24 @@ class TestTrivialReports:
         np.testing.assert_array_equal(state.lower == state.upper, np.zeros(15, dtype=bool))
         assert state.means is None and state.conflicts == 0
         assert weak.total_pulls == 0 and strong.calls == 0
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ta", "ace_w", "brute"])
+@pytest.mark.parametrize("k", [0, 8, 40])
+def test_no_report_holds_a_state_a_caller_can_change(name, k):
+    inst = _random_instance(12, n=40, k=8)
+    weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
+    _assert_read_only(ALGORITHMS[name](k).fit(weak, strong).report_.weak_state)
+
+
+def test_an_initial_state_run_reports_the_callers_unchanged_state():
+    inst, state = generate_packing_instance(PackingSpec(n=200, k=10, m=40), seed=1)
+    state = dataclasses.replace(state, conflicts=2)
+    before = [getattr(state, name).tobytes() for name in ("lower", "upper", "pulls")]
+    for name in ("stc", "ace", "ta"):
+        report = ALGORITHMS[name](10).fit(None, StrongOracle(inst), initial_state=state).report_
+        assert report.weak_state is state
+        assert report.strong_calls > 0 and report.interval_conflicts >= 2
+    _assert_read_only(state)
+    assert [getattr(state, name).tobytes() for name in ("lower", "upper", "pulls")] == before
+    assert state.conflicts == 2

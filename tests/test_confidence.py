@@ -1,5 +1,6 @@
 """Tests for interval constructions, budgets, and the weak-phase builder."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -166,6 +167,22 @@ class TestFixedRadii:
             expected = [method.radius(c, m / (c - 1) if c >= 2 else 0.0, 1e-4) for m in m2.tolist()]
             np.testing.assert_array_equal(radii, np.asarray(expected))
 
+    @pytest.mark.parametrize("method", [SubGaussian(0.1), EmpiricalBernstein(0.7)])
+    def test_anytime_batch_radius_of_a_fixed_method_matches_the_scalar_radius(self, method):
+        # the radii of ace_w's warm start: any method, on the anytime schedule
+        rng = np.random.default_rng(6)
+        variances = rng.random(50) * 0.1
+        for count in (1, 2, 6, 12, 600):
+            radii = method.batch_radius(count, variances, 1e-4, anytime=True)
+            m2 = variances * (count - 1)
+            expected = [
+                method.radius(count, m / (count - 1) if count >= 2 else 0.0, 1e-4, anytime=True)
+                for m in m2.tolist()
+            ]
+            np.testing.assert_array_equal(radii, np.asarray(expected))
+            if count >= method.min_count:
+                assert (radii > method.batch_radius(count, variances, 1e-4)).all()
+
     def test_anytime_bernstein_needs_a_pull(self):
         with pytest.raises(ValueError):
             AnytimeEmpiricalBernstein().batch_radius(0, np.zeros(1), 0.01)
@@ -219,19 +236,18 @@ class TestBuildFixedIntervals:
         assert peak < n * n_pulls * 8
 
     @pytest.mark.parametrize(
-        "method, anytime",
-        [(SubGaussian(0.3), False), (EmpiricalBernstein(1.0), False), (AnytimeEmpiricalBernstein(1.0), True)],
+        "method", [SubGaussian(0.3), EmpiricalBernstein(1.0), AnytimeEmpiricalBernstein(1.0)]
     )
-    def test_matches_the_observation_matrix(self, method, anytime):
+    def test_matches_the_observation_matrix(self, method):
         n, n_pulls = 300, 5
         inst = Instance(values=np.random.default_rng(8).random(n), k=10)
         weak = WeakOracle(inst, sigma=0.3, seed=8, clamp=True)
-        state = build_fixed_intervals(weak, n_pulls, DeltaBudget.split(0.05, n), method, anytime)
+        state = build_fixed_intervals(weak, n_pulls, DeltaBudget.split(0.05, n), method)
         weak.reset()
         obs = weak.pull_all(n_pulls)
         means = obs.mean(axis=1)
         variances = obs.var(axis=1, ddof=1) if method.reads_variance else 0.0
-        radii = method.batch_radius(n_pulls, variances, 0.05 / n, anytime)
+        radii = method.batch_radius(n_pulls, variances, 0.05 / n)
         assert state.means.tobytes() == means.tobytes()
         assert state.lower.tobytes() == np.clip(means - radii, 0.0, 1.0).tobytes()
         assert state.upper.tobytes() == np.clip(means + radii, 0.0, 1.0).tobytes()
@@ -289,7 +305,7 @@ class TestSharedScreen:
         first = build_fixed_intervals(weak, 12, budget, method)
         weak.reset()
         second = build_fixed_intervals(weak, 12, budget, SubGaussian(0.2))
-        assert first is not second and first.bands is second.bands
+        assert first is second
         for name in ("lower", "upper", "means", "pulls"):
             array = getattr(first, name)
             assert array is getattr(second, name)
@@ -297,42 +313,42 @@ class TestSharedScreen:
             with pytest.raises(ValueError):
                 array[0] = 0
         np.testing.assert_array_equal(first.pulls, np.full(400, 12))
-        # each call has a conflict count of its own
-        first.conflicts = 3
-        assert second.conflicts == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.conflicts = 3
         assert weak.total_pulls == 400 * 12
         assert not (first.lower == first.upper).any()
         weak.reset()
         assert first.means.tobytes() == weak.pull_all_moments(12)[0].tobytes()
 
-    def test_copy_is_writable_and_independent(self):
+    def test_a_revealed_screen_leaves_the_cached_screen_unchanged(self):
         weak = self._oracle()
-        screen = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 400), SubGaussian(0.2))
-        lower = screen.lower.copy()
-        work = screen.copy()
-        assert work.bands is None
-        work.collapse_to(0, float(work.lower[0]))
-        work.intersect_update(1, float(work.lower[1]), float(work.lower[1]))
-        assert work.lower.flags.writeable and work.lower[1] == work.upper[1]
-        assert screen.lower.tobytes() == lower.tobytes() and screen.lower[1] != screen.upper[1]
+        budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
+        screen = build_fixed_intervals(weak, 12, budget, method)
+        lower, upper = screen.lower.tobytes(), screen.upper.tobytes()
+        final = screen.revealed([0, 1], [float(screen.lower[0]), 1.5])
+        assert final.lower[0] == final.upper[0] and final.upper[1] == screen.upper[1]
+        assert final.conflicts == 1 and screen.conflicts == 0
         # the constant columns are shared, not copied
-        assert work.pulls is screen.pulls and work.means is screen.means
+        assert final.pulls is screen.pulls and final.means is screen.means
+        weak.reset()
+        assert build_fixed_intervals(weak, 12, budget, method) is screen
+        assert screen.lower.tobytes() == lower and screen.upper.tobytes() == upper
 
     @pytest.mark.parametrize(
-        "delta, method, anytime",
-        [(0.1, SubGaussian(0.2), False), (0.05, SubGaussian(0.3), False),
-         (0.05, EmpiricalBernstein(1.0), False), (0.05, SubGaussian(0.2), True)],
+        "delta, method",
+        [(0.1, SubGaussian(0.2)), (0.05, SubGaussian(0.3)), (0.05, EmpiricalBernstein(1.0)),
+         (0.05, AnytimeEmpiricalBernstein(1.0))],
     )
-    def test_another_delta_method_or_schedule_builds_a_new_screen(self, delta, method, anytime):
+    def test_another_delta_method_or_schedule_builds_a_new_screen(self, delta, method):
         weak = self._oracle()
         base = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 400), SubGaussian(0.2))
         weak.reset()
-        other = build_fixed_intervals(weak, 12, DeltaBudget.split(delta, 400), method, anytime)
+        other = build_fixed_intervals(weak, 12, DeltaBudget.split(delta, 400), method)
         assert other.lower is not base.lower
         assert other.lower.tobytes() != base.lower.tobytes()
         weak.reset()
         fresh = self._oracle()
-        alone = build_fixed_intervals(fresh, 12, DeltaBudget.split(delta, 400), method, anytime)
+        alone = build_fixed_intervals(fresh, 12, DeltaBudget.split(delta, 400), method)
         assert other.lower.tobytes() == alone.lower.tobytes()
         assert other.upper.tobytes() == alone.upper.tobytes()
 

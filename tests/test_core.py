@@ -243,50 +243,63 @@ class TestCoverageAndLemma:
             assert ambiguous_set(state, inst.k).size <= near_tie_mass(inst, 4 * epsilon_max(state))
 
 
+def _reveal_point(lower, upper, x, value):
+    """The exact reveal of `value` at item x, applied in place to writable
+    bounds: the interval meets [value, value], an empty meet clamps to the
+    nearer old bound.  The scalar reference for ``IntervalState.revealed``;
+    returns whether the reveal conflicts."""
+    old_lo, old_hi = lower[x], upper[x]
+    lo = old_lo if old_lo >= value else value
+    hi = old_hi if old_hi <= value else value
+    conflict = lo > hi
+    if conflict:
+        lo = hi = old_hi if value > old_hi else old_lo
+    if not (old_lo <= lo <= hi <= old_hi):
+        raise ValueError(f"non-monotone update of item {x}")
+    lower[x], upper[x] = lo, hi
+    return bool(conflict)
+
+
+def _assert_read_only(state):
+    for name in ("lower", "upper", "pulls", "means"):
+        array = getattr(state, name)
+        if array is not None:
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+    for name in ("lower", "conflicts", "bands"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, getattr(state, name))
+
+
 class TestIntervalState:
-    def test_intersect_shrinks(self):
-        state = _state([(0.2, 0.8)])
-        conflict = state.intersect_update(0, 0.4, 0.9)
-        assert not conflict
-        assert (state.lower[0], state.upper[0]) == (0.4, 0.8)
-
-    def test_intersect_idempotent(self):
-        state = _state([(0.2, 0.8)])
-        state.intersect_update(0, 0.2, 0.8)
-        assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
-        assert state.conflicts == 0
-
     def test_disjoint_clamps_and_flags(self):
         state = _state([(0.2, 0.4)])
-        conflict = state.intersect_update(0, 0.5, 0.6)
-        assert conflict
-        assert (state.lower[0], state.upper[0]) == (0.4, 0.4)
-        assert state.conflicts == 1
-        assert state.lower[0] == state.upper[0]
+        above = state.revealed([0], [0.6])
+        assert (above.lower[0], above.upper[0]) == (0.4, 0.4)
+        assert above.conflicts == 1
+        below = above.revealed([0], [0.1])
+        assert (below.lower[0], below.upper[0]) == (0.4, 0.4)
+        assert below.conflicts == 2
+        assert (state.lower[0], state.upper[0], state.conflicts) == (0.2, 0.4, 0)
 
     def test_monotone_under_random_updates(self):
         rng = np.random.default_rng(6)
-        state = _state([(0.0, 1.0)])
-        prev_lo, prev_hi = 0.0, 1.0
-        for _ in range(200):
-            a, b = np.sort(rng.random(2))
-            state.intersect_update(0, float(a), float(b))
-            lo, hi = state.lower[0], state.upper[0]
-            assert lo >= prev_lo and hi <= prev_hi and lo <= hi
-            prev_lo, prev_hi = lo, hi
+        state = _state(np.sort(rng.random((30, 2)), axis=1).tolist())
+        for _ in range(40):
+            items = rng.choice(30, size=int(rng.integers(0, 8)), replace=False)
+            new = state.revealed(items, rng.random(items.size))
+            assert (new.lower >= state.lower).all() and (new.upper <= state.upper).all()
+            assert (new.lower[items] == new.upper[items]).all()
+            assert new.conflicts >= state.conflicts
+            state = new
 
-    @pytest.mark.parametrize("lower, upper", [(float("nan"), 0.5), (0.3, float("nan"))])
-    def test_non_monotone_update_raises_and_leaves_state(self, lower, upper):
-        state = _state([(0.2, 0.8)])
-        with pytest.raises(ValueError, match="non-monotone"):
-            state.intersect_update(0, lower, upper)
-        assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
-        assert state.conflicts == 0 and state.lower[0] != state.upper[0]
-
-    def test_collapse_many_with_nan_raises_and_leaves_state(self):
+    def test_revealed_with_nan_raises_before_building_a_state(self, monkeypatch):
         state = _state([(0.2, 0.8), (0.1, 0.3), (0.4, 0.6)])
+        built = []
+        monkeypatch.setattr(IntervalState, "__post_init__", lambda self: built.append(self))
         with pytest.raises(ValueError, match="non-monotone"):
-            state.collapse_many([0, 2, 1], [0.5, float("nan"), 0.9])
+            state.revealed([0, 2, 1], [0.5, float("nan"), 0.9])
+        assert built == []
         assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
         assert (state.lower[1], state.upper[1]) == (0.1, 0.3)
         assert state.conflicts == 0 and not (state.lower == state.upper).any()
@@ -297,22 +310,15 @@ class TestIntervalState:
         state = IntervalState.read_only(lower, upper, pulls, means)
         assert state.lower is lower and state.means is means
         assert list(state.lower == state.upper) == [False, True, False, False]
-        for array in (state.lower, state.upper, state.means):
-            with pytest.raises(ValueError):
-                array[0] = 0.3
-        with pytest.raises(ValueError):
-            state.intersect_update(0, 0.2, 0.3)
-        twin = dataclasses.replace(state)
-        assert twin.bands is None
-        twin.bands = state.bands
+        _assert_read_only(state)
         band = ambiguous_band(state, 2)
-        assert ambiguous_band(twin, 2) is band
+        assert ambiguous_band(state, 2) is band and state.bands == {2: band}
         assert list(band[0]) == [1, 2] and band[1] == 0.6
         assert not band[0].flags.writeable
-        assert ambiguous_set(twin, 2) is band[0]
-        work = twin.copy()
-        work.collapse_to(2, 0.3)
-        assert list(ambiguous_set(work, 2)) == [1] and list(ambiguous_set(state, 2)) == [1, 2]
+        assert ambiguous_set(state, 2) is band[0]
+        final = state.revealed([2], [0.3])
+        assert final.bands == {}
+        assert list(ambiguous_set(final, 2)) == [1] and list(ambiguous_set(state, 2)) == [1, 2]
 
     def test_read_only_state_is_checked(self):
         with pytest.raises(ValueError, match="empty interval at item 1"):
@@ -320,14 +326,27 @@ class TestIntervalState:
         with pytest.raises(ValueError, match="means has shape"):
             IntervalState.read_only(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(3))
 
-    def test_copy_shares_read_only_columns_and_copies_writable_ones(self):
-        state = IntervalState.from_bounds([0.1, 0.2], [0.3, 0.4], pulls=[1, 2], means=[0.2, 0.3])
-        work = state.copy()
-        assert work.pulls is not state.pulls and work.means is not state.means
-        state.pulls.flags.writeable = state.means.flags.writeable = False
-        work = state.copy()
-        assert work.pulls is state.pulls and work.means is state.means
-        assert work.lower is not state.lower and work.lower.flags.writeable
+    def test_revealed_shares_pulls_and_means_and_copies_the_bounds(self):
+        lower = np.array([0.1, 0.2])
+        state = IntervalState.from_bounds(lower, [0.3, 0.4], pulls=[1, 2], means=[0.2, 0.3])
+        assert state.lower is not lower and lower.flags.writeable
+        final = state.revealed([1], [0.25])
+        assert final.pulls is state.pulls and final.means is state.means
+        assert final.lower is not state.lower and final.upper is not state.upper
+        assert list(state.lower) == [0.1, 0.2] and list(final.lower) == [0.1, 0.25]
+
+    def test_every_construction_leaves_read_only_arrays(self):
+        state = IntervalState.from_bounds([0.1, 0.2], [0.3, 0.4], means=[0.2, 0.3])
+        built = (
+            state,
+            IntervalState.full_range(3),
+            IntervalState.read_only(np.zeros(2), np.ones(2), np.zeros(2), None),
+            IntervalState(np.zeros(2), np.ones(2), np.zeros(2, dtype=np.int64)),
+            dataclasses.replace(state, conflicts=4),
+            state.revealed([0], [0.5]),
+        )
+        for each in built:
+            _assert_read_only(each)
 
     def test_from_bounds_rejects_inverted(self):
         with pytest.raises(ValueError):
@@ -340,21 +359,30 @@ _LEVELS = st.one_of(st.integers(0, 8).map(lambda i: i / 8), st.floats(0.0, 1.0),
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_collapse_many_matches_sequential_collapse_to(data):
+def test_revealed_matches_the_scalar_point_reveal_rule(data):
     n = data.draw(st.integers(1, 20))
     bounds = data.draw(st.lists(st.tuples(_LEVELS, _LEVELS), min_size=n, max_size=n))
     state = _state([(min(a, b), max(a, b)) for a, b in bounds])
-    state.conflicts = data.draw(st.integers(0, 3))
+    start = data.draw(st.integers(0, 3))
+    state = dataclasses.replace(state, conflicts=start)
+    k = data.draw(st.integers(1, n))
+    band = ambiguous_band(state, k)
     items = data.draw(st.lists(st.integers(0, n - 1), unique=True))
     values = data.draw(st.lists(_LEVELS, min_size=len(items), max_size=len(items)))
-    expected = state.copy()
+    before = [getattr(state, name).tobytes() for name in ("lower", "upper", "pulls")]
+    lower, upper = state.lower.copy(), state.upper.copy()
+    conflicts = start
     for x, value in zip(items, values):
-        expected.collapse_to(x, value)
-    state.collapse_many(np.array(items, dtype=np.int64), np.array(values, dtype=float))
-    for name in ("lower", "upper"):
-        assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
-    assert (state.lower == state.upper).tobytes() == (expected.lower == expected.upper).tobytes()
-    assert state.conflicts == expected.conflicts
+        conflicts += _reveal_point(lower, upper, x, value)
+    final = state.revealed(np.array(items, dtype=np.int64), np.array(values, dtype=float))
+    assert final.lower.tobytes() == lower.tobytes() and final.upper.tobytes() == upper.tobytes()
+    assert (final.lower == final.upper).tobytes() == (lower == upper).tobytes()
+    assert final.conflicts == conflicts
+    assert final.pulls is state.pulls and final.bands == {}
+    # the source state is untouched
+    assert [getattr(state, name).tobytes() for name in ("lower", "upper", "pulls")] == before
+    assert state.conflicts == start
+    assert list(state.bands) == [k] and state.bands[k] is band
 
 
 def _tied_arrays():

@@ -192,8 +192,10 @@ class TestVerifyInvariants:
         def run_with_a_moved_bound(*args, **kwargs):
             results = run_replicate(*args, **kwargs)
             ta = next(res for res in results if res.algorithm == "ta")
-            moved = ta.report.weak_state.copy()
-            moved.lower[0] = np.nextafter(moved.lower[0], -1.0)
+            state = ta.report.weak_state
+            lower = state.lower.copy()
+            lower[0] = np.nextafter(lower[0], -1.0)
+            moved = IntervalState.from_bounds(lower, state.upper, state.pulls, state.means)
             ta.report = dataclasses.replace(ta.report, weak_state=moved)
             return results
 
@@ -212,14 +214,14 @@ class TestSharedScreen:
         for state in (stc, ace_w):
             with pytest.raises(ValueError):
                 state.lower[0] = 0.5
-        # the strong phases revealed items in their own copies
+        # the strong phases' reveals built new states
         assert not (stc.lower == stc.upper).any()
         assert all(res.report.strong_calls for res in results)
 
     def test_peak_allocation_per_item_of_a_screened_replicate(self):
         # every n-sized array of doubles costs 8 bytes per item: the bound
-        # holds one shared screen and one work copy at a time, not a screen
-        # and a copy of it per certifier
+        # holds one shared screen and one revealed state at a time, not a
+        # screen and a revealed state per certifier
         n = 200_000
         cfg = {**BASE_DEFAULTS, "n": n, "k": 200}
         inst = generate_gap_instance(GapInstanceSpec(n=n, k=200, seed=0))
