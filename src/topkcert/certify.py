@@ -36,13 +36,17 @@ import numpy as np
 
 from .confidence import CiMethod, DeltaBudget, build_fixed_intervals, ci_method_from_config
 from .core import (
+    _SAMPLE,
+    _SAMPLE_FROM,
     IntervalState,
+    _guess_rank,
     _stable_argsort,
     ambiguous_band,
     ambiguous_set,
     epsilon_max,
     kth_largest,
 )
+from .oracles import StrongOracle
 from .validation import check_int, check_k
 
 
@@ -54,7 +58,9 @@ class CertificationReport:
     reveal); harness code uses it for coverage and near-tie diagnostics.
     Like every state it is read-only: an ``initial_state`` run reports the
     caller's own state, and the certifiers screening one block of pulls
-    report the same state.
+    report the same state.  ``trace`` holds the strong queries in order;
+    against a plain ``StrongOracle`` its ints are the very objects of the
+    oracle's trace.
     """
 
     selected: tuple[int, ...]
@@ -163,7 +169,9 @@ class BaseCertifier:
     ``n_weak`` pulls per item unless an initial state is given), then the
     subclass's ``_strong_phase``, which reads the weak state and returns the
     selected set, the queried items and their values.  ``_run`` applies those
-    reveals once, as ``weak_state.revealed``, which counts the conflicts.
+    reveals once, as ``weak_state.revealed``, which counts the conflicts.  A
+    caller's ``initial_state`` is checked as ``IntervalState.read_only``
+    checks its arrays before any oracle call.
     """
 
     def __init__(
@@ -208,6 +216,8 @@ class BaseCertifier:
         return f"{type(self).__name__}({args})"
 
     def _run(self, weak, strong, initial_state) -> CertificationReport:
+        if initial_state is not None:
+            initial_state.check()
         n = initial_state.n if initial_state is not None else weak.n_items
         if strong is not None and strong.n_items != n:
             raise ValueError("weak and strong oracles disagree on the number of items")
@@ -219,8 +229,18 @@ class BaseCertifier:
         pulls_before = 0 if weak is None else weak.total_pulls
         weak_state = self._weak_phase(weak, initial_state, n, k)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
-        selected, trace, values = self._strong_phase(weak_state, k, strong)
-        final = weak_state.revealed(trace, values)
+        # the plain StrongOracle traces each query as the int the report keeps
+        cls = type(strong)
+        traced = cls.query is StrongOracle.query and cls.query_many is StrongOracle.query_many
+        before = len(strong.trace) if traced else 0
+        selected, items, values = self._strong_phase(weak_state, k, strong)
+        final = weak_state.revealed(items, values)
+        if traced:
+            # the very ints the oracle holds, rather than a second set of them
+            # (stc queries 281k items at n = 1e6, about 9 MB of ints)
+            trace = tuple(strong.trace[before:])
+        else:
+            trace = tuple(np.asarray(items, dtype=np.int64).tolist())
         return self._report(k, selected, weak_state, final, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
@@ -240,21 +260,21 @@ class BaseCertifier:
         selected,
         weak_state: IntervalState,
         final: IntervalState,
-        trace,
+        trace: tuple[int, ...],
         weak_pulls: int,
     ) -> CertificationReport:
         amb0 = ambiguous_set(weak_state, k) if k >= 1 else np.zeros(0, dtype=np.int64)
         amb_final = ambiguous_set(final, k) if k >= 1 else np.zeros(0, dtype=np.int64)
         eps = epsilon_max(weak_state)
         return CertificationReport(
-            selected=tuple(int(x) for x in np.sort(np.asarray(selected, dtype=np.int64))),
+            selected=tuple(np.sort(np.asarray(selected, dtype=np.int64)).tolist()),
             strong_calls=len(trace),
             weak_pulls=int(weak_pulls),
             ambiguous_initial=int(amb0.size),
             ambiguous_final=int(amb_final.size),
             eps_max=eps,
             eps_max_ambiguous=epsilon_max(weak_state, amb0) if amb0.size else eps,
-            trace=tuple(map(int, trace)),
+            trace=trace,
             interval_conflicts=int(final.conflicts),
             weak_state=weak_state,
         )
@@ -265,22 +285,22 @@ class ScreenThenCertify(BaseCertifier):
 
     Weak intervals partition items into clear IN (lower bound above the k-th
     largest upper bound), clear OUT (upper bound below the k-th largest lower
-    bound) and the ambiguous rest, which is strong-queried in full, in one
-    ``query_many`` batch.  Strong calls therefore equal the ambiguous-set size
-    on every run.  The ambiguous set and the k-th largest upper bound are
-    those of the weak state, which a shared screen holds already.
+    bound) and the ambiguous rest, which is strong-queried in full: the
+    oracle gets the ambiguous set A0 as one array, in one ``query_many`` call.
+    Strong calls therefore equal the ambiguous-set size on every run.  The
+    ambiguous set and the k-th largest upper bound are those of the weak
+    state, which a shared screen holds already.
     """
 
     def _strong_phase(self, weak_state: IntervalState, k: int, strong):
         amb, u_k = ambiguous_band(weak_state, k)
         clear_in = np.flatnonzero(weak_state.lower > u_k)
-        trace = amb.tolist()
-        revealed = strong.query_many(trace)
+        revealed = strong.query_many(amb)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
         # amb is ascending, so the stable order breaks value ties by index
         chosen = amb[_leading(-revealed, need)]
-        return np.concatenate([clear_in, chosen]), trace, revealed
+        return np.concatenate([clear_in, chosen]), amb, revealed
 
 
 class AdaptiveCertify(BaseCertifier):
@@ -854,36 +874,72 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
 
 def _by_estimate(state: IntervalState, k: int):
     """Items by descending weak point estimate, equal estimates by ascending
-    index, each paired with the largest weak upper bound among the items after it.
+    index, each paired with the largest weak upper bound among the items
+    after it, as two arrays.
 
-    The order is selected a leading block at a time, the block doubling each
-    time the caller reads past it, so a caller that stops early never pays
-    for a full sort.
+    Yields the order's first 2k items, then, each time the caller asks for
+    more, its first twice as many, so a caller that stops early never pays
+    for a full sort.  Each head is cut from a pool that holds it (see
+    ``_head_pool``), sized for two more doublings, so that only every third
+    head passes over all n items.
     """
     n = state.n
     keys = -state.point_estimates()
-    done, size = 0, min(n, 2 * k)
-    while done < n:
-        order = _leading(keys, size)
-        upper = state.upper[order]
-        if size < n:
-            rest = np.ones(n, dtype=bool)
-            rest[order] = False
-            rest_upper = state.upper[rest].max()
-        else:
-            rest_upper = -np.inf
+    size = min(n, 2 * k)
+    # the order's first pool.size items, by ascending index, and the largest
+    # upper bound outside them
+    pool, beyond = np.zeros(0, dtype=np.int64), -np.inf
+    while True:
+        if pool.size < size:
+            pool, cut = _head_pool(keys, 4 * size)
+            if pool is None:
+                pool, beyond = np.arange(n), -np.inf
+            else:
+                # NaN keys come last, so they lie outside every pool
+                beyond = float(np.max(state.upper, where=~(keys <= cut), initial=-np.inf))
+        head = _leading(keys[pool], size)
+        order = pool[head]
+        pool_upper = state.upper[pool]
+        rest = np.ones(pool.size, dtype=bool)
+        rest[head] = False
+        rest_upper = max(beyond, float(np.max(pool_upper, where=rest, initial=-np.inf)))
+        upper = pool_upper[head]
         later = np.empty(size)
         later[-1] = rest_upper
         np.maximum(np.maximum.accumulate(upper[:0:-1])[::-1], rest_upper, out=later[:-1])
-        yield from zip(order[done:].tolist(), later[done:].tolist())
-        done, size = size, min(n, 2 * size)
+        yield order, later
+        if size == n:
+            return
+        size = min(n, 2 * size)
+
+
+def _head_pool(keys: np.ndarray, count: int):
+    """The indices, ascending, of the keys at or below a cut, and the cut:
+    the cut is guessed from a strided sample, as in ``kth_largest``, so that
+    at least `count` keys reach it but not many more.  The pool then holds
+    the first pool.size items of ``_stable_argsort(keys)``.  (None, None)
+    for a short array, a `count` that is not small against it, and a guess
+    that too few keys reach."""
+    n = keys.size
+    if n < _SAMPLE_FROM or count > n // 8:
+        return None, None
+    sample = np.sort(keys[:: n // _SAMPLE])
+    cut = sample[_guess_rank(n, sample.size, count) - 1]
+    # NaN sorts last, so the keys at or below a number are all ahead of
+    # every NaN
+    pool = np.flatnonzero(keys <= cut)
+    return (pool, cut) if pool.size >= count else (None, None)
 
 
 def _leading(keys: np.ndarray, size: int) -> np.ndarray:
     """``_stable_argsort(keys)[:size]``: the `size` smallest keys' indices,
     by key and then index.  A `size` short of the whole array takes the
-    indices at or below a partition's cut, and sorts only those."""
+    indices at or below a cut, and sorts only those; for a long array and a
+    small `size`, only the pool of ``_head_pool`` is partitioned."""
     if 0 < size < keys.size:
+        pool, _ = _head_pool(keys, size)
+        if pool is not None:
+            return pool[_leading(keys[pool], size)]
         cut = np.partition(keys, size - 1)[size - 1]
         # NaN sorts last and equals nothing; a NaN cut falls back to sorting
         if cut == cut:
@@ -901,26 +957,59 @@ class ThresholdCertify(BaseCertifier):
     are verified, stop as soon as the k-th largest verified value is at least
     the largest weak upper bound among unverified items; those can then never
     belong to the top-k.
+
+    The items are queried in blocks, each one ``query_many`` call, and the
+    rule is tested at each block's end; the trace and the calls are those of
+    the rule tested after every single query.  A block is as long as the
+    rule provably cannot fire inside it: with q values verified, the k-th
+    largest after s more is at most the (k - s)-th largest of the q (it is
+    unbounded for s >= k and undefined while q + s < k), and the bound that
+    the rule compares it with only falls along the order.  So the block runs
+    up to the first s at which that ceiling reaches the bound: k items first,
+    and at most k after that.  A NaN value ends the phase at the end of its
+    block, where the reveal of the NaN raises.
     """
 
     def _strong_phase(self, weak_state: IntervalState, k: int, strong):
-        trace: list[int] = []
-        values: list[float] = []
-        top_heap: list[float] = []
-        for x, later_upper in _by_estimate(weak_state, k):
-            value = strong.query(x)
-            trace.append(x)
-            values.append(value)
-            heapq.heappush(top_heap, value)
-            if len(top_heap) > k:
-                heapq.heappop(top_heap)
-            if len(top_heap) == k and top_heap[0] >= later_upper:
+        n = weak_state.n
+        heads = _by_estimate(weak_state, k)
+        order, later = next(heads)
+        item_parts: list[np.ndarray] = []
+        value_parts: list[np.ndarray] = []
+        # the k largest verified values, in descending order
+        top = np.zeros(0)
+        q = 0
+        while q < n:
+            # a block reaches at most k items past q, and q lies within the
+            # head, at least 2k long, so one doubling covers it
+            if order.size < min(n, q + k):
+                order, later = next(heads)
+            if q < k:
+                # the first block: the rule needs k values
+                s = k
+            else:
+                # the ceiling on the k-th largest after j more values is
+                # top[k - 1 - j] for j < k; the rule may fire at the first j
+                # where it reaches the bound after the j-th
+                ahead = later[q : q + k - 1]
+                reach = top[: k - 1][::-1][: ahead.size] >= ahead
+                s = int(np.argmax(reach)) + 1 if reach.any() else k
+            s = min(s, n - q)
+            items = order[q : q + s]
+            values = strong.query_many(items)
+            item_parts.append(items)
+            value_parts.append(values)
+            q += s
+            if np.isnan(values).any():
                 break
-        verified = np.asarray(trace, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
+            top = np.sort(np.concatenate([top, values]))[::-1][:k]
+            if q >= k and top[k - 1] >= later[q - 1]:
+                break
+        verified = np.concatenate(item_parts)
+        vals = np.concatenate(value_parts)
         # by (-value, item): the items are distinct, so put them in order first
         by_item = np.argsort(verified)
-        return verified[by_item][_leading(-vals[by_item], k)], trace, vals
+        return verified[by_item][_leading(-vals[by_item], k)], verified, vals
 
 
 class BruteForceCertify(BaseCertifier):
@@ -936,7 +1025,7 @@ class BruteForceCertify(BaseCertifier):
         values = strong.query_many(trace)
         state = IntervalState.from_bounds(values, values, means=values)
         selected = _leading(-values, k)
-        return self._report(k, selected, state, state, trace, 0)
+        return self._report(k, selected, state, state, tuple(trace), 0)
 
 
 ALGORITHMS: dict[str, type[BaseCertifier]] = {

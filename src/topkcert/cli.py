@@ -216,6 +216,9 @@ def _cmd_run(args) -> int:
         sys.stdout.write(json.dumps(row.as_dict()) + "\n")
     else:
         sys.stdout.write(rows_to_csv_text([row]))
+    # reveals outside their weak interval: some interval missed its value
+    if result.error is None and result.report.interval_conflicts:
+        print(f"interval conflicts: {result.report.interval_conflicts}", file=sys.stderr)
     return 0 if result.error is None else 1
 
 

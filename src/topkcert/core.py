@@ -101,19 +101,15 @@ class IntervalState:
         upper = np.asarray(upper, dtype=np.float64)
         pulls = np.asarray(pulls, dtype=np.int64)
         means = None if means is None else np.asarray(means, dtype=np.float64)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower and upper must be 1-D arrays of equal length")
-        # false where an interval is empty, and where a bound is NaN, which
-        # would drop the item out of every ambiguous-set comparison
-        valid = lower <= upper
-        if not valid.all():
-            bad = int(np.argmin(valid))
-            what = "NaN bound" if np.isnan([lower[bad], upper[bad]]).any() else "empty interval"
-            raise ValueError(f"{what} at item {bad}: [{lower[bad]}, {upper[bad]}]")
-        for name, array in (("pulls", pulls), ("means", means)):
-            if array is not None and array.shape != lower.shape:
-                raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
+        _check_arrays(lower, upper, pulls, means)
         return cls(lower, upper, pulls, means, conflicts)
+
+    def check(self) -> None:
+        """Raise ``ValueError`` where ``read_only`` would reject this state's
+        arrays.  The constructor itself checks nothing, so that ``revealed``
+        builds its states without a pass over the bounds; a certifier checks
+        a caller's ``initial_state`` here before any oracle call."""
+        _check_arrays(self.lower, self.upper, self.pulls, self.means)
 
     @classmethod
     def full_range(cls, n: int) -> "IntervalState":
@@ -127,6 +123,11 @@ class IntervalState:
 
     def radius(self) -> np.ndarray:
         return 0.5 * (self.upper - self.lower)
+
+    @cached_property
+    def _largest_radius(self) -> float:
+        """``epsilon_max(self)``; the bounds never change, so computed once."""
+        return float(self.radius().max())
 
     def point_estimates(self) -> np.ndarray:
         """Sample means when available, interval midpoints otherwise."""
@@ -171,9 +172,26 @@ class IntervalState:
         return IntervalState(lower, upper, self.pulls, self.means, conflicts)
 
 
+def _check_arrays(lower, upper, pulls, means) -> None:
+    """``read_only``'s rules: bounds of unequal shape, an empty interval, a
+    NaN bound, and pulls or means of another shape raise ``ValueError``."""
+    if lower.shape != upper.shape or lower.ndim != 1:
+        raise ValueError("lower and upper must be 1-D arrays of equal length")
+    # false where an interval is empty, and where a bound is NaN, which
+    # would drop the item out of every ambiguous-set comparison
+    valid = lower <= upper
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        what = "NaN bound" if np.isnan([lower[bad], upper[bad]]).any() else "empty interval"
+        raise ValueError(f"{what} at item {bad}: [{lower[bad]}, {upper[bad]}]")
+    for name, array in (("pulls", pulls), ("means", means)):
+        if array is not None and array.shape != lower.shape:
+            raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
+
+
 # kth_largest cuts arrays at least this long, for k up to a 64th of their
-# length, at a guess taken from a strided sample of _SAMPLE to 2 * _SAMPLE
-# entries
+# length (certify._head_pool for counts up to an 8th), at a guess taken from
+# a strided sample of _SAMPLE to 2 * _SAMPLE entries
 _SAMPLE_FROM = 1 << 14
 _SAMPLE = 1024
 
@@ -211,11 +229,7 @@ def _kth_largest_by_cut(arr: np.ndarray, k: int) -> float | None:
     n = arr.size
     sample = np.sort(arr[:: n // _SAMPLE])
     s = sample.size
-    # the guess sits about four standard deviations of the sample count
-    # below the answer
-    expect = k * s / n
-    rank = min(s, int(expect + 4.0 * math.sqrt(expect)) + 8)
-    guess = sample[s - rank]
+    guess = sample[s - _guess_rank(n, s, k)]
     # NaN counts as larger than every number, as in np.partition
     kept = arr[~(arr <= guess)]
     # the guess's ties would sit just below the kept entries
@@ -231,6 +245,15 @@ def _kth_largest_by_cut(arr: np.ndarray, k: int) -> float | None:
         if signs.any() and not signs.all():
             return None
     return value
+
+
+def _guess_rank(n: int, s: int, count: int) -> int:
+    """The rank, from the top of a sorted strided sample of `s` of `n`
+    entries, of a guess that `count` of the `n` entries very likely reach and
+    not many more do: about four standard deviations of the sample count
+    past `count`'s share of the sample."""
+    expect = count * s / n
+    return min(s, int(expect + 4.0 * math.sqrt(expect)) + 8)
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
@@ -327,14 +350,15 @@ def ambiguous_band(state: IntervalState, k: int) -> tuple[np.ndarray, float]:
 
 
 def epsilon_max(state: IntervalState, restrict_to=None) -> float:
-    """Largest confidence radius, optionally over a subset of items."""
-    radius = state.radius()
+    """Largest confidence radius, optionally over a subset of items; over
+    all items it is kept on the state, which every certifier screening one
+    block of pulls shares."""
     if restrict_to is None:
-        return float(radius.max())
+        return state._largest_radius
     idx = np.asarray(restrict_to, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("restrict_to must be non-empty")
-    return float(radius[idx].max())
+    return float((0.5 * (state.upper[idx] - state.lower[idx])).max())
 
 
 def coverage_event_holds(instance: Instance, state: IntervalState) -> bool:

@@ -10,6 +10,7 @@ strong-call comparisons exactly paired.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 import time
@@ -21,6 +22,8 @@ import numpy as np
 from .certify import ALGORITHMS, CertificationReport
 from .core import (
     Instance,
+    IntervalState,
+    _stable_argsort,
     ambiguous_set,
     coverage_event_holds,
     near_tie_mass,
@@ -403,16 +406,35 @@ def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
 _SCREENED = ("stc", "ace", "ta")
 
 
+def _ta_trace(state: IntervalState, values: np.ndarray, k: int) -> tuple[int, ...]:
+    """The trace of ta's stopping rule tested after every query: the shortest
+    prefix of the items by (-estimate, index) whose k-th largest value is at
+    least every weak upper bound after it, or every item."""
+    order = _stable_argsort(-state.point_estimates())
+    upper = state.upper[order]
+    after = np.append(np.maximum.accumulate(upper[:0:-1])[::-1], -np.inf).tolist()
+    order = order.tolist()
+    top: list[float] = []
+    for q, x in enumerate(order, 1):
+        heapq.heappush(top, float(values[x]))
+        if len(top) > k:
+            heapq.heappop(top)
+        if q >= k and top[0] >= after[q - 1]:
+            return tuple(order[:q])
+    return tuple(order)
+
+
 def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[str]:
     """Run the structural invariant battery over a seed range.
 
     Checks, per seed: one-shot strong calls equal the ambiguous-set size;
     adaptive strong calls never exceed one-shot calls and stay inside the
     initial ambiguous set; every uniform-screen certifier reports
-    bit-identical weak bounds; traces are duplicate-free; the adaptive weak phase
-    respects its budget and per-item cap; covered runs recover the exact
-    top-k and satisfy the ambiguity bound.  Returns human-readable problem
-    strings; empty means all invariants hold.
+    bit-identical weak bounds; traces are duplicate-free; ta's trace is the
+    shortest prefix of its order at which its stopping rule fires; the
+    adaptive weak phase respects its budget and per-item cap; covered runs
+    recover the exact top-k and satisfy the ambiguity bound.  Returns
+    human-readable problem strings; empty means all invariants hold.
     """
     full = _with_defaults(cfg)
     problems: list[str] = []
@@ -451,6 +473,11 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
         }
         if len(screens) > 1:
             problems.append(f"seed {seed}: uniform-screen certifiers report different weak bounds")
+        ta_res = by_name.get("ta")
+        if ta_res and ta_res.report is not None:
+            report = ta_res.report
+            if report.trace != _ta_trace(report.weak_state, instance.values, instance.k):
+                problems.append(f"seed {seed}: ta's trace is not where its stopping rule first fires")
         acew_res = by_name.get("ace_w")
         if acew_res and acew_res.report is not None and acew_res.stats is not None:
             budget = _weak_budget(full, instance.n)

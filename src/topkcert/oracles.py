@@ -360,12 +360,13 @@ class StrongOracle:
         At an item out of range, or at the cap, the items before it are
         counted and traced and then the same error as ``query``'s is raised.
         Items that are not integers (bools included) raise ``TypeError``
-        before anything is counted.  A subclass that overrides ``query`` has it called once per
-        item.
+        before anything is counted.  A subclass that overrides ``query`` has it
+        called once per item, with an array's items as ints.
         """
         array = _item_array(items)
         if type(self).query is not StrongOracle.query:
-            return np.array([self.query(x) for x in items], dtype=np.float64)
+            calls = items.tolist() if isinstance(items, np.ndarray) else items
+            return np.array([self.query(x) for x in calls], dtype=np.float64)
         if not array.size:
             return np.zeros(0)
         count, error = _served(array, self._n, "strong", self.cap, self.calls)

@@ -17,6 +17,7 @@ from topkcert.certify import (
     ScreenThenCertify,
     ThresholdCertify,
     _ace_loop,
+    _head_pool,
     _KthLargestOfRising,
     _leading,
     _WeakPlan,
@@ -42,7 +43,7 @@ from topkcert.core import (
     true_top_k,
 )
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
-from topkcert.oracles import StrongOracle, WeakOracle, snapshot_and_reset
+from topkcert.oracles import BudgetExceededError, StrongOracle, WeakOracle, snapshot_and_reset
 
 from test_core import _assert_read_only, _reveal_point
 from test_oracles import _RecordingPullAllOracle, _RecordingStrongOracle
@@ -406,6 +407,39 @@ def test_leading_is_the_head_of_the_stable_order(keys):
         np.testing.assert_array_equal(_leading(keys, size), expected[:size])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 1000, None]),
+    st.sampled_from([0.0, 0.01, 0.6]),
+    st.integers(1, 3000),
+)
+def test_head_pool_holds_the_head_of_the_stable_order(seed, levels, nan_share, count):
+    # long enough for the sampled cut: ties, NaN and both signs of zero
+    rng = np.random.default_rng(seed)
+    n = 20000 + int(rng.integers(0, 5000))
+    keys = rng.random(n) if levels is None else rng.integers(0, levels, n) * 1.0
+    keys[keys == 0.0] = rng.choice([-0.0, 0.0], int(np.count_nonzero(keys == 0.0)))
+    keys[rng.random(n) < nan_share] = np.nan
+    pool, cut = _head_pool(keys, count)
+    if levels is None and nan_share < 0.5 and count <= n // 8:
+        assert pool is not None
+    if pool is not None:
+        assert pool.size >= count and np.all(keys[pool] <= cut)
+        np.testing.assert_array_equal(pool, np.sort(np.argsort(keys, kind="stable")[: pool.size]))
+    np.testing.assert_array_equal(_leading(keys, count), np.argsort(keys, kind="stable")[:count])
+
+
+def test_head_pool_is_none_where_the_sample_misleads():
+    # the strided sample reads only zeros, which 1024 of 20480 keys hold
+    keys = np.ones(20480)
+    keys[::20] = 0.0
+    assert _head_pool(keys, 1024)[0].size == 1024
+    assert _head_pool(keys, 1025) == (None, None)
+    for size in (1000, 1024, 1025, 2560):
+        np.testing.assert_array_equal(_leading(keys, size), np.argsort(keys, kind="stable")[:size])
+
+
 @st.composite
 def _phase_one_cases(draw):
     n = draw(st.integers(2, 40))
@@ -717,7 +751,7 @@ class TestThresholdCertify:
         selected, trace, revealed = ThresholdCertify(k)._strong_phase(state, k, StrongOracle(inst))
         final = state.revealed(trace, revealed)
         expected, expected_trace, lower, upper = _reference_ta_phase(state, k, StrongOracle(inst))
-        assert trace == expected_trace
+        assert trace.tolist() == expected_trace
         assert len(trace) > 2 * k
         np.testing.assert_array_equal(selected, expected)
         assert final.lower.tobytes() == lower.tobytes()
@@ -761,6 +795,185 @@ def _reference_ta_phase(state, k, strong):
     verified = np.asarray(trace, dtype=np.int64)
     vals = np.asarray(values, dtype=np.float64)
     return verified[np.lexsort((verified, -vals))[:k]], trace, lower, upper
+
+
+@st.composite
+def _ta_cases(draw):
+    n = draw(st.integers(2, 150))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    # few levels tie values, estimates and bounds
+    levels = draw(st.sampled_from([4, 20, 10**6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, levels + 1, n) / levels
+    noise = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    means = np.round(np.clip(values + noise * rng.standard_normal(n), 0.0, 1.0) * levels) / levels
+    means[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = np.nan
+    bounds = draw(st.sampled_from(["uninformative", "around", "random"]))
+    if bounds == "uninformative":
+        # the rule fires only where k values reach 1.0
+        lower, upper = np.zeros(n), np.ones(n)
+    elif bounds == "around":
+        radius = draw(st.sampled_from([0.0, 0.02, 0.1]))
+        lower = np.where(np.isnan(means), 0.0, np.clip(means - radius, 0.0, 1.0))
+        upper = np.where(np.isnan(means), 1.0, np.clip(means + radius, 0.0, 1.0))
+    else:
+        lower, upper = np.sort(rng.integers(0, levels + 1, (2, n)) / levels, axis=0)
+    state = IntervalState.from_bounds(lower, upper, means=means)
+    cap = draw(st.one_of(st.none(), st.integers(0, n)))
+    return Instance(values=values, k=k), state, k, cap
+
+
+def _assert_ta_matches_reference(instance, state, k, cap):
+    """ThresholdCertify's phase against the rule tested after every query:
+    the same calls, trace, selected set and bounds, or the same budget error."""
+    outcomes = []
+    for phase in (ThresholdCertify(k)._strong_phase, _reference_ta_phase):
+        strong = StrongOracle(instance, cap=cap)
+        try:
+            result = phase(state, k, strong)
+        except BudgetExceededError as err:
+            result = str(err)
+        outcomes.append((result, strong.calls, strong.trace))
+    (got, calls, trace), (expected, ref_calls, ref_trace) = outcomes
+    assert calls == ref_calls and trace == ref_trace
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    selected, items, values = got
+    ref_selected, ref_items, lower, upper = expected
+    assert items.tolist() == ref_items == trace
+    assert selected.dtype == ref_selected.dtype and selected.tobytes() == ref_selected.tobytes()
+    final = state.revealed(items, values)
+    assert final.lower.tobytes() == lower.tobytes() and final.upper.tobytes() == upper.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ta_cases())
+def test_ta_blocks_match_the_rule_tested_after_every_query(case):
+    _assert_ta_matches_reference(*case)
+
+
+def _ta_screen():
+    """A gap instance (n = 300, k = 10) and its screen, on which ta queries
+    54 items in six blocks."""
+    inst = generate_gap_instance(GapInstanceSpec(n=300, k=10, seed=2))
+    state = build_fixed_intervals(
+        WeakOracle(inst, sigma=0.2, seed=2), 12, DeltaBudget.split(0.05, 300), SubGaussian(0.2)
+    )
+    return inst, state
+
+
+def test_ta_blocks_match_the_rule_at_every_strong_cap():
+    # every cap up to the uncapped calls falls inside or at the end of one
+    # of about six blocks
+    inst, state = _ta_screen()
+    n, k = inst.n, inst.k
+    calls = ta_certify(None, StrongOracle(inst), k=k, initial_state=state).strong_calls
+    assert 3 * k < calls < n
+    for cap in range(calls + 2):
+        _assert_ta_matches_reference(inst, state, k, cap)
+
+
+@pytest.mark.parametrize("k, wide", [(5, False), (300, False), (5, True), (300, True)])
+def test_ta_blocks_match_the_rule_on_a_long_order(k, wide):
+    # long enough for the order's sampled cuts, with the rule firing after
+    # 513 and 748 queries, within the heads cut from pools; estimates tie on
+    # a grid
+    n = 40000
+    rng = np.random.default_rng(k)
+    values = 0.8 * rng.random(n)
+    means = np.round(np.clip(values + 0.003 * rng.standard_normal(n), 0.0, 1.0), 3)
+    lower, upper = np.clip(means - 0.01, 0.0, 1.0), np.clip(means + 0.01, 0.0, 1.0)
+    if wide:
+        # three intervals halfway down the order reach 1.0, so the rule waits
+        # for them: the first heads' bounds come from outside their pools
+        at = np.argsort(-means, kind="stable")[[20000, 20001, 20002]]
+        lower[at], upper[at] = 0.0, 1.0
+    state = IntervalState.from_bounds(lower, upper, means=means)
+    _assert_ta_matches_reference(Instance(values=values, k=k), state, k, None)
+
+
+class _NanAtStrongOracle(StrongOracle):
+    """Answers NaN at one item."""
+
+    def __init__(self, instance, item):
+        super().__init__(instance)
+        self.item = item
+
+    def query(self, x):
+        value = super().query(x)
+        return float("nan") if x == self.item else value
+
+
+@pytest.mark.parametrize("position", [0, 9, 10, 14, 30, 53])
+def test_a_nan_strong_value_ends_ta_in_the_error_of_its_reveal(position):
+    # the first block is k = 10 items long, later ones shorter; the rule
+    # fires after 54 queries
+    inst, state = _ta_screen()
+    item = int(np.argsort(-state.point_estimates(), kind="stable")[position])
+    with pytest.raises(ValueError, match=rf"non-monotone update of item {item}$"):
+        _reference_ta_phase(state, 10, _NanAtStrongOracle(inst, item))
+    with pytest.raises(ValueError) as error:
+        state.revealed([item], [float("nan")])
+    strong = _NanAtStrongOracle(inst, item)
+    with pytest.raises(ValueError) as fit_error:
+        ta_certify(None, strong, k=10, initial_state=state)
+    assert str(fit_error.value) == str(error.value)
+    # the phase ends with the NaN's block, at most k items long
+    assert strong.trace[position] == item and position < strong.calls <= position + 10
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ta"])
+def test_the_report_trace_holds_the_strong_oracles_own_ints(name):
+    inst = generate_gap_instance(GapInstanceSpec(n=2000, k=20, seed=0))
+    strong = StrongOracle(inst)
+    report = ALGORITHMS[name](20).fit(WeakOracle(inst, sigma=0.1, seed=0), strong).report_
+    # ints above 256 are distinct objects in CPython
+    assert max(report.trace) > 256 and list(report.trace) == strong.trace
+    assert all(a is b for a, b in zip(report.trace, strong.trace))
+
+
+class _UntracedStrongOracle(StrongOracle):
+    """A query override that neither counts nor traces its queries."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.values = instance.values
+        self.seen = []
+
+    def query(self, x):
+        self.seen.append(x)
+        return float(self.values[x])
+
+
+@pytest.mark.parametrize("name", ["stc", "ta"])
+@pytest.mark.parametrize("oracle", [_RecordingStrongOracle, _UntracedStrongOracle])
+def test_an_overriding_query_gets_the_trace_of_its_queries(name, oracle):
+    inst = generate_gap_instance(GapInstanceSpec(n=2000, k=20, seed=1))
+    plain = ALGORITHMS[name](20).fit(WeakOracle(inst, sigma=0.1, seed=1), StrongOracle(inst))
+    strong = oracle(inst)
+    report = ALGORITHMS[name](20).fit(WeakOracle(inst, sigma=0.1, seed=1), strong).report_
+    assert report.trace == plain.report_.trace and report.selected == plain.report_.selected
+    assert report.strong_calls == len(report.trace) > 20
+    assert strong.seen == list(report.trace) and all(type(x) is int for x in strong.seen)
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ta"])
+@pytest.mark.parametrize(
+    "lower, upper, pulls, message",
+    [
+        ([0.5, np.nan, 0.1], [0.6, 0.9, 0.2], 3, "NaN bound at item 1"),
+        ([0.5, 0.3, 0.1], [0.4, 0.9, 0.2], 3, "empty interval at item 0"),
+        ([0.5, 0.3, 0.1], [0.6, 0.9, 0.2], 2, r"pulls has shape \(2,\), the bounds \(3,\)"),
+    ],
+)
+def test_an_unchecked_initial_state_is_rejected_before_any_call(name, lower, upper, pulls, message):
+    # the dataclass constructor checks nothing; fit checks what read_only does
+    state = IntervalState(np.array(lower), np.array(upper), np.zeros(pulls, dtype=np.int64))
+    strong = StrongOracle(Instance(values=np.array([0.5, 0.8, 0.1]), k=1))
+    with pytest.raises(ValueError, match=message):
+        ALGORITHMS[name](1).fit(None, strong, initial_state=state)
+    assert strong.calls == 0
 
 
 class TestBruteForce:

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from topkcert import cli
+from topkcert.certify import stc
 from topkcert.cli import main
 from topkcert.harness import COLUMNS
-from topkcert.instances import load_instance
+from topkcert.instances import GapInstanceSpec, generate_gap_instance, load_instance
+from topkcert.oracles import StrongOracle, WeakOracle
 
 
 def run_cli(args, capsys):
@@ -29,6 +31,26 @@ class TestRun:
         row = dict(zip(COLUMNS, next(csv.reader([lines[1]]))))
         assert row["algorithm"] == "ace"
         assert row["correct"] in ("true", "false")
+
+    def test_interval_conflicts_are_counted_on_stderr(self, capsys):
+        # intervals scaled for sigma 0.01 on draws of sigma 0.1 miss many values
+        args = ["run", "--algo", "stc", "--n", "300", "--k", "30", "--ci-sigma", "0.01"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == ",".join(COLUMNS) and len(lines) == 2
+        inst = generate_gap_instance(GapInstanceSpec(n=300, k=30, seed=0))
+        weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
+        conflicts = stc(weak, strong, k=30, ci_sigma=0.01).interval_conflicts
+        assert conflicts > 0
+        assert captured.err == f"interval conflicts: {conflicts}\n"
+
+    def test_a_run_without_conflicts_prints_nothing_on_stderr(self, capsys):
+        assert main(["run", "--algo", "stc", "--n", "300", "--k", "30"]) == 0
+        captured = capsys.readouterr()
+        row = dict(zip(COLUMNS, next(csv.reader([captured.out.splitlines()[1]]))))
+        assert row["coverage_held"] == "true"
+        assert captured.err == ""
 
     def test_jsonl_output(self, capsys):
         code, out = run_cli(

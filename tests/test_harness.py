@@ -203,6 +203,23 @@ class TestVerifyInvariants:
         problems = verify_invariants(range(1), {"n": 150, "k": 15})
         assert problems == ["seed 0: uniform-screen certifiers report different weak bounds"]
 
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_a_ta_trace_that_ends_past_or_short_of_its_stop_is_reported(self, monkeypatch, step):
+        def run_with_a_moved_stop(*args, **kwargs):
+            results = run_replicate(*args, **kwargs)
+            ta = next(res for res in results if res.algorithm == "ta")
+            report = ta.report
+            order = np.argsort(-report.weak_state.point_estimates(), kind="stable").tolist()
+            stop = len(report.trace)
+            assert report.trace == tuple(order[:stop]) and 15 < stop < 150
+            trace = tuple(order[: stop + step])
+            ta.report = dataclasses.replace(report, trace=trace, strong_calls=len(trace))
+            return results
+
+        monkeypatch.setattr(harness, "run_replicate", run_with_a_moved_stop)
+        problems = verify_invariants(range(1), {"n": 150, "k": 15})
+        assert problems == ["seed 0: ta's trace is not where its stopping rule first fires"]
+
 
 class TestSharedScreen:
     def test_screen_certifiers_of_a_replicate_share_one_read_only_screen(self, instance):
