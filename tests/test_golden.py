@@ -2,14 +2,17 @@
 
 The digests pin the CSV text of five small sweeps as the program produced it
 before the confidence radius, the certifier constructor and the config table
-were each folded into one definition.  Any change to an interval, a strong
-trace, a selected set or a metric changes a digest.
+were each folded into one definition, and of a sixth, whose intervals miss
+their values, as it was before reports counted their final ambiguous set and
+conflicts from the weak state and the reveals.  Any change to an interval, a
+strong trace, a selected set or a metric changes a digest.
 """
 
 import hashlib
 
 import pytest
 
+from topkcert import harness
 from topkcert.cli import build_parser, resolve_config
 from topkcert.harness import BASE_DEFAULTS, SweepSpec, rows_to_csv_text, run_sweep
 
@@ -50,6 +53,34 @@ def test_sweep_csv_matches_golden_digest(name):
     kwargs, digest = GOLDEN_SWEEPS[name]
     text = rows_to_csv_text(run_sweep(SweepSpec(**kwargs)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Intervals of ci.sigma 0.03 at oracle.sigma 0.1 miss their values: every
+# certifier but brute makes conflicting strong reveals, and ambiguous_final
+# falls below k, which no sweep above shows.  Each run's interval_conflicts,
+# in sweep order (per point, per seed, per algorithm), is not a CSV column.
+NARROW_SWEEP = dict(experiment="scaling_n", grid=[200, 400], replicates=3,
+                    base={"k": 20, "ci.sigma": 0.03}, algorithms=ALGOS + ("brute",))
+NARROW_DIGEST = "6b28cb6afb1b3a788abf1f016ed9883b505240ef7d551988c921fa58d75e6eda"
+NARROW_CONFLICTS = (
+    4, 2, 4, 3, 0, 7, 2, 5, 4, 0, 6, 3, 7, 6, 0,
+    9, 4, 1, 8, 0, 6, 3, 11, 5, 0, 7, 4, 4, 5, 0,
+)
+
+
+def test_sweep_with_conflicting_reveals_matches_golden(monkeypatch):
+    conflicts = []
+    run_replicate = harness.run_replicate
+
+    def recording(*args, **kwargs):
+        results = run_replicate(*args, **kwargs)
+        conflicts.extend(result.report.interval_conflicts for result in results)
+        return results
+
+    monkeypatch.setattr(harness, "run_replicate", recording)
+    text = rows_to_csv_text(run_sweep(SweepSpec(**NARROW_SWEEP)))
+    assert hashlib.sha256(text.encode()).hexdigest() == NARROW_DIGEST
+    assert tuple(conflicts) == NARROW_CONFLICTS
 
 
 # every config key: (raw text, the value it coerces to, whose type is checked)
