@@ -39,6 +39,7 @@ from .core import (
     _SAMPLE,
     _SAMPLE_FROM,
     IntervalState,
+    _check_state,
     _guess_rank,
     _stable_argsort,
     ambiguous_band,
@@ -94,8 +95,8 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     inward.  Set-up costs one O(n log n) sort; each strong call costs
     O(log n).
 
-    The loop reads and writes the bounds as Python floats in lists; each
-    reveal is applied to them as ``IntervalState.revealed`` applies it.
+    The loop reads and writes the bounds as Python floats in lists; a reveal
+    collapses an interval onto its value clipped to it, as in ``_report``.
     """
     n = state.n
     trace: list[int] = []
@@ -133,32 +134,50 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
             return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)), trace, values
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
         value = strong.query(x)
-        # the comparisons of IntervalState.revealed: [old_lo, old_hi]
-        # intersected with [value, value], an empty intersection clamped to
-        # the nearer old bound
-        old_lo, old_hi = lower[x], upper[x]
-        lo = old_lo if old_lo >= value else value
-        hi = old_hi if old_hi <= value else value
-        if lo > hi:
-            lo = hi = old_hi if value > old_hi else old_lo
-        if not (old_lo <= lo <= hi <= old_hi):
-            raise ValueError(
-                f"non-monotone update of item {x}: [{old_lo}, {old_hi}] -> [{lo}, {hi}]"
-            )
-        lower[x], upper[x] = lo, hi
+        lo, hi = lower[x], upper[x]
+        point = lo if value < lo else hi if value > hi else value
+        if point != point:
+            raise _nan_reveal(x, lo, hi)
+        lower[x] = upper[x] = point
         queried[x] = 1
         trace.append(x)
         values.append(value)
         if not inside[x]:
-            heappush(out_heap, (-hi, x))
-        elif (-hi, x) > (-upper[j], j):
+            heappush(out_heap, (-point, x))
+        elif (-point, x) > (-upper[j], j):
             inside[x] = 0
             inside[j] = 1
-            heappush(out_heap, (-hi, x))
+            heappush(out_heap, (-point, x))
             heappush(in_heap, (lower[j], j))
         else:
-            heappush(in_heap, (lo, x))
+            heappush(in_heap, (point, x))
     raise AssertionError("adaptive certification did not terminate")
+
+
+def _nan_reveal(x, lo, hi) -> ValueError:
+    """The error of a NaN strong value at item x of weak interval [lo, hi]."""
+    return ValueError(f"non-monotone update of item {x}: [{lo}, {hi}] -> [nan, nan]")
+
+
+def _ambiguous_after(weak_state: IntervalState, k: int, items, points) -> int:
+    """The ambiguous set's size once each of `items` collapsed onto its
+    point, its value clipped to its weak interval, for 1 <= k <= n.
+
+    Collapses only shrink intervals: clear-in items stay above U_(k) and
+    clear-out items below L_(k).  As fewer than k upper bounds exceed U_(k)
+    and at least k lower bounds reach L_(k), the final k-th largest bounds
+    are A0's (k - |clear-in|)-th, and A0's ambiguous set for them is final.
+    """
+    amb, _, clear_in = ambiguous_band(weak_state, k)
+    # 1 marks an item of A0, 2 a revealed one (faster than searching A0)
+    mark = np.zeros(weak_state.n, dtype=np.int8)
+    mark[amb] = 1
+    mark[items] += 2
+    kept, inside = amb[mark[amb] == 1], points[mark[items] == 3]
+    lower = np.concatenate([weak_state.lower[kept], inside])
+    upper = np.concatenate([weak_state.upper[kept], inside])
+    final = IntervalState(lower, upper, np.zeros(lower.size, dtype=np.int64))
+    return int(ambiguous_set(final, k - clear_in.size).size)
 
 
 class BaseCertifier:
@@ -168,10 +187,10 @@ class BaseCertifier:
     k == n without oracle access, run the weak phase (a uniform screen of
     ``n_weak`` pulls per item unless an initial state is given), then the
     subclass's ``_strong_phase``, which reads the weak state and returns the
-    selected set, the queried items and their values.  ``_run`` applies those
-    reveals once, as ``weak_state.revealed``, which counts the conflicts.  A
-    caller's ``initial_state`` is checked as ``IntervalState.read_only``
-    checks its arrays before any oracle call.
+    selected set, the queried items and their values; ``_report`` counts
+    from the weak state and those reveals.  A caller's ``initial_state`` is
+    checked as the ``IntervalState`` constructor checks its arrays, whose
+    flags a caller can make writable again, before any oracle call.
     """
 
     def __init__(
@@ -217,15 +236,16 @@ class BaseCertifier:
 
     def _run(self, weak, strong, initial_state) -> CertificationReport:
         if initial_state is not None:
-            initial_state.check()
+            _check_state(initial_state)
         n = initial_state.n if initial_state is not None else weak.n_items
         if strong is not None and strong.n_items != n:
             raise ValueError("weak and strong oracles disagree on the number of items")
         k = check_k(self.k, n, allow_zero=True)
         if k == 0 or k == n:
             # no oracle access: range(k) is every item or none
-            state = IntervalState.full_range(n)
-            return self._report(k, range(k), state, state, (), 0)
+            return self._report(k, range(k), IntervalState.full_range(n), (), (), (), 0)
+        if strong is None:
+            raise ValueError("certifying 0 < k < n needs a strong oracle, got None")
         pulls_before = 0 if weak is None else weak.total_pulls
         weak_state = self._weak_phase(weak, initial_state, n, k)
         weak_pulls = 0 if weak is None else weak.total_pulls - pulls_before
@@ -234,14 +254,13 @@ class BaseCertifier:
         traced = cls.query is StrongOracle.query and cls.query_many is StrongOracle.query_many
         before = len(strong.trace) if traced else 0
         selected, items, values = self._strong_phase(weak_state, k, strong)
-        final = weak_state.revealed(items, values)
         if traced:
             # the very ints the oracle holds, rather than a second set of them
             # (stc queries 281k items at n = 1e6, about 9 MB of ints)
             trace = tuple(strong.trace[before:])
         else:
             trace = tuple(np.asarray(items, dtype=np.int64).tolist())
-        return self._report(k, selected, weak_state, final, trace, weak_pulls)
+        return self._report(k, selected, weak_state, items, values, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
         if isinstance(self.ci_method, str):
@@ -255,27 +274,29 @@ class BaseCertifier:
         return build_fixed_intervals(weak, self.n_weak, budget, self._method())
 
     def _report(
-        self,
-        k: int,
-        selected,
-        weak_state: IntervalState,
-        final: IntervalState,
-        trace: tuple[int, ...],
-        weak_pulls: int,
+        self, k: int, selected, weak_state: IntervalState, items, values, trace, weak_pulls: int
     ) -> CertificationReport:
+        """The report of a run that revealed `values` at distinct `items`: each
+        clipped to its weak interval, a conflict where that moves it; NaN raises."""
+        items, values = np.asarray(items, dtype=np.int64), np.asarray(values, dtype=np.float64)
+        lower, upper = weak_state.lower[items], weak_state.upper[items]
+        points = np.clip(values, lower, upper)
+        nan = np.isnan(values)
+        if nan.any():
+            at = int(np.argmax(nan))
+            raise _nan_reveal(items[at], lower[at], upper[at])
         amb0 = ambiguous_set(weak_state, k) if k >= 1 else np.zeros(0, dtype=np.int64)
-        amb_final = ambiguous_set(final, k) if k >= 1 else np.zeros(0, dtype=np.int64)
         eps = epsilon_max(weak_state)
         return CertificationReport(
             selected=tuple(np.sort(np.asarray(selected, dtype=np.int64)).tolist()),
             strong_calls=len(trace),
             weak_pulls=int(weak_pulls),
             ambiguous_initial=int(amb0.size),
-            ambiguous_final=int(amb_final.size),
+            ambiguous_final=_ambiguous_after(weak_state, k, items, points) if k >= 1 else 0,
             eps_max=eps,
             eps_max_ambiguous=epsilon_max(weak_state, amb0) if amb0.size else eps,
             trace=trace,
-            interval_conflicts=int(final.conflicts),
+            interval_conflicts=weak_state.conflicts + int(np.count_nonzero(points != values)),
             weak_state=weak_state,
         )
 
@@ -293,8 +314,7 @@ class ScreenThenCertify(BaseCertifier):
     """
 
     def _strong_phase(self, weak_state: IntervalState, k: int, strong):
-        amb, u_k = ambiguous_band(weak_state, k)
-        clear_in = np.flatnonzero(weak_state.lower > u_k)
+        amb, _, clear_in = ambiguous_band(weak_state, k)
         revealed = strong.query_many(amb)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
@@ -869,7 +889,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         m2 = variances * (w_min - 1)
         plan = _WeakPlan(weak, method, delta_x, k, w_min, w_max, lower, upper, means.copy(), m2)
         plan.run(budget - n * w_min)
-        return IntervalState.read_only(lower, upper, plan.counts, plan.means, plan.conflicts)
+        return IntervalState(lower, upper, plan.counts, plan.means, plan.conflicts)
 
 
 def _by_estimate(state: IntervalState, k: int):
@@ -1019,13 +1039,15 @@ class BruteForceCertify(BaseCertifier):
         self.k = k
 
     def _run(self, weak, strong, initial_state) -> CertificationReport:
+        if strong is None:
+            raise ValueError("brute force certification needs a strong oracle, got None")
         n = strong.n_items
         k = check_k(self.k, n, allow_zero=True)
         trace = list(range(n))
         values = strong.query_many(trace)
         state = IntervalState.from_bounds(values, values, means=values)
         selected = _leading(-values, k)
-        return self._report(k, selected, state, state, tuple(trace), 0)
+        return self._report(k, selected, state, trace, values, tuple(trace), 0)
 
 
 ALGORITHMS: dict[str, type[BaseCertifier]] = {

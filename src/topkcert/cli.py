@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite over a seed range")
     _add_common(p_verify)
-    p_verify.add_argument("--seeds", default="0..20", help="range like 0..100 or a comma list")
+    p_verify.add_argument("--seeds", default="0..20", help="half-open range a..b, or a comma list")
     return parser
 
 

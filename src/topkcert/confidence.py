@@ -239,6 +239,6 @@ def build_fixed_intervals(weak, n_pulls: int, budget: DeltaBudget, method: CiMet
         lower = np.clip(means - radii, 0.0, 1.0)
         upper = np.clip(means + radii, 0.0, 1.0)
         pulls = np.broadcast_to(np.int64(n_pulls), lower.shape)
-        return IntervalState.read_only(lower, upper, pulls, means)
+        return IntervalState(lower, upper, pulls, means)
 
     return weak.pull_all_screen(n_pulls, variance, (method, budget.per_item), screen)

@@ -58,12 +58,12 @@ class Instance:
 class IntervalState:
     """Per-item confidence intervals with pull counts; an immutable value.
 
-    Every state's arrays are read-only, so states may share them: a reveal
-    returns a new state (see :meth:`revealed`), whose bounds only ever
-    shrink and whose pull counts and means are the old state's own.
-    ``conflicts`` counts reveals outside their interval, which can only
-    occur when some interval failed to cover its true value.  ``bands``
-    keeps each k's ambiguous set and u_k; see :func:`ambiguous_band`.
+    The constructor checks its arrays (see ``_check_state``) and makes them
+    read-only; arrays of float64 bounds and means and int64 pulls are kept
+    themselves, so states may share them, and ``from_bounds`` copies.
+    ``conflicts`` counts the weak phase's updates that missed their interval,
+    which can only occur when some interval failed to cover its true value.
+    ``bands`` keeps each k's ambiguous band; see :func:`ambiguous_band`.
     """
 
     lower: np.ndarray
@@ -74,42 +74,19 @@ class IntervalState:
     bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for array in (self.lower, self.upper, self.pulls, self.means):
-            if array is not None:
-                array.flags.writeable = False
+        arrays = {name: np.asarray(getattr(self, name), dtype=dtype)
+                  for name, dtype in _DTYPES.items() if getattr(self, name) is not None}
+        for name, array in arrays.items():
+            object.__setattr__(self, name, array)
+        _check_state(self)
+        for array in arrays.values():
+            array.flags.writeable = False
 
     @classmethod
     def from_bounds(cls, lower, upper, pulls=None, means=None) -> "IntervalState":
-        """A state holding copies of the bounds, pull counts (zeros when None)
-        and means, checked as ``read_only`` checks its arrays."""
-        lower = np.array(lower, dtype=np.float64)
-        if pulls is None:
-            pulls = np.zeros(lower.shape, dtype=np.int64)
-        return cls.read_only(
-            lower,
-            np.array(upper, dtype=np.float64),
-            np.array(pulls, dtype=np.int64),
-            None if means is None else np.array(means, dtype=np.float64),
-        )
-
-    @classmethod
-    def read_only(cls, lower, upper, pulls, means, conflicts=0) -> "IntervalState":
-        """A state of the given arrays themselves, made read-only.  Bounds of
-        unequal shape, an empty interval, a NaN bound, and pulls or means of
-        another shape raise."""
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        pulls = np.asarray(pulls, dtype=np.int64)
-        means = None if means is None else np.asarray(means, dtype=np.float64)
-        _check_arrays(lower, upper, pulls, means)
-        return cls(lower, upper, pulls, means, conflicts)
-
-    def check(self) -> None:
-        """Raise ``ValueError`` where ``read_only`` would reject this state's
-        arrays.  The constructor itself checks nothing, so that ``revealed``
-        builds its states without a pass over the bounds; a certifier checks
-        a caller's ``initial_state`` here before any oracle call."""
-        _check_arrays(self.lower, self.upper, self.pulls, self.means)
+        """A state of copies of the arrays; pull counts default to zeros."""
+        pulls = np.zeros(np.shape(lower), dtype=np.int64) if pulls is None else pulls
+        return cls(*(None if a is None else np.array(a) for a in (lower, upper, pulls, means)))
 
     @classmethod
     def full_range(cls, n: int) -> "IntervalState":
@@ -135,46 +112,14 @@ class IntervalState:
             return self.means
         return 0.5 * (self.lower + self.upper)
 
-    def revealed(self, items, values) -> "IntervalState":
-        """This state after the exact reveal of ``values[i]`` at ``items[i]``,
-        for distinct items.
 
-        A value inside its item's interval collapses the interval onto it; a
-        value outside collapses the interval onto the nearer bound and counts
-        a conflict.  A NaN value raises before any state is built.  The new
-        state shares this one's pull counts and means.
-        """
-        items = np.asarray(items, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        # the bounds are copied before the temporaries are built: at n = 1e6
-        # the other order reads a few MB more peak RSS
-        lower = self.lower.copy()
-        upper = self.upper.copy()
-        old_lo = lower[items]
-        old_hi = upper[items]
-        # the interval [old_lo, old_hi] intersected with [value, value]
-        new_lo = np.where(old_lo >= values, old_lo, values)
-        new_hi = np.where(old_hi <= values, old_hi, values)
-        conflict = new_lo > new_hi
-        clamped = np.where(values > old_hi, old_hi, old_lo)
-        new_lo = np.where(conflict, clamped, new_lo)
-        new_hi = np.where(conflict, clamped, new_hi)
-        bad = ~((old_lo <= new_lo) & (new_lo <= new_hi) & (new_hi <= old_hi))
-        if bad.any():
-            at = int(np.argmax(bad))
-            raise ValueError(
-                f"non-monotone update of item {items[at]}: [{old_lo[at]}, {old_hi[at]}] "
-                f"-> [{new_lo[at]}, {new_hi[at]}]"
-            )
-        lower[items] = new_lo
-        upper[items] = new_hi
-        conflicts = self.conflicts + int(np.count_nonzero(conflict))
-        return IntervalState(lower, upper, self.pulls, self.means, conflicts)
+_DTYPES = {"lower": np.float64, "upper": np.float64, "pulls": np.int64, "means": np.float64}
 
 
-def _check_arrays(lower, upper, pulls, means) -> None:
-    """``read_only``'s rules: bounds of unequal shape, an empty interval, a
+def _check_state(state: IntervalState) -> None:
+    """The constructor's rules: bounds of unequal shape, an empty interval, a
     NaN bound, and pulls or means of another shape raise ``ValueError``."""
+    lower, upper = state.lower, state.upper
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower and upper must be 1-D arrays of equal length")
     # false where an interval is empty, and where a bound is NaN, which
@@ -184,7 +129,8 @@ def _check_arrays(lower, upper, pulls, means) -> None:
         bad = int(np.argmin(valid))
         what = "NaN bound" if np.isnan([lower[bad], upper[bad]]).any() else "empty interval"
         raise ValueError(f"{what} at item {bad}: [{lower[bad]}, {upper[bad]}]")
-    for name, array in (("pulls", pulls), ("means", means)):
+    for name in ("pulls", "means"):
+        array = getattr(state, name)
         if array is not None and array.shape != lower.shape:
             raise ValueError(f"{name} has shape {array.shape}, the bounds {lower.shape}")
 
@@ -332,11 +278,12 @@ def ambiguous_set(state: IntervalState, k: int) -> np.ndarray:
     return ambiguous_band(state, k)[0]
 
 
-def ambiguous_band(state: IntervalState, k: int) -> tuple[np.ndarray, float]:
-    """``ambiguous_set(state, k)`` and U_(k), the k-th largest upper bound.
+def ambiguous_band(state: IntervalState, k: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """``ambiguous_set(state, k)``, U_(k), the k-th largest upper bound, and
+    the clear-in items, whose lower bound lies above U_(k); sorted indices.
 
-    Nothing changes a state's bounds, so both are kept per k in
-    ``state.bands``, and the set is returned read-only.
+    Nothing changes a state's bounds, so all three are kept per k in
+    ``state.bands``, and the arrays are returned read-only.
     """
     k = check_k(k, state.n)
     band = state.bands.get(k)
@@ -344,8 +291,9 @@ def ambiguous_band(state: IntervalState, k: int) -> tuple[np.ndarray, float]:
         u_k = kth_largest(state.upper, k)
         l_k = kth_largest(state.lower, k)
         amb = np.flatnonzero((state.lower <= u_k) & (state.upper >= l_k))
-        amb.flags.writeable = False
-        band = state.bands[k] = amb, u_k
+        clear_in = np.flatnonzero(state.lower > u_k)
+        amb.flags.writeable = clear_in.flags.writeable = False
+        band = state.bands[k] = amb, u_k, clear_in
     return band
 
 

@@ -45,7 +45,7 @@ from topkcert.core import (
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import BudgetExceededError, StrongOracle, WeakOracle, snapshot_and_reset
 
-from test_core import _assert_read_only, _reveal_point
+from test_core import _assert_read_only, _reference_counts, _report_counts, _reveal_point
 from test_oracles import _RecordingPullAllOracle, _RecordingStrongOracle
 
 
@@ -167,13 +167,11 @@ def _assert_ace_loop_matches_reference(state, k, values):
     lower, upper = state.lower.copy(), state.upper.copy()
     ref_selected, ref_trace, ref_conflicts = _reference_ace_loop(lower, upper, k, StrongOracle(inst))
     selected, trace, revealed = _ace_loop(state, k, StrongOracle(inst))
-    final = state.revealed(trace, revealed)
     assert trace == ref_trace
+    assert revealed == values[trace].tolist()
     np.testing.assert_array_equal(selected, ref_selected)
-    np.testing.assert_array_equal(final.lower, lower)
-    np.testing.assert_array_equal(final.upper, upper)
-    np.testing.assert_array_equal(final.lower == final.upper, lower == upper)
-    assert final.conflicts == state.conflicts + ref_conflicts
+    ambiguous = ambiguous_set(IntervalState.from_bounds(lower, upper), k).size
+    assert _report_counts(state, k, trace, revealed) == (ambiguous, state.conflicts + ref_conflicts)
 
 
 @st.composite
@@ -749,13 +747,11 @@ class TestThresholdCertify:
         state = IntervalState.from_bounds(np.zeros(n), upper, means=means)
         inst = Instance(values=np.nan_to_num(means, nan=0.0), k=k)
         selected, trace, revealed = ThresholdCertify(k)._strong_phase(state, k, StrongOracle(inst))
-        final = state.revealed(trace, revealed)
-        expected, expected_trace, lower, upper = _reference_ta_phase(state, k, StrongOracle(inst))
+        expected, expected_trace, counts = _reference_ta_phase(state, k, StrongOracle(inst))
         assert trace.tolist() == expected_trace
         assert len(trace) > 2 * k
         np.testing.assert_array_equal(selected, expected)
-        assert final.lower.tobytes() == lower.tobytes()
-        assert final.upper.tobytes() == upper.tobytes()
+        assert _report_counts(state, k, trace, revealed) == counts
 
     def test_stopping_rule_certificate(self):
         # at the stop, the k-th largest verified value dominates every
@@ -772,7 +768,8 @@ class TestThresholdCertify:
 
 def _reference_ta_phase(state, k, strong):
     """ThresholdCertify's strong phase as a full stable sort of the estimates;
-    returns the selected items, the trace and the bounds after its reveals."""
+    returns the selected items, the trace and the report's counts after its
+    reveals (see ``_reference_counts``)."""
     n = state.n
     order = np.argsort(-state.point_estimates(), kind="stable")
     suffix_max = np.empty(n + 1)
@@ -789,12 +786,10 @@ def _reference_ta_phase(state, k, strong):
             heapq.heappop(top_heap)
         if len(top_heap) == k and top_heap[0] >= suffix_max[pos + 1]:
             break
-    lower, upper = state.lower.copy(), state.upper.copy()
-    for x, value in zip(trace, values):
-        _reveal_point(lower, upper, x, value)
+    counts = _reference_counts(state, k, trace, values)
     verified = np.asarray(trace, dtype=np.int64)
     vals = np.asarray(values, dtype=np.float64)
-    return verified[np.lexsort((verified, -vals))[:k]], trace, lower, upper
+    return verified[np.lexsort((verified, -vals))[:k]], trace, counts
 
 
 @st.composite
@@ -825,7 +820,8 @@ def _ta_cases(draw):
 
 def _assert_ta_matches_reference(instance, state, k, cap):
     """ThresholdCertify's phase against the rule tested after every query:
-    the same calls, trace, selected set and bounds, or the same budget error."""
+    the same calls, trace, selected set and report counts, or the same budget
+    error."""
     outcomes = []
     for phase in (ThresholdCertify(k)._strong_phase, _reference_ta_phase):
         strong = StrongOracle(instance, cap=cap)
@@ -840,11 +836,11 @@ def _assert_ta_matches_reference(instance, state, k, cap):
         assert got == expected
         return
     selected, items, values = got
-    ref_selected, ref_items, lower, upper = expected
+    ref_selected, ref_items, counts = expected
     assert items.tolist() == ref_items == trace
     assert selected.dtype == ref_selected.dtype and selected.tobytes() == ref_selected.tobytes()
-    final = state.revealed(items, values)
-    assert final.lower.tobytes() == lower.tobytes() and final.upper.tobytes() == upper.tobytes()
+    assert values.tolist() == instance.values[items].tolist()
+    assert _report_counts(state, k, items, values) == counts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -913,12 +909,11 @@ def test_a_nan_strong_value_ends_ta_in_the_error_of_its_reveal(position):
     item = int(np.argsort(-state.point_estimates(), kind="stable")[position])
     with pytest.raises(ValueError, match=rf"non-monotone update of item {item}$"):
         _reference_ta_phase(state, 10, _NanAtStrongOracle(inst, item))
-    with pytest.raises(ValueError) as error:
-        state.revealed([item], [float("nan")])
     strong = _NanAtStrongOracle(inst, item)
     with pytest.raises(ValueError) as fit_error:
         ta_certify(None, strong, k=10, initial_state=state)
-    assert str(fit_error.value) == str(error.value)
+    interval = f"[{state.lower[item]}, {state.upper[item]}]"
+    assert str(fit_error.value) == f"non-monotone update of item {item}: {interval} -> [nan, nan]"
     # the phase ends with the NaN's block, at most k items long
     assert strong.trace[position] == item and position < strong.calls <= position + 10
 
@@ -958,22 +953,50 @@ def test_an_overriding_query_gets_the_trace_of_its_queries(name, oracle):
     assert strong.seen == list(report.trace) and all(type(x) is int for x in strong.seen)
 
 
+def _write(array, at, value):
+    """What a caller can do to a state's array: make it writable again."""
+    array.flags.writeable = True
+    array[at] = value
+
+
 @pytest.mark.parametrize("name", ["stc", "ace", "ta"])
 @pytest.mark.parametrize(
-    "lower, upper, pulls, message",
+    "change, message",
     [
-        ([0.5, np.nan, 0.1], [0.6, 0.9, 0.2], 3, "NaN bound at item 1"),
-        ([0.5, 0.3, 0.1], [0.4, 0.9, 0.2], 3, "empty interval at item 0"),
-        ([0.5, 0.3, 0.1], [0.6, 0.9, 0.2], 2, r"pulls has shape \(2,\), the bounds \(3,\)"),
+        (lambda state: _write(state.lower, 1, np.nan), "NaN bound at item 1"),
+        (lambda state: _write(state.upper, 0, 0.4), "empty interval at item 0"),
+        (
+            lambda state: object.__setattr__(state, "pulls", np.zeros(2, dtype=np.int64)),
+            r"pulls has shape \(2,\), the bounds \(3,\)",
+        ),
     ],
 )
-def test_an_unchecked_initial_state_is_rejected_before_any_call(name, lower, upper, pulls, message):
-    # the dataclass constructor checks nothing; fit checks what read_only does
-    state = IntervalState(np.array(lower), np.array(upper), np.zeros(pulls, dtype=np.int64))
+def test_an_initial_state_changed_after_construction_is_rejected_before_any_call(
+    name, change, message
+):
+    # fit checks a caller's state as the constructor checked it
+    state = IntervalState.from_bounds([0.5, 0.3, 0.1], [0.6, 0.9, 0.2], pulls=[3, 3, 3])
+    change(state)
     strong = StrongOracle(Instance(values=np.array([0.5, 0.8, 0.1]), k=1))
     with pytest.raises(ValueError, match=message):
         ALGORITHMS[name](1).fit(None, strong, initial_state=state)
     assert strong.calls == 0
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta", "brute"])
+def test_a_missing_strong_oracle_is_rejected_before_any_pull(name):
+    inst = _random_instance(16, n=200, k=20)
+    weak = WeakOracle(inst, sigma=0.1, seed=0)
+    with pytest.raises(ValueError, match="needs a strong oracle, got None"):
+        ALGORITHMS[name](20).fit(weak, None)
+    assert weak.total_pulls == 0
+    if name == "brute":
+        with pytest.raises(ValueError, match="needs a strong oracle, got None"):
+            brute_force_certify(None, 3)
+    else:
+        # k = 0 and k = n need no strong call
+        for k in (0, 200):
+            assert ALGORITHMS[name](k).fit(weak, None).selected_ == tuple(range(k))
 
 
 class TestBruteForce:

@@ -233,6 +233,8 @@ class TestVerify:
         code, out = run_cli(["verify", "--seeds", "0..3", "--n", "120", "--k", "12"], capsys)
         assert code == 0
         assert "OK" in out
+        # a..b is half-open: 0..3 runs seeds 0, 1 and 2
+        assert "verified 3 seeds" in out
 
 
 class TestConfigResolution:

@@ -16,8 +16,9 @@ from topkcert.confidence import (
     ci_method_from_config,
     epoch_delta,
 )
+from topkcert.certify import stc
 from topkcert.core import Instance, coverage_event_holds
-from topkcert.oracles import WeakOracle
+from topkcert.oracles import StrongOracle, WeakOracle
 from topkcert._hashing import gaussian_rows, item_keys
 
 
@@ -320,16 +321,17 @@ class TestSharedScreen:
         weak.reset()
         assert first.means.tobytes() == weak.pull_all_moments(12)[0].tobytes()
 
-    def test_a_revealed_screen_leaves_the_cached_screen_unchanged(self):
+    def test_a_fit_with_conflicting_reveals_leaves_the_cached_screen_unchanged(self):
         weak = self._oracle()
         budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
         screen = build_fixed_intervals(weak, 12, budget, method)
         lower, upper = screen.lower.tobytes(), screen.upper.tobytes()
-        final = screen.revealed([0, 1], [float(screen.lower[0]), 1.5])
-        assert final.lower[0] == final.upper[0] and final.upper[1] == screen.upper[1]
-        assert final.conflicts == 1 and screen.conflicts == 0
-        # the constant columns are shared, not copied
-        assert final.pulls is screen.pulls and final.means is screen.means
+        weak.reset()
+        # strong values far from the weak ones fall outside many intervals
+        flipped = Instance(values=1.0 - np.random.default_rng(3).random(400), k=10)
+        report = stc(weak, StrongOracle(flipped), k=10, ci_sigma=0.2)
+        assert report.weak_state is screen and report.interval_conflicts > 0
+        assert screen.conflicts == 0
         weak.reset()
         assert build_fixed_intervals(weak, 12, budget, method) is screen
         assert screen.lower.tobytes() == lower and screen.upper.tobytes() == upper

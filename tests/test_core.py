@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topkcert.certify import BaseCertifier
 from topkcert.core import (
     Instance,
     IntervalState,
@@ -246,8 +247,8 @@ class TestCoverageAndLemma:
 def _reveal_point(lower, upper, x, value):
     """The exact reveal of `value` at item x, applied in place to writable
     bounds: the interval meets [value, value], an empty meet clamps to the
-    nearer old bound.  The scalar reference for ``IntervalState.revealed``;
-    returns whether the reveal conflicts."""
+    nearer old bound.  The scalar reference for a report's counts; returns
+    whether the reveal conflicts."""
     old_lo, old_hi = lower[x], upper[x]
     lo = old_lo if old_lo >= value else value
     hi = old_hi if old_hi <= value else value
@@ -258,6 +259,24 @@ def _reveal_point(lower, upper, x, value):
         raise ValueError(f"non-monotone update of item {x}")
     lower[x], upper[x] = lo, hi
     return bool(conflict)
+
+
+def _reference_counts(state, k, items, values):
+    """``ambiguous_final`` and ``interval_conflicts`` from definitions: the
+    values revealed one by one with ``_reveal_point`` on copies of the bounds,
+    and the ambiguous set of the whole final state."""
+    lower, upper = state.lower.copy(), state.upper.copy()
+    conflicts = state.conflicts
+    for x, value in zip(items, values):
+        conflicts += _reveal_point(lower, upper, x, value)
+    return ambiguous_set(IntervalState.from_bounds(lower, upper), k).size, conflicts
+
+
+def _report_counts(state, k, items, values):
+    """``ambiguous_final`` and ``interval_conflicts`` of the report of a run
+    on `state` that revealed `values` at `items`."""
+    report = BaseCertifier(k)._report(k, (), state, items, values, (), 0)
+    return report.ambiguous_final, report.interval_conflicts
 
 
 def _assert_read_only(state):
@@ -272,78 +291,46 @@ def _assert_read_only(state):
 
 
 class TestIntervalState:
-    def test_disjoint_clamps_and_flags(self):
-        state = _state([(0.2, 0.4)])
-        above = state.revealed([0], [0.6])
-        assert (above.lower[0], above.upper[0]) == (0.4, 0.4)
-        assert above.conflicts == 1
-        below = above.revealed([0], [0.1])
-        assert (below.lower[0], below.upper[0]) == (0.4, 0.4)
-        assert below.conflicts == 2
-        assert (state.lower[0], state.upper[0], state.conflicts) == (0.2, 0.4, 0)
-
-    def test_monotone_under_random_updates(self):
-        rng = np.random.default_rng(6)
-        state = _state(np.sort(rng.random((30, 2)), axis=1).tolist())
-        for _ in range(40):
-            items = rng.choice(30, size=int(rng.integers(0, 8)), replace=False)
-            new = state.revealed(items, rng.random(items.size))
-            assert (new.lower >= state.lower).all() and (new.upper <= state.upper).all()
-            assert (new.lower[items] == new.upper[items]).all()
-            assert new.conflicts >= state.conflicts
-            state = new
-
-    def test_revealed_with_nan_raises_before_building_a_state(self, monkeypatch):
-        state = _state([(0.2, 0.8), (0.1, 0.3), (0.4, 0.6)])
-        built = []
-        monkeypatch.setattr(IntervalState, "__post_init__", lambda self: built.append(self))
-        with pytest.raises(ValueError, match="non-monotone"):
-            state.revealed([0, 2, 1], [0.5, float("nan"), 0.9])
-        assert built == []
-        assert (state.lower[0], state.upper[0]) == (0.2, 0.8)
-        assert (state.lower[1], state.upper[1]) == (0.1, 0.3)
-        assert state.conflicts == 0 and not (state.lower == state.upper).any()
-
-    def test_read_only_state_holds_its_arrays_and_shares_its_bands(self):
+    def test_state_holds_its_arrays_and_shares_its_bands(self):
         lower, upper = np.array([0.1, 0.5, 0.2, 0.7]), np.array([0.4, 0.5, 0.6, 0.9])
         pulls, means = np.broadcast_to(np.int64(3), 4), np.array([0.2, 0.5, 0.4, 0.8])
-        state = IntervalState.read_only(lower, upper, pulls, means)
+        state = IntervalState(lower, upper, pulls, means)
         assert state.lower is lower and state.means is means
         assert list(state.lower == state.upper) == [False, True, False, False]
         _assert_read_only(state)
         band = ambiguous_band(state, 2)
         assert ambiguous_band(state, 2) is band and state.bands == {2: band}
-        assert list(band[0]) == [1, 2] and band[1] == 0.6
-        assert not band[0].flags.writeable
+        assert list(band[0]) == [1, 2] and band[1] == 0.6 and list(band[2]) == [3]
+        assert not band[0].flags.writeable and not band[2].flags.writeable
         assert ambiguous_set(state, 2) is band[0]
-        final = state.revealed([2], [0.3])
-        assert final.bands == {}
-        assert list(ambiguous_set(final, 2)) == [1] and list(ambiguous_set(state, 2)) == [1, 2]
 
-    def test_read_only_state_is_checked(self):
+    def test_constructor_checks_its_arrays(self):
         with pytest.raises(ValueError, match="empty interval at item 1"):
-            IntervalState.read_only(np.array([0.1, 0.6]), np.array([0.2, 0.5]), np.zeros(2), None)
+            IntervalState(np.array([0.1, 0.6]), np.array([0.2, 0.5]), np.zeros(2))
         with pytest.raises(ValueError, match="means has shape"):
-            IntervalState.read_only(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(3))
+            IntervalState(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="NaN bound at item 0"):
+            IntervalState([np.nan, 0.1], [0.5, 0.2], [0, 0])
+        # a rejected state leaves the caller's arrays writable
+        lower = np.array([0.3, 0.1])
+        with pytest.raises(ValueError, match="empty interval at item 0"):
+            IntervalState(lower, np.array([0.2, 0.2]), np.zeros(2))
+        assert lower.flags.writeable
 
-    def test_revealed_shares_pulls_and_means_and_copies_the_bounds(self):
+    def test_from_bounds_copies_its_arrays(self):
         lower = np.array([0.1, 0.2])
         state = IntervalState.from_bounds(lower, [0.3, 0.4], pulls=[1, 2], means=[0.2, 0.3])
         assert state.lower is not lower and lower.flags.writeable
-        final = state.revealed([1], [0.25])
-        assert final.pulls is state.pulls and final.means is state.means
-        assert final.lower is not state.lower and final.upper is not state.upper
-        assert list(state.lower) == [0.1, 0.2] and list(final.lower) == [0.1, 0.25]
+        assert state.pulls.dtype == np.int64 and list(state.pulls) == [1, 2]
 
     def test_every_construction_leaves_read_only_arrays(self):
         state = IntervalState.from_bounds([0.1, 0.2], [0.3, 0.4], means=[0.2, 0.3])
         built = (
             state,
             IntervalState.full_range(3),
-            IntervalState.read_only(np.zeros(2), np.ones(2), np.zeros(2), None),
             IntervalState(np.zeros(2), np.ones(2), np.zeros(2, dtype=np.int64)),
+            IntervalState([0.0, 0.5], [1.0, 0.5], [1, 2], [0.3, 0.5]),
             dataclasses.replace(state, conflicts=4),
-            state.revealed([0], [0.5]),
         )
         for each in built:
             _assert_read_only(each)
@@ -357,9 +344,9 @@ class TestIntervalState:
 _LEVELS = st.one_of(st.integers(0, 8).map(lambda i: i / 8), st.floats(0.0, 1.0), st.just(-0.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_revealed_matches_the_scalar_point_reveal_rule(data):
+def test_report_counts_match_the_scalar_point_reveal_rule(data):
     n = data.draw(st.integers(1, 20))
     bounds = data.draw(st.lists(st.tuples(_LEVELS, _LEVELS), min_size=n, max_size=n))
     state = _state([(min(a, b), max(a, b)) for a, b in bounds])
@@ -367,22 +354,28 @@ def test_revealed_matches_the_scalar_point_reveal_rule(data):
     state = dataclasses.replace(state, conflicts=start)
     k = data.draw(st.integers(1, n))
     band = ambiguous_band(state, k)
+    # any distinct items: inside A0 and outside it, as ta reveals
     items = data.draw(st.lists(st.integers(0, n - 1), unique=True))
     values = data.draw(st.lists(_LEVELS, min_size=len(items), max_size=len(items)))
     before = [getattr(state, name).tobytes() for name in ("lower", "upper", "pulls")]
-    lower, upper = state.lower.copy(), state.upper.copy()
-    conflicts = start
-    for x, value in zip(items, values):
-        conflicts += _reveal_point(lower, upper, x, value)
-    final = state.revealed(np.array(items, dtype=np.int64), np.array(values, dtype=float))
-    assert final.lower.tobytes() == lower.tobytes() and final.upper.tobytes() == upper.tobytes()
-    assert (final.lower == final.upper).tobytes() == (lower == upper).tobytes()
-    assert final.conflicts == conflicts
-    assert final.pulls is state.pulls and final.bands == {}
-    # the source state is untouched
+    expected = _reference_counts(state, k, items, values)
+    assert _report_counts(state, k, np.array(items, dtype=np.int64), np.array(values)) == expected
+    assert _report_counts(state, k, items, values) == expected
+    # the weak state is untouched
     assert [getattr(state, name).tobytes() for name in ("lower", "upper", "pulls")] == before
     assert state.conflicts == start
     assert list(state.bands) == [k] and state.bands[k] is band
+
+
+def test_a_reveal_outside_its_interval_is_a_conflict_and_leaves_a_point():
+    state = _state([(0.2, 0.4), (0.5, 0.9), (0.1, 0.3)])
+    # 0.6 clips to 0.4 and 0.95 to 0.9: two conflicts, and item 0's point
+    # 0.4 lies below item 1's, so item 1 alone is ambiguous for k = 1
+    assert _report_counts(state, 1, [0, 1], [0.6, 0.95]) == (1, 2)
+    assert _report_counts(state, 1, [0, 1], [0.3, 0.7]) == (1, 0)
+    assert _report_counts(state, 2, [0, 2], [0.1, 0.3]) == (1, 1)
+    with pytest.raises(ValueError, match=r"^non-monotone update of item 2: \[0.1, 0.3\] -> \[nan, nan\]$"):
+        _report_counts(state, 1, [0, 2], [0.3, np.nan])
 
 
 def _tied_arrays():

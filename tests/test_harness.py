@@ -231,14 +231,14 @@ class TestSharedScreen:
         for state in (stc, ace_w):
             with pytest.raises(ValueError):
                 state.lower[0] = 0.5
-        # the strong phases' reveals built new states
+        # the strong phases' reveals left the screen as it was
         assert not (stc.lower == stc.upper).any()
         assert all(res.report.strong_calls for res in results)
 
     def test_peak_allocation_per_item_of_a_screened_replicate(self):
         # every n-sized array of doubles costs 8 bytes per item: the bound
-        # holds one shared screen and one revealed state at a time, not a
-        # screen and a revealed state per certifier
+        # holds one shared screen and the temporaries of one step at a time,
+        # not a screen per certifier
         n = 200_000
         cfg = {**BASE_DEFAULTS, "n": n, "k": 200}
         inst = generate_gap_instance(GapInstanceSpec(n=n, k=200, seed=0))
