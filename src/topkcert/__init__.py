@@ -22,7 +22,6 @@ from .certify import (
 )
 from .confidence import (
     AnytimeEmpiricalBernstein,
-    DeltaBudget,
     EmpiricalBernstein,
     SubGaussian,
     build_fixed_intervals,
@@ -57,7 +56,6 @@ __all__ = [
     "BruteForceCertify",
     "BudgetExceededError",
     "CertificationReport",
-    "DeltaBudget",
     "EmpiricalBernstein",
     "GapInstanceSpec",
     "Instance",

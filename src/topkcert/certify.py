@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .confidence import CiMethod, DeltaBudget, build_fixed_intervals, ci_method_from_config
+from .confidence import CiMethod, build_fixed_intervals, ci_method_from_config
 from .core import (
     _SAMPLE,
     _SAMPLE_FROM,
@@ -48,7 +48,7 @@ from .core import (
     kth_largest,
 )
 from .oracles import StrongOracle
-from .validation import check_int, check_k
+from .validation import check_int, check_k, check_probability
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class BaseCertifier:
         k: int,
         delta: float = 0.05,
         n_weak: int = 12,
-        ci_method: str | CiMethod = "subgaussian",
+        ci_method: str = "subgaussian",
         ci_sigma: float = 0.1,
         ci_range: float = 1.0,
         delta_weak_fraction: float = 1.0,
@@ -237,6 +237,8 @@ class BaseCertifier:
     def _run(self, weak, strong, initial_state) -> CertificationReport:
         if initial_state is not None:
             _check_state(initial_state)
+        elif weak is None:
+            raise ValueError("certifying needs a weak oracle or an initial_state, got None")
         n = initial_state.n if initial_state is not None else weak.n_items
         if strong is not None and strong.n_items != n:
             raise ValueError("weak and strong oracles disagree on the number of items")
@@ -263,15 +265,20 @@ class BaseCertifier:
         return self._report(k, selected, weak_state, items, values, trace, weak_pulls)
 
     def _method(self) -> CiMethod:
-        if isinstance(self.ci_method, str):
-            return ci_method_from_config(self.ci_method, self.ci_sigma, self.ci_range)
-        return self.ci_method
+        return ci_method_from_config(self.ci_method, self.ci_sigma, self.ci_range)
+
+    def _delta_x(self, n: int) -> float:
+        """The per-item failure probability: the strong oracle is exact, so
+        the weak share of delta is split evenly over the n items."""
+        delta = check_probability(self.delta, "delta")
+        if not 0.0 < self.delta_weak_fraction <= 1.0:
+            raise ValueError("delta_weak_fraction must lie in (0, 1]")
+        return delta * self.delta_weak_fraction / n
 
     def _weak_phase(self, weak, initial_state, n: int, k: int) -> IntervalState:
         if initial_state is not None:
             return initial_state
-        budget = DeltaBudget.split(self.delta, n, self.delta_weak_fraction)
-        return build_fixed_intervals(weak, self.n_weak, budget, self._method())
+        return build_fixed_intervals(weak, self.n_weak, self._delta_x(n), self._method())
 
     def _report(
         self, k: int, selected, weak_state: IntervalState, items, values, trace, weak_pulls: int
@@ -848,7 +855,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         weak_budget: int | None = None,
         w_min: int = 6,
         w_max: int | None = None,
-        ci_method: str | CiMethod = "subgaussian",
+        ci_method: str = "subgaussian",
         ci_sigma: float = 0.1,
         ci_range: float = 1.0,
         delta_weak_fraction: float = 1.0,
@@ -879,7 +886,7 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
 
     def _phase1(self, weak, n, k, w_min, w_max, budget) -> IntervalState:
         method = self._method()
-        delta_x = DeltaBudget.split(self.delta, n, self.delta_weak_fraction).per_item
+        delta_x = self._delta_x(n)
         means, variances = weak.pull_all_moments(w_min, w_min >= 2 and method.reads_variance)
         if variances is None:
             variances = np.zeros(n)

@@ -19,6 +19,7 @@ from .core import true_top_k
 from .harness import (
     BASE_DEFAULTS,
     CONFIG_KEYS,
+    DEFAULT_ALGORITHMS,
     EXPERIMENTS,
     _SWEPT_KEYS,
     SweepSpec,
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated swept values")
     p_sweep.add_argument("--replicates", type=int, default=10)
-    p_sweep.add_argument("--algorithms", default="stc,ace,ace_w,ta")
+    p_sweep.add_argument("--algorithms", default=",".join(DEFAULT_ALGORITHMS))
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_sweep.add_argument("--timing", action="store_true")

@@ -166,58 +166,17 @@ _METHOD_NAMES = {
 
 def ci_method_from_config(name: str, sigma: float = 0.1, support_range: float = 1.0) -> CiMethod:
     """Build a CI method from flat config values (``ci.method`` et al.)."""
-    try:
-        cls = _METHOD_NAMES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown ci method {name!r}; expected one of {sorted(_METHOD_NAMES)}"
-        ) from None
+    cls = _METHOD_NAMES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown ci method {name!r}; expected one of {sorted(_METHOD_NAMES)}")
     if cls is SubGaussian:
         return SubGaussian(sigma=sigma)
     return cls(support_range=support_range)
 
 
-@dataclass(frozen=True)
-class DeltaBudget:
-    """Failure-probability bookkeeping: delta = delta_weak + delta_strong.
-
-    The strong oracle is exact, so delta_strong is fixed to zero and the
-    whole budget goes to the weak phase unless a smaller fraction is chosen.
-    """
-
-    delta_total: float
-    delta_weak: float
-    delta_strong: float
-    n_items: int
-
-    def __post_init__(self):
-        check_probability(self.delta_total, "delta_total")
-        check_int(self.n_items, "n_items", minimum=1)
-        if self.delta_strong != 0.0:
-            raise ValueError("delta_strong must be 0 (exact strong oracle)")
-        if not 0.0 < self.delta_weak <= self.delta_total:
-            raise ValueError("delta_weak must lie in (0, delta_total]")
-
-    @classmethod
-    def split(cls, delta: float, n_items: int, weak_fraction: float = 1.0) -> "DeltaBudget":
-        delta = check_probability(delta, "delta")
-        if not 0.0 < weak_fraction <= 1.0:
-            raise ValueError("weak_fraction must lie in (0, 1]")
-        return cls(
-            delta_total=delta,
-            delta_weak=delta * weak_fraction,
-            delta_strong=0.0,
-            n_items=check_int(n_items, "n_items", minimum=1),
-        )
-
-    @property
-    def per_item(self) -> float:
-        """Uniform per-item failure probability delta_x = delta_weak / n."""
-        return self.delta_weak / self.n_items
-
-
-def build_fixed_intervals(weak, n_pulls: int, budget: DeltaBudget, method: CiMethod) -> IntervalState:
-    """Pull every item n_pulls times and build jointly valid intervals.
+def build_fixed_intervals(weak, n_pulls: int, delta_x: float, method: CiMethod) -> IntervalState:
+    """Pull every item n_pulls times and build intervals that each miss
+    their value with probability at most `delta_x`, in (0, 1).
 
     Intervals are [mean - r, mean + r] clipped to [0, 1] (clipping only
     shrinks them, so validity is preserved).  An anytime method's radii come
@@ -229,16 +188,15 @@ def build_fixed_intervals(weak, n_pulls: int, budget: DeltaBudget, method: CiMet
     bounds, the means the oracle computed and a broadcast pull count.
     """
     n_pulls = check_int(n_pulls, "n_pulls", minimum=method.min_count)
-    if weak.n_items != budget.n_items:
-        raise ValueError("budget sized for a different number of items")
+    delta_x = check_probability(delta_x, "delta_x")
     # sub-Gaussian radii never read the sample variance
     variance = n_pulls >= 2 and method.reads_variance
 
     def screen(means, variances) -> IntervalState:
-        radii = method.batch_radius(n_pulls, variances if variance else 0.0, budget.per_item)
+        radii = method.batch_radius(n_pulls, variances if variance else 0.0, delta_x)
         lower = np.clip(means - radii, 0.0, 1.0)
         upper = np.clip(means + radii, 0.0, 1.0)
         pulls = np.broadcast_to(np.int64(n_pulls), lower.shape)
         return IntervalState(lower, upper, pulls, means)
 
-    return weak.pull_all_screen(n_pulls, variance, (method, budget.per_item), screen)
+    return weak.pull_all_screen(n_pulls, variance, (method, delta_x), screen)

@@ -42,6 +42,8 @@ _SWEPT_KEYS = {
     "coverage": ("n", int),
 }
 EXPERIMENTS = tuple(_SWEPT_KEYS)
+# the certifiers a sweep and the invariant battery run unless told otherwise
+DEFAULT_ALGORITHMS = ("stc", "ace", "ace_w", "ta")
 
 # Every config key with its type and default.  BASE_DEFAULTS and the CLI's
 # coercion, TOPKCERT_* environment names and flags all derive from it.
@@ -245,7 +247,7 @@ class SweepSpec:
     grid: Sequence
     replicates: int = 10
     base: dict = field(default_factory=dict)
-    algorithms: Sequence[str] = ("stc", "ace", "ace_w", "ta")
+    algorithms: Sequence[str] = DEFAULT_ALGORITHMS
     base_seed: int = 0
     timing: bool = False
 
@@ -438,11 +440,10 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
     """
     full = _with_defaults(cfg)
     problems: list[str] = []
-    algorithms = ("stc", "ace", "ace_w", "ta")
     for seed in seeds:
         instance = gap_instance(full, seed)
         truth = tuple(int(x) for x in true_top_k(instance))
-        results = run_replicate(instance, seed, algorithms, full)
+        results = run_replicate(instance, seed, DEFAULT_ALGORITHMS, full)
         by_name = {res.algorithm: res for res in results}
         for res in results:
             if res.error is not None:

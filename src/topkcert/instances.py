@@ -1,7 +1,7 @@
 """Synthetic instance generators and instance-file I/O.
 
 The gap generator plants a clean top-k boundary: the k-th and (k+1)-th values
-sit at ``anchor +- gap/2``, optional near-ties crowd those two levels, and the
+sit at ``0.5 +- gap/2``, optional near-ties crowd those two levels, and the
 background mass fills the space well below the boundary -- a uniform bulk at
 the bottom plus a linearly thinning slope that approaches (but never enters)
 the boundary band.  The slope is what makes one-shot screening costs scale
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,69 +25,58 @@ from .core import Instance, IntervalState
 from .validation import check_int, check_k, check_positive, check_probability
 
 
+# The gap generator's fixed shape: the boundary levels sit at _ANCHOR +- gap/2,
+# the slope ends _TAIL_MARGIN below _ANCHOR - gap, the uniform bulk fills
+# _BULK_BAND and the clear top items lie below _TOP_HIGH.
+_ANCHOR = 0.5
+_TAIL_MARGIN = 0.02
+_BULK_BAND = (0.05, 0.12)
+_TOP_HIGH = 0.98
+
+
 @dataclass(frozen=True)
 class GapInstanceSpec:
     """Parameters of the gap-structured synthetic instance.
 
-    ``eta`` defaults to ``gap / 2`` and ``near_ties`` to ``2 * k``; near-tie
-    items split between the two boundary levels (at most ``k - 1`` on the top
-    side, the rest at the bottom).  ``tail_fraction`` of the background forms
-    the thinning slope on ``[bulk_band[1], anchor - 2 * eta]``; the rest is
-    uniform on ``bulk_band``.
+    ``near_ties`` defaults to ``2 * k``; near-tie items split between the two
+    boundary levels (at most ``k - 1`` on the top side, the rest at the
+    bottom).  ``tail_fraction`` of the background forms the thinning slope
+    between the bulk band and the near-tie band; the rest is uniform on the
+    bulk band.
     """
 
     n: int
     k: int
     gap: float = 0.05
-    anchor: float = 0.5
-    eta: Optional[float] = None
     near_ties: Optional[int] = None
     tail_fraction: float = 0.35
-    tail_margin: float = 0.02
-    bulk_band: tuple[float, float] = (0.05, 0.12)
-    top_high: float = 0.98
     seed: int = 0
-
-    def resolved_eta(self) -> float:
-        return 0.5 * self.gap if self.eta is None else float(self.eta)
-
-    def resolved_near_ties(self) -> int:
-        return 2 * self.k if self.near_ties is None else int(self.near_ties)
 
 
 def generate_gap_instance(spec: GapInstanceSpec) -> Instance:
     """Deterministically generate an instance with a guaranteed boundary gap.
 
-    Exactly k values exceed the anchor; the realized gap between the k-th and
-    (k+1)-th values equals ``spec.gap``.
+    Exactly k values exceed 0.5; the realized gap between the k-th and
+    (k+1)-th values equals ``spec.gap``, which must be at most 0.36 so that
+    the slope clears the bulk band.
     """
     n = check_int(spec.n, "n", minimum=2)
     k = check_int(spec.k, "k")
     if not 1 <= k <= n - 1:
         raise ValueError(f"a gap instance needs 1 <= k <= n - 1 = {n - 1}, got k={k}")
     gap = check_positive(spec.gap, "gap")
-    anchor = check_probability(spec.anchor, "anchor")
-    eta = spec.resolved_eta()
-    near_ties = check_int(spec.resolved_near_ties(), "near_ties", minimum=0)
-    if eta < 0.5 * gap:
-        raise ValueError("eta must be at least gap / 2")
+    near_ties = 2 * k if spec.near_ties is None else spec.near_ties
+    near_ties = check_int(near_ties, "near_ties", minimum=0)
     if not 0.0 < spec.tail_fraction <= 1.0 and spec.tail_fraction != 0.0:
         raise ValueError("tail_fraction must lie in [0, 1]")
 
-    top_anchor = anchor + 0.5 * gap
-    bottom_anchor = anchor - 0.5 * gap
-    bulk_lo, bulk_hi = spec.bulk_band
-    slope_hi = anchor - 2.0 * eta - spec.tail_margin
-    if not 0.0 < bulk_lo < bulk_hi:
-        raise ValueError("bulk_band must satisfy 0 < low < high")
+    eta = 0.5 * gap
+    top_anchor, bottom_anchor = _ANCHOR + eta, _ANCHOR - eta
+    bulk_lo, bulk_hi = _BULK_BAND
+    slope_hi = _ANCHOR - 2.0 * eta - _TAIL_MARGIN
     if bulk_hi >= slope_hi:
-        raise ValueError(
-            f"bulk_band upper edge {bulk_hi} must sit below the slope limit {slope_hi:.4f}"
-        )
-    if not anchor + eta <= spec.top_high <= 1.0:
-        raise ValueError("top_high must lie in [anchor + eta, 1]")
-    if bottom_anchor <= 0.0 or top_anchor >= 1.0:
-        raise ValueError("gap band must fit inside (0, 1)")
+        limit = _ANCHOR - _TAIL_MARGIN - bulk_hi
+        raise ValueError(f"gap must be at most {limit:.4g}, got {gap}")
 
     tie_top = min(near_ties // 2, k - 1)
     tie_bottom = min(near_ties - tie_top, n - k - 1)
@@ -95,14 +84,12 @@ def generate_gap_instance(spec: GapInstanceSpec) -> Instance:
     background = n - k - 1 - tie_bottom
     n_slope = int(round(spec.tail_fraction * background))
     n_bulk = background - n_slope
-    if clear_top > 0 and anchor + eta >= spec.top_high:
-        raise ValueError("no room for clear top items: raise top_high or shrink eta")
 
     rng = np.random.default_rng(spec.seed)
     parts = [np.array([top_anchor]), np.array([bottom_anchor])]
-    parts.append(rng.uniform(top_anchor, anchor + eta, size=tie_top))
-    parts.append(rng.uniform(anchor + eta, spec.top_high, size=clear_top))
-    parts.append(rng.uniform(anchor - eta, bottom_anchor, size=tie_bottom))
+    parts.append(rng.uniform(top_anchor, _ANCHOR + eta, size=tie_top))
+    parts.append(rng.uniform(_ANCHOR + eta, _TOP_HIGH, size=clear_top))
+    parts.append(rng.uniform(_ANCHOR - eta, bottom_anchor, size=tie_bottom))
     # thinning slope: linear density, heaviest at the low edge, zero at slope_hi
     parts.append(slope_hi - (slope_hi - bulk_hi) * np.sqrt(rng.random(size=n_slope)))
     parts.append(rng.uniform(bulk_lo, bulk_hi, size=n_bulk))
@@ -143,26 +130,20 @@ class PackingSpec:
 
 
 def generate_packing_instance(
-    spec: PackingSpec, target: Optional[Sequence[int]] = None, seed: Optional[int] = None
+    spec: PackingSpec, seed: Optional[int] = None
 ) -> tuple[Instance, IntervalState]:
     """Build the packing instance and its prescribed interval state.
 
-    ``target`` picks which k packed items are the true top-k; when omitted it
-    is drawn from ``seed`` (or defaults to the first k packed items).  The
-    prescribed intervals cover the true values by construction and certify
-    every item outside the packed set as OUT.
+    The true top-k are k packed items drawn from ``seed``, or the first k
+    packed items when it is omitted.  The prescribed intervals cover the true
+    values by construction and certify every item outside the packed set as
+    OUT.
     """
     n, k, m = spec.n, spec.k, spec.m
-    if target is None:
-        if seed is None:
-            target = np.arange(k)
-        else:
-            target = np.sort(np.random.default_rng(seed).choice(m, size=k, replace=False))
-    target = np.asarray(sorted(int(x) for x in target), dtype=np.int64)
-    if target.size != k or np.unique(target).size != k:
-        raise ValueError(f"target must contain {k} distinct items")
-    if target.size and (target[0] < 0 or target[-1] >= m):
-        raise ValueError(f"target must be a subset of the packed set 0..{m - 1}")
+    if seed is None:
+        target = np.arange(k)
+    else:
+        target = np.random.default_rng(seed).choice(m, size=k, replace=False)
 
     values = np.full(n, spec.level - spec.separation)
     values[:m] = spec.level - 0.5 * spec.radius

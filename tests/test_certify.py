@@ -29,7 +29,6 @@ from topkcert.certify import (
 )
 from topkcert.confidence import (
     AnytimeEmpiricalBernstein,
-    DeltaBudget,
     SubGaussian,
     build_fixed_intervals,
 )
@@ -245,7 +244,7 @@ class TestAdaptiveCertify:
         for seed in range(4):
             inst = generate_gap_instance(GapInstanceSpec(n=500, k=k, seed=seed))
             weak = WeakOracle(inst, sigma=0.1, seed=seed)
-            state = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 500), SubGaussian(0.1))
+            state = build_fixed_intervals(weak, 12, 0.05 / 500, SubGaussian(0.1))
             _assert_ace_loop_matches_reference(state, k, inst.values)
 
     def test_separated_intervals_certify_for_free(self):
@@ -627,7 +626,7 @@ class TestAdaptiveCertifyWeak:
         weak.reset()
         # the warm start: 6 pulls each, radii on the anytime schedule
         means, _ = weak.pull_all_moments(6)
-        delta_x = DeltaBudget.split(0.05, 150).per_item
+        delta_x = 0.05 / 150
         radii = SubGaussian(0.1).batch_radius(6, 0.0, delta_x, anytime=True)
         state = IntervalState.from_bounds(
             np.clip(means - radii, 0.0, 1.0), np.clip(means + radii, 0.0, 1.0)
@@ -854,7 +853,7 @@ def _ta_screen():
     54 items in six blocks."""
     inst = generate_gap_instance(GapInstanceSpec(n=300, k=10, seed=2))
     state = build_fixed_intervals(
-        WeakOracle(inst, sigma=0.2, seed=2), 12, DeltaBudget.split(0.05, 300), SubGaussian(0.2)
+        WeakOracle(inst, sigma=0.2, seed=2), 12, 0.05 / 300, SubGaussian(0.2)
     )
     return inst, state
 
@@ -997,6 +996,25 @@ def test_a_missing_strong_oracle_is_rejected_before_any_pull(name):
         # k = 0 and k = n need no strong call
         for k in (0, 200):
             assert ALGORITHMS[name](k).fit(weak, None).selected_ == tuple(range(k))
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta"])
+def test_a_missing_weak_oracle_is_rejected_before_any_strong_call(name):
+    strong = StrongOracle(_random_instance(16, n=200, k=20))
+    for k in (0, 20):
+        with pytest.raises(ValueError, match="needs a weak oracle or an initial_state, got None"):
+            ALGORITHMS[name](k).fit(None, strong)
+    assert strong.calls == 0
+
+
+@pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta"])
+@pytest.mark.parametrize("method", [SubGaussian(0.1), None])
+def test_a_ci_method_that_is_not_a_name_is_rejected_before_any_pull(name, method):
+    inst = _random_instance(16, n=200, k=20)
+    weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
+    with pytest.raises(ValueError, match="unknown ci method"):
+        ALGORITHMS[name](20, ci_method=method).fit(weak, strong)
+    assert weak.total_pulls == 0 and strong.calls == 0
 
 
 class TestBruteForce:
@@ -1149,7 +1167,7 @@ def test_conflicts_are_the_reveals_outside_their_weak_interval(name):
     n, k = 300, 30
     inst = generate_gap_instance(GapInstanceSpec(n=n, k=k, seed=0))
     screen = build_fixed_intervals(
-        WeakOracle(inst, sigma=0.1, seed=0), 12, DeltaBudget.split(0.05, n), SubGaussian(0.01)
+        WeakOracle(inst, sigma=0.1, seed=0), 12, 0.05 / n, SubGaussian(0.01)
     )
     weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
     report = ALGORITHMS[name](k, ci_sigma=0.01).fit(weak, strong).report_

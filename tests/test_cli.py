@@ -79,7 +79,8 @@ class TestInstanceErrors:
         [
             (["run", "--algo", "stc", "--n", "50", "--k", "100"], "1 <= k <= n - 1 = 49"),
             (["run", "--algo", "stc", "--n", "50", "--k", "50"], "1 <= k <= n - 1 = 49"),
-            (["run", "--algo", "stc", "--n", "500", "--k", "10", "--gap", "0.9"], "bulk_band"),
+            (["run", "--algo", "stc", "--n", "500", "--k", "10", "--gap", "0.9"],
+             "gap must be at most 0.36, got 0.9"),
         ],
     )
     def test_run_names_the_config(self, args, message):

@@ -9,14 +9,13 @@ import pytest
 
 from topkcert.confidence import (
     AnytimeEmpiricalBernstein,
-    DeltaBudget,
     EmpiricalBernstein,
     SubGaussian,
     build_fixed_intervals,
     ci_method_from_config,
     epoch_delta,
 )
-from topkcert.certify import stc
+from topkcert.certify import ScreenThenCertify, stc
 from topkcert.core import Instance, coverage_event_holds
 from topkcert.oracles import StrongOracle, WeakOracle
 from topkcert._hashing import gaussian_rows, item_keys
@@ -24,27 +23,32 @@ from topkcert._hashing import gaussian_rows, item_keys
 
 class TestBonferroni:
     @pytest.mark.parametrize(
-        "delta_weak,n,expected",
+        "delta,n,expected",
         [(0.05, 100, 5e-4), (0.05, 1, 0.05), (0.1, 10**4, 1e-5)],
     )
-    def test_uniform_split(self, delta_weak, n, expected):
-        assert DeltaBudget.split(delta_weak, n).per_item == pytest.approx(expected)
+    def test_uniform_split(self, delta, n, expected):
+        assert ScreenThenCertify(1, delta=delta)._delta_x(n) == pytest.approx(expected)
 
     def test_budget_split(self):
-        budget = DeltaBudget.split(0.05, 200)
-        assert budget.delta_weak == 0.05
-        assert budget.delta_strong == 0.0
-        assert budget.per_item == pytest.approx(0.05 / 200)
+        # the exact strong oracle takes none of delta
+        assert ScreenThenCertify(1, delta=0.05)._delta_x(200) == 0.05 / 200
 
     def test_budget_fraction(self):
-        budget = DeltaBudget.split(0.05, 10, weak_fraction=0.5)
-        assert budget.delta_weak == pytest.approx(0.025)
+        certifier = ScreenThenCertify(1, delta=0.05, delta_weak_fraction=0.5)
+        assert certifier._delta_x(10) == 0.05 * 0.5 / 10
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            DeltaBudget.split(1.5, 10)
-        with pytest.raises(ValueError):
-            DeltaBudget.split(0.05, 0)
+        for params in (dict(delta=1.5), dict(delta=0.0), dict(delta_weak_fraction=0.0),
+                       dict(delta_weak_fraction=1.5)):
+            with pytest.raises(ValueError):
+                ScreenThenCertify(1, **params)._delta_x(10)
+
+    @pytest.mark.parametrize("delta_x", [0.0, 1.0, -0.1])
+    def test_screen_rejects_a_per_item_budget_outside_the_unit_interval(self, delta_x):
+        weak = WeakOracle(Instance(values=np.array([0.2, 0.5]), k=1), seed=0)
+        with pytest.raises(ValueError, match="delta_x must lie in"):
+            build_fixed_intervals(weak, 4, delta_x, SubGaussian(0.1))
+        assert weak.total_pulls == 0
 
 
 class TestFixedRadius:
@@ -194,7 +198,7 @@ class TestBuildFixedIntervals:
         values = np.array([0.2, 0.5, 0.9])
         inst = Instance(values=values, k=1)
         weak = WeakOracle(inst, noise="exact", seed=0)
-        state = build_fixed_intervals(weak, 4, DeltaBudget.split(0.05, 3), SubGaussian(0.1))
+        state = build_fixed_intervals(weak, 4, 0.05 / 3, SubGaussian(0.1))
         assert coverage_event_holds(inst, state)
         assert np.allclose(state.means, values)
         assert weak.total_pulls == 12
@@ -203,7 +207,7 @@ class TestBuildFixedIntervals:
         rng = np.random.default_rng(2)
         inst = Instance(values=rng.random(50), k=5)
         weak = WeakOracle(inst, sigma=0.1, seed=1)
-        state = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 50), SubGaussian(0.1))
+        state = build_fixed_intervals(weak, 12, 0.05 / 50, SubGaussian(0.1))
         expected = 0.1 * math.sqrt(2 * math.log(2 / (0.05 / 50)) / 12)
         unclipped = (state.lower > 0) & (state.upper < 1)
         assert np.allclose(state.radius()[unclipped], expected)
@@ -215,7 +219,7 @@ class TestBuildFixedIntervals:
         inst = Instance(values=values, k=1)
         seed, n_pulls, delta = 11, 6, 0.05
         weak = WeakOracle(inst, sigma=0.2, seed=seed)
-        state = build_fixed_intervals(weak, n_pulls, DeltaBudget.split(delta, 3), SubGaussian(0.2))
+        state = build_fixed_intervals(weak, n_pulls, delta / 3, SubGaussian(0.2))
         raw = values[:, None] + gaussian_rows(item_keys(seed, 3), 0, n_pulls, 0.2)
         means = raw.mean(axis=1)
         radius = 0.2 * math.sqrt(2 * math.log(2 / (delta / 3)) / n_pulls)
@@ -227,10 +231,10 @@ class TestBuildFixedIntervals:
         n, n_pulls = 100_000, 12
         inst = Instance(values=np.random.default_rng(5).random(n), k=10)
         weak = WeakOracle(inst, sigma=0.1, seed=5, clamp=True)
-        budget = DeltaBudget.split(0.05, n)
+        delta_x = 0.05 / n
         tracemalloc.start()
         try:
-            build_fixed_intervals(weak, n_pulls, budget, method)
+            build_fixed_intervals(weak, n_pulls, delta_x, method)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -243,7 +247,7 @@ class TestBuildFixedIntervals:
         n, n_pulls = 300, 5
         inst = Instance(values=np.random.default_rng(8).random(n), k=10)
         weak = WeakOracle(inst, sigma=0.3, seed=8, clamp=True)
-        state = build_fixed_intervals(weak, n_pulls, DeltaBudget.split(0.05, n), method)
+        state = build_fixed_intervals(weak, n_pulls, 0.05 / n, method)
         weak.reset()
         obs = weak.pull_all(n_pulls)
         means = obs.mean(axis=1)
@@ -260,7 +264,7 @@ class TestBuildFixedIntervals:
         from topkcert.oracles import BudgetExceededError
 
         with pytest.raises(BudgetExceededError):
-            build_fixed_intervals(weak, 3, DeltaBudget.split(0.05, 2), SubGaussian(0.1))
+            build_fixed_intervals(weak, 3, 0.05 / 2, SubGaussian(0.1))
 
 
 def _reference_terms(method, count, delta_x):
@@ -302,10 +306,10 @@ class TestSharedScreen:
 
     def test_one_block_gives_every_caller_the_same_read_only_arrays(self):
         weak = self._oracle()
-        budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
-        first = build_fixed_intervals(weak, 12, budget, method)
+        delta_x, method = 0.05 / 400, SubGaussian(0.2)
+        first = build_fixed_intervals(weak, 12, delta_x, method)
         weak.reset()
-        second = build_fixed_intervals(weak, 12, budget, SubGaussian(0.2))
+        second = build_fixed_intervals(weak, 12, delta_x, SubGaussian(0.2))
         assert first is second
         for name in ("lower", "upper", "means", "pulls"):
             array = getattr(first, name)
@@ -323,8 +327,8 @@ class TestSharedScreen:
 
     def test_a_fit_with_conflicting_reveals_leaves_the_cached_screen_unchanged(self):
         weak = self._oracle()
-        budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
-        screen = build_fixed_intervals(weak, 12, budget, method)
+        delta_x, method = 0.05 / 400, SubGaussian(0.2)
+        screen = build_fixed_intervals(weak, 12, delta_x, method)
         lower, upper = screen.lower.tobytes(), screen.upper.tobytes()
         weak.reset()
         # strong values far from the weak ones fall outside many intervals
@@ -333,7 +337,7 @@ class TestSharedScreen:
         assert report.weak_state is screen and report.interval_conflicts > 0
         assert screen.conflicts == 0
         weak.reset()
-        assert build_fixed_intervals(weak, 12, budget, method) is screen
+        assert build_fixed_intervals(weak, 12, delta_x, method) is screen
         assert screen.lower.tobytes() == lower and screen.upper.tobytes() == upper
 
     @pytest.mark.parametrize(
@@ -343,24 +347,24 @@ class TestSharedScreen:
     )
     def test_another_delta_method_or_schedule_builds_a_new_screen(self, delta, method):
         weak = self._oracle()
-        base = build_fixed_intervals(weak, 12, DeltaBudget.split(0.05, 400), SubGaussian(0.2))
+        base = build_fixed_intervals(weak, 12, 0.05 / 400, SubGaussian(0.2))
         weak.reset()
-        other = build_fixed_intervals(weak, 12, DeltaBudget.split(delta, 400), method)
+        other = build_fixed_intervals(weak, 12, delta / 400, method)
         assert other.lower is not base.lower
         assert other.lower.tobytes() != base.lower.tobytes()
         weak.reset()
         fresh = self._oracle()
-        alone = build_fixed_intervals(fresh, 12, DeltaBudget.split(delta, 400), method)
+        alone = build_fixed_intervals(fresh, 12, delta / 400, method)
         assert other.lower.tobytes() == alone.lower.tobytes()
         assert other.upper.tobytes() == alone.upper.tobytes()
 
     def test_another_position_or_count_builds_a_new_screen(self):
         weak = self._oracle()
-        budget, method = DeltaBudget.split(0.05, 400), SubGaussian(0.2)
-        first = build_fixed_intervals(weak, 12, budget, method)
-        later = build_fixed_intervals(weak, 12, budget, method)
+        delta_x, method = 0.05 / 400, SubGaussian(0.2)
+        first = build_fixed_intervals(weak, 12, delta_x, method)
+        later = build_fixed_intervals(weak, 12, delta_x, method)
         weak.reset()
-        shorter = build_fixed_intervals(weak, 6, budget, method)
+        shorter = build_fixed_intervals(weak, 6, delta_x, method)
         assert len({id(first.lower), id(later.lower), id(shorter.lower)}) == 3
         assert later.pulls[0] == 12 and shorter.pulls[0] == 6
 
@@ -370,5 +374,5 @@ class TestSharedScreen:
         weak = WeakOracle(inst, sigma=math.inf, seed=0)
         for _ in range(2):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN bound"):
-                build_fixed_intervals(weak, 4, DeltaBudget.split(0.05, 3), SubGaussian(0.1))
+                build_fixed_intervals(weak, 4, 0.05 / 3, SubGaussian(0.1))
             weak.reset()

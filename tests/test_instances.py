@@ -1,5 +1,8 @@
 """Tests for the synthetic generators and instance-file I/O."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,14 +52,16 @@ class TestGapGenerator:
     def test_infeasible_specs_rejected(self):
         with pytest.raises(ValueError):
             generate_gap_instance(GapInstanceSpec(n=100, k=100, seed=0))
-        with pytest.raises(ValueError):  # eta below gap/2
-            generate_gap_instance(GapInstanceSpec(n=100, k=10, gap=0.05, eta=0.01, seed=0))
-        with pytest.raises(ValueError):  # bulk band collides with the boundary
-            generate_gap_instance(
-                GapInstanceSpec(n=100, k=10, gap=0.05, bulk_band=(0.05, 0.48), seed=0)
-            )
-        with pytest.raises(ValueError):  # gap band outside (0, 1)
-            generate_gap_instance(GapInstanceSpec(n=100, k=10, gap=0.05, anchor=0.01, seed=0))
+        # the largest gap whose slope still clears the bulk band
+        generate_gap_instance(GapInstanceSpec(n=100, k=10, gap=0.36, seed=0))
+        for gap in (0.3601, 0.9):
+            with pytest.raises(ValueError, match=rf"gap must be at most 0.36, got {gap}"):
+                generate_gap_instance(GapInstanceSpec(n=100, k=10, gap=gap, seed=0))
+
+    @pytest.mark.parametrize("near_ties", [2.7, 2.0, True, "3"])
+    def test_near_ties_must_be_an_integer(self, near_ties):
+        with pytest.raises(TypeError, match="near_ties must be an integer"):
+            generate_gap_instance(GapInstanceSpec(n=100, k=10, near_ties=near_ties, seed=0))
 
 
     @pytest.mark.parametrize("k", [0, 50, 51])
@@ -83,10 +88,12 @@ class TestPackingGenerator:
         assert near_tie_mass(inst, 0.0500001) >= 60
         assert sorted(set(np.round(inst.values, 6))) == [0.3, 0.475, 0.525]
 
-    def test_target_becomes_true_top_k(self):
-        target = [3, 7, 11, 19, 23]
-        inst, _ = generate_packing_instance(PackingSpec(n=100, k=5, m=30), target=target)
-        assert list(true_top_k(inst)) == target
+    def test_seed_draws_the_true_top_k_from_the_packed_set(self):
+        inst, _ = generate_packing_instance(PackingSpec(n=100, k=5, m=30))
+        assert list(true_top_k(inst)) == [0, 1, 2, 3, 4]
+        inst, _ = generate_packing_instance(PackingSpec(n=100, k=5, m=30), seed=4)
+        top = list(true_top_k(inst))
+        assert len(top) == 5 and top[-1] < 30 and top != [0, 1, 2, 3, 4]
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -95,8 +102,47 @@ class TestPackingGenerator:
             PackingSpec(n=100, k=5, m=30, level=0.05)
         with pytest.raises(ValueError):
             PackingSpec(n=100, k=31, m=30)
-        with pytest.raises(ValueError):
-            generate_packing_instance(PackingSpec(n=100, k=5, m=30), target=[0, 1, 2, 3, 35])
+
+
+# Digests of the generators' output bytes, taken before the gap generator's
+# fixed shape parameters became module constants.  Each case's parameters
+# enter the hash, then its values, or "rejected" where the spec raises
+# ValueError (k > n - 1 at n = 2).
+GAP_GRID = dict(
+    n=(2, 50, 1000), k=(1, 10, 49), gap=(0.01, 0.05, 0.2, 0.35),
+    near_ties=(None, 0, 7, 5000), tail_fraction=(0.0, 0.35, 1.0), seed=(0, 3),
+)
+GAP_DIGEST = "8bb67fe170da8a2b1e48c750b378a343690d92652a353e86e0892bbebc3ac7d8"
+PACKING_CASES = [
+    (dict(n=300, k=5, m=40), None), (dict(n=300, k=5, m=40), 0), (dict(n=300, k=5, m=40), 7),
+    (dict(n=50, k=5, m=20), None), (dict(n=50, k=5, m=20), 3), (dict(n=1, k=1, m=1), None),
+    (dict(n=200, k=10, m=200, level=0.6, radius=0.02, separation=0.3), 11),
+]
+PACKING_DIGEST = "a51ced246724eefe89adb4f3a022c511b700f3b483d115579689bada0e4b353b"
+
+
+class TestGeneratorBytes:
+    def test_gap_instances_match_digest(self):
+        digest, rejected = hashlib.sha256(), 0
+        for values in itertools.product(*GAP_GRID.values()):
+            params = dict(zip(GAP_GRID, values))
+            digest.update(repr(sorted(params.items())).encode())
+            try:
+                digest.update(generate_gap_instance(GapInstanceSpec(**params)).values.tobytes())
+            except ValueError:
+                digest.update(b"rejected")
+                rejected += 1
+        assert rejected == 192
+        assert digest.hexdigest() == GAP_DIGEST
+
+    def test_packing_instances_match_digest(self):
+        digest = hashlib.sha256()
+        for params, seed in PACKING_CASES:
+            digest.update(repr((sorted(params.items()), seed)).encode())
+            inst, state = generate_packing_instance(PackingSpec(**params), seed=seed)
+            for array in (inst.values, state.lower, state.upper, state.pulls):
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == PACKING_DIGEST
 
 
 class TestInstanceFiles:
