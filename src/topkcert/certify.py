@@ -356,21 +356,15 @@ class _KthLargestOfRising:
     threshold of a batch lies between the one before it and the k-th largest
     after it, so only the rises that start at or below that and end above
     this can cross; they are replayed one by one and the rest are applied at
-    the end.  The smallest values above the threshold come from a heap of
-    (value, item) holding an entry for every item whose value lies in
-    (threshold, ceiling]; an entry goes stale once its item rises again and
-    is fixed when it reaches the top.  Only an empty heap rescans the values.
+    the end.  The smallest values above the threshold are found on one sorted
+    walk over every value an item holds in that band during the batch.
     """
-
-    _REFILL = 64
 
     def __init__(self, values: np.ndarray, k: int):
         self.values = values
         self.k = k
         self.threshold = kth_largest(values, k)
         self.above = int(np.count_nonzero(values > self.threshold))
-        self._heap: list[tuple[float, int]] = []
-        self._ceiling = -math.inf
 
     def rise_many(self, items, old, new) -> np.ndarray:
         """Record that values[items[i]] rose from old[i] to new[i], for each i
@@ -383,11 +377,20 @@ class _KthLargestOfRising:
         np.maximum.at(final, items, new)
         # the k-th largest after the batch, for a k past half as the mirrored
         # (n - k + 1)-th largest, which kth_largest cuts from a sample instead
-        # of partitioning all n; it feeds only this comparison, so the sign of
-        # a zero does not matter
+        # of partitioning all n; it feeds only comparisons, so the sign of a
+        # zero does not matter
         n = final.size
         after = kth_largest(final, k) if 2 * k <= n else -kth_largest(-final, n - k + 1)
         hits = np.flatnonzero((old <= after) & (new > t))
+        # each value an item holds in (t, after] during the batch, once: its
+        # value before the batch or the end of a strict rise
+        band = np.flatnonzero((values > t) & (values <= after))
+        ends = np.flatnonzero((new > t) & (new <= after) & (old < new))
+        ladder = np.concatenate([values[band], new[ends]])
+        holders = np.concatenate([band, items[ends]])
+        by_value = np.argsort(ladder)
+        ladder, holders = ladder[by_value].tolist(), holders[by_value].tolist()
+        step = 0
         starts, thresholds = [0], [t]
         above = self.above
         for i, x, low, high in zip(
@@ -395,50 +398,22 @@ class _KthLargestOfRising:
         ):
             values[x] = high
             if low <= t < high:
-                if high <= self._ceiling:
-                    heapq.heappush(self._heap, (high, x))
                 above += 1
                 if above == k:
-                    t, held = self._next_above(t)
+                    # the smallest value above t, skipping entries whose item
+                    # does not hold that value now, and how many items hold it
+                    while ladder[step] <= t or values.item(holders[step]) != ladder[step]:
+                        step += 1
+                    t, held = ladder[step], 0
+                    while step < len(ladder) and ladder[step] == t:
+                        held += values.item(holders[step]) == t
+                        step += 1
                     above = k - held
                     starts.append(i + 1)
                     thresholds.append(t)
         self.threshold, self.above = t, above
         values[:] = final
         return np.repeat(thresholds, np.diff(starts + [items.size]))
-
-    def _next_above(self, t: float) -> tuple[float, int]:
-        """The smallest value above `t`, and how many items hold it; their
-        entries leave the heap."""
-        found, held = None, 0
-        while True:
-            if not self._heap:
-                if found is not None:
-                    break
-                self._refill(t)
-            value, x = self._heap[0]
-            if found is not None and value != found:
-                break
-            current = self.values.item(x)
-            heapq.heappop(self._heap)
-            if current != value:
-                if current <= self._ceiling:
-                    heapq.heappush(self._heap, (current, x))
-                continue
-            found = value
-            held += 1
-        return found, held
-
-    def _refill(self, t: float) -> None:
-        """Rebuild the heap from the smallest values above `t`."""
-        above = np.flatnonzero(self.values > t)
-        near = self.values[above]
-        self._ceiling = math.inf
-        if near.size > self._REFILL:
-            self._ceiling = float(np.partition(near, self._REFILL - 1)[self._REFILL - 1])
-            keep = near <= self._ceiling
-            above, near = above[keep], near[keep]
-        self._heap = sorted(zip(near.tolist(), above.tolist()))
 
 
 class _WeakPlan:
@@ -899,63 +874,34 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
         return IntervalState(lower, upper, plan.counts, plan.means, plan.conflicts)
 
 
-def _by_estimate(state: IntervalState, k: int):
-    """Items by descending weak point estimate, equal estimates by ascending
-    index, each paired with the largest weak upper bound among the items
-    after it, as two arrays.
-
-    Yields the order's first 2k items, then, each time the caller asks for
-    more, its first twice as many, so a caller that stops early never pays
-    for a full sort.  Each head is cut from a pool that holds it (see
-    ``_head_pool``), sized for two more doublings, so that only every third
-    head passes over all n items.
-    """
-    n = state.n
-    keys = -state.point_estimates()
-    size = min(n, 2 * k)
-    # the order's first pool.size items, by ascending index, and the largest
-    # upper bound outside them
-    pool, beyond = np.zeros(0, dtype=np.int64), -np.inf
-    while True:
-        if pool.size < size:
-            pool, cut = _head_pool(keys, 4 * size)
-            if pool is None:
-                pool, beyond = np.arange(n), -np.inf
-            else:
-                # NaN keys come last, so they lie outside every pool
-                beyond = float(np.max(state.upper, where=~(keys <= cut), initial=-np.inf))
-        head = _leading(keys[pool], size)
-        order = pool[head]
-        pool_upper = state.upper[pool]
-        rest = np.ones(pool.size, dtype=bool)
-        rest[head] = False
-        rest_upper = max(beyond, float(np.max(pool_upper, where=rest, initial=-np.inf)))
-        upper = pool_upper[head]
-        later = np.empty(size)
-        later[-1] = rest_upper
-        np.maximum(np.maximum.accumulate(upper[:0:-1])[::-1], rest_upper, out=later[:-1])
-        yield order, later
-        if size == n:
-            return
-        size = min(n, 2 * size)
+def _by_estimate(keys: np.ndarray, upper: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `size` items of ``_stable_argsort(keys)``, each paired with
+    the largest of `upper` among the items after it in that order, as two
+    arrays."""
+    order = _leading(keys, size)
+    rest = np.ones(keys.size, dtype=bool)
+    rest[order] = False
+    later = np.empty(size)
+    later[-1] = np.max(upper, where=rest, initial=-np.inf)
+    np.maximum(np.maximum.accumulate(upper[order][:0:-1])[::-1], later[-1], out=later[:-1])
+    return order, later
 
 
-def _head_pool(keys: np.ndarray, count: int):
-    """The indices, ascending, of the keys at or below a cut, and the cut:
-    the cut is guessed from a strided sample, as in ``kth_largest``, so that
-    at least `count` keys reach it but not many more.  The pool then holds
-    the first pool.size items of ``_stable_argsort(keys)``.  (None, None)
-    for a short array, a `count` that is not small against it, and a guess
-    that too few keys reach."""
+def _head_pool(keys: np.ndarray, count: int) -> np.ndarray | None:
+    """The indices, ascending, of the keys at or below a cut guessed from a
+    strided sample, as in ``kth_largest``, so that at least `count` keys
+    reach it but not many more.  The pool then holds the first pool.size
+    items of ``_stable_argsort(keys)``.  None for a short array, a `count`
+    that is not small against it, and a guess that too few keys reach."""
     n = keys.size
     if n < _SAMPLE_FROM or count > n // 8:
-        return None, None
+        return None
     sample = np.sort(keys[:: n // _SAMPLE])
     cut = sample[_guess_rank(n, sample.size, count) - 1]
     # NaN sorts last, so the keys at or below a number are all ahead of
     # every NaN
     pool = np.flatnonzero(keys <= cut)
-    return (pool, cut) if pool.size >= count else (None, None)
+    return pool if pool.size >= count else None
 
 
 def _leading(keys: np.ndarray, size: int) -> np.ndarray:
@@ -964,7 +910,7 @@ def _leading(keys: np.ndarray, size: int) -> np.ndarray:
     indices at or below a cut, and sorts only those; for a long array and a
     small `size`, only the pool of ``_head_pool`` is partitioned."""
     if 0 < size < keys.size:
-        pool, _ = _head_pool(keys, size)
+        pool = _head_pool(keys, size)
         if pool is not None:
             return pool[_leading(keys[pool], size)]
         cut = np.partition(keys, size - 1)[size - 1]
@@ -999,8 +945,10 @@ class ThresholdCertify(BaseCertifier):
 
     def _strong_phase(self, weak_state: IntervalState, k: int, strong):
         n = weak_state.n
-        heads = _by_estimate(weak_state, k)
-        order, later = next(heads)
+        keys, upper = -weak_state.point_estimates(), weak_state.upper
+        # items by descending estimate, equal ones by index: the first 2k,
+        # then twice as many each time a block would run past them
+        order, later = _by_estimate(keys, upper, min(n, 2 * k))
         item_parts: list[np.ndarray] = []
         value_parts: list[np.ndarray] = []
         # the k largest verified values, in descending order
@@ -1010,7 +958,7 @@ class ThresholdCertify(BaseCertifier):
             # a block reaches at most k items past q, and q lies within the
             # head, at least 2k long, so one doubling covers it
             if order.size < min(n, q + k):
-                order, later = next(heads)
+                order, later = _by_estimate(keys, upper, min(n, 2 * order.size))
             if q < k:
                 # the first block: the rule needs k values
                 s = k

@@ -1,11 +1,12 @@
 """Synthetic instance generators and instance-file I/O.
 
 The gap generator plants a clean top-k boundary: the k-th and (k+1)-th values
-sit at ``0.5 +- gap/2``, optional near-ties crowd those two levels, and the
-background mass fills the space well below the boundary -- a uniform bulk at
-the bottom plus a linearly thinning slope that approaches (but never enters)
-the boundary band.  The slope is what makes one-shot screening costs scale
-with n while leaving the boundary crowd itself small.
+sit at ``0.5 +- gap/2``, optional near-ties crowd those two levels (as exact
+ties: each equals the k-th or the (k+1)-th value), and the background mass
+fills the space well below the boundary -- a uniform bulk at the bottom plus
+a linearly thinning slope that approaches (but never enters) the boundary
+band.  The slope is what makes one-shot screening costs scale with n while
+leaving the boundary crowd itself small.
 
 The packing generator builds the adversarial lower-bound construction: m
 items share one interval straddling the threshold, so no algorithm can
@@ -40,9 +41,10 @@ class GapInstanceSpec:
 
     ``near_ties`` defaults to ``2 * k``; near-tie items split between the two
     boundary levels (at most ``k - 1`` on the top side, the rest at the
-    bottom).  ``tail_fraction`` of the background forms the thinning slope
-    between the bulk band and the near-tie band; the rest is uniform on the
-    bulk band.
+    bottom), and each equals its level exactly: the top ones the k-th value,
+    the bottom ones the (k+1)-th.  ``tail_fraction`` of the background forms
+    the thinning slope between the bulk band and the near-tie band; the rest
+    is uniform on the bulk band.
     """
 
     n: int

@@ -418,11 +418,11 @@ def test_head_pool_holds_the_head_of_the_stable_order(seed, levels, nan_share, c
     keys = rng.random(n) if levels is None else rng.integers(0, levels, n) * 1.0
     keys[keys == 0.0] = rng.choice([-0.0, 0.0], int(np.count_nonzero(keys == 0.0)))
     keys[rng.random(n) < nan_share] = np.nan
-    pool, cut = _head_pool(keys, count)
+    pool = _head_pool(keys, count)
     if levels is None and nan_share < 0.5 and count <= n // 8:
         assert pool is not None
     if pool is not None:
-        assert pool.size >= count and np.all(keys[pool] <= cut)
+        assert pool.size >= count
         np.testing.assert_array_equal(pool, np.sort(np.argsort(keys, kind="stable")[: pool.size]))
     np.testing.assert_array_equal(_leading(keys, count), np.argsort(keys, kind="stable")[:count])
 
@@ -431,8 +431,8 @@ def test_head_pool_is_none_where_the_sample_misleads():
     # the strided sample reads only zeros, which 1024 of 20480 keys hold
     keys = np.ones(20480)
     keys[::20] = 0.0
-    assert _head_pool(keys, 1024)[0].size == 1024
-    assert _head_pool(keys, 1025) == (None, None)
+    assert _head_pool(keys, 1024).size == 1024
+    assert _head_pool(keys, 1025) is None
     for size in (1000, 1024, 1025, 2560):
         np.testing.assert_array_equal(_leading(keys, size), np.argsort(keys, kind="stable")[:size])
 
@@ -872,8 +872,8 @@ def test_ta_blocks_match_the_rule_at_every_strong_cap():
 @pytest.mark.parametrize("k, wide", [(5, False), (300, False), (5, True), (300, True)])
 def test_ta_blocks_match_the_rule_on_a_long_order(k, wide):
     # long enough for the order's sampled cuts, with the rule firing after
-    # 513 and 748 queries, within the heads cut from pools; estimates tie on
-    # a grid
+    # 513 and 748 queries, within heads cut at sampled guesses; estimates
+    # tie on a grid
     n = 40000
     rng = np.random.default_rng(k)
     values = 0.8 * rng.random(n)
@@ -881,11 +881,37 @@ def test_ta_blocks_match_the_rule_on_a_long_order(k, wide):
     lower, upper = np.clip(means - 0.01, 0.0, 1.0), np.clip(means + 0.01, 0.0, 1.0)
     if wide:
         # three intervals halfway down the order reach 1.0, so the rule waits
-        # for them: the first heads' bounds come from outside their pools
+        # for them: the first heads' bounds come from outside those heads
         at = np.argsort(-means, kind="stable")[[20000, 20001, 20002]]
         lower[at], upper[at] = 0.0, 1.0
     state = IntervalState.from_bounds(lower, upper, means=means)
     _assert_ta_matches_reference(Instance(values=values, k=k), state, k, None)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_ta_head_ends_inside_a_tie_with_the_largest_bound_just_past_it(n):
+    # the first head, the order's first 2k items, ends inside a run of six
+    # tied estimates; the next item, tied with its last, holds the largest
+    # upper bound, so the rule fires only once that item is verified
+    k = 10
+    rng = np.random.default_rng(n)
+    values = 0.4 * rng.random(n)
+    top = rng.choice(n, 23, replace=False)
+    values[top[:17]] = rng.uniform(0.8, 0.9, 17)
+    tied = np.sort(top[17:])
+    values[tied] = 0.7
+    means = values.copy()
+    lower, upper = np.clip(means - 0.01, 0.0, 1.0), np.clip(means + 0.01, 0.0, 1.0)
+    lower[tied[3]], upper[tied[3]] = 0.0, 1.0
+    order = np.argsort(-means, kind="stable")
+    assert means[order[2 * k - 1]] == means[order[2 * k]] and order[2 * k] == np.argmax(upper)
+    # at n < 16384 the head is partitioned from all keys, above that from a
+    # pool cut at a sampled guess
+    assert (_head_pool(-means, 2 * k) is not None) == (n >= 16384)
+    state = IntervalState.from_bounds(lower, upper, means=means)
+    _assert_ta_matches_reference(Instance(values=values, k=k), state, k, None)
+    report = ta_certify(None, StrongOracle(Instance(values=values, k=k)), k=k, initial_state=state)
+    assert report.strong_calls == 2 * k + 1
 
 
 class _NanAtStrongOracle(StrongOracle):

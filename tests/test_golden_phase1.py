@@ -4,7 +4,9 @@ Each digest pins the frozen weak state (bounds, pull counts, means and
 conflicts), the per-item pull counts the weak oracle charged, and the strong
 trace and selected set of one ``ace_w`` run, as the program produced them
 when phase one was a scalar loop of one heap pop and one pull per adaptive
-pull.  The shapes are large enough that phase one is planned in many levels.
+pull, or, for the shape with k above n / 2, when phase one was planned and
+its k-th largest trackers kept a heap from one batch to the next.  The
+shapes are large enough that phase one is planned in many levels.
 """
 
 import hashlib
@@ -30,6 +32,12 @@ SHAPES = {
     "uncovered_ci_sigma_0.02": (
         dict(n=1000, k=20, seed=7, clamp=False, params={"ci_sigma": 0.02}),
         "94860c8de60359261a27b324d3c38f018011692aa2626e5c08086246b72c8d1f",
+    ),
+    # k above n / 2: the l_k tracker takes the mirrored k-th largest and the
+    # u_k tracker (k' = n - k + 1) the direct one, unlike every shape above
+    "k_above_half_n20000": (
+        dict(n=20000, k=15000, seed=1, clamp=False, params={}),
+        "05276f9e7f97fe37fa3148ae2c7dca93683cfe41a467b848b0820dae90e25218",
     ),
 }
 

@@ -35,6 +35,14 @@ class TestGapGenerator:
         # threshold is 0.525; the 2k near-ties plus both anchors sit within eta + gap
         assert near_tie_mass(inst, 0.0501) >= 100
 
+    def test_near_ties_are_exact_ties(self):
+        # the tie draws span zero width: every top near-tie equals the k-th
+        # value and every bottom one the (k+1)-th
+        values = generate_gap_instance(GapInstanceSpec(n=300, k=30, seed=0)).values
+        assert np.count_nonzero(values == 0.525) == 30
+        assert np.count_nonzero(values == 0.475) == 32
+        assert np.unique(values).size == 240
+
     def test_no_near_ties_mode(self):
         spec = GapInstanceSpec(n=200, k=10, gap=0.05, near_ties=0, seed=1)
         inst = generate_gap_instance(spec)
