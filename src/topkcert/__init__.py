@@ -14,11 +14,6 @@ from .certify import (
     CertificationReport,
     ScreenThenCertify,
     ThresholdCertify,
-    ace,
-    ace_w,
-    brute_force_certify,
-    stc,
-    ta_certify,
 )
 from .confidence import (
     AnytimeEmpiricalBernstein,
@@ -67,10 +62,7 @@ __all__ = [
     "SubGaussian",
     "ThresholdCertify",
     "WeakOracle",
-    "ace",
-    "ace_w",
     "ambiguous_set",
-    "brute_force_certify",
     "build_fixed_intervals",
     "coverage_event_holds",
     "epsilon_max",
@@ -81,7 +73,5 @@ __all__ = [
     "near_tie_mass",
     "save_instance",
     "snapshot_and_reset",
-    "stc",
-    "ta_certify",
     "true_top_k",
 ]

@@ -1,11 +1,8 @@
 """Top-k certification algorithms over a weak/strong oracle pair.
 
-Five certifiers share one estimator-style interface: configure the
-hyperparameters on the constructor, call ``fit(weak, strong)``, and read the
-fitted ``selected_`` set and ``report_``.  ``get_params`` / ``set_params``
-follow the scikit-learn convention so the certifiers compose with generic
-tooling (cloning, grid drivers); plain functions wrapping each certifier are
-exported as well.
+Five certifiers share one interface: configure the hyperparameters on the
+constructor, call ``fit(weak, strong, initial_state=None)``, and read the
+fitted ``report_``.  ``ALGORITHMS`` maps each short name to its class.
 
 * ``ScreenThenCertify`` -- one-shot screening: build weak intervals, certify
   clear items, strong-query the whole ambiguous set as one batch.
@@ -27,10 +24,8 @@ that breaks ties this way comes from ``core._stable_argsort``.
 from __future__ import annotations
 
 import heapq
-import inspect
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -73,7 +68,7 @@ class CertificationReport:
     eps_max_ambiguous: float
     trace: tuple[int, ...]
     interval_conflicts: int
-    weak_state: Optional[IntervalState]
+    weak_state: IntervalState
 
 
 def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[int], list[float]]:
@@ -181,7 +176,8 @@ def _ambiguous_after(weak_state: IntervalState, k: int, items, points) -> int:
 
 
 class BaseCertifier:
-    """Estimator-style base: constructor params + fit(weak, strong).
+    """Base of the certifiers: constructor params + fit(weak, strong), which
+    sets ``report_``; the repr lists the constructor params.
 
     ``_run`` is the one run template: resolve n and k, answer k == 0 or
     k == n without oracle access, run the weak phase (a uniform screen of
@@ -211,27 +207,14 @@ class BaseCertifier:
         self.ci_range = ci_range
         self.delta_weak_fraction = delta_weak_fraction
 
-    def get_params(self, deep: bool = True) -> dict:
-        params = inspect.signature(type(self).__init__).parameters
-        return {name: getattr(self, name) for name in params if name != "self"}
-
-    def set_params(self, **params) -> "BaseCertifier":
-        valid = self.get_params()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
     def fit(self, weak, strong, initial_state: IntervalState | None = None) -> "BaseCertifier":
-        """Run certification; fitted attributes are selected_ and report_."""
-        report = self._run(weak, strong, initial_state)
-        self.report_ = report
-        self.selected_ = report.selected
+        """Run certification; the fitted attribute is report_."""
+        self.report_ = self._run(weak, strong, initial_state)
         return self
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        # the constructor parameters, in the order __init__ assigns them
+        args = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.endswith("_"))
         return f"{type(self).__name__}({args})"
 
     def _run(self, weak, strong, initial_state) -> CertificationReport:
@@ -1013,32 +996,3 @@ ALGORITHMS: dict[str, type[BaseCertifier]] = {
     "brute": BruteForceCertify,
 }
 
-
-def _fit_report(cls, weak, strong, k, params) -> CertificationReport:
-    initial_state = params.pop("initial_state", None)
-    return cls(k, **params).fit(weak, strong, initial_state).report_
-
-
-def stc(weak, strong, k, **params) -> CertificationReport:
-    """One-shot screen-then-certify; see :class:`ScreenThenCertify`."""
-    return _fit_report(ScreenThenCertify, weak, strong, k, params)
-
-
-def ace(weak, strong, k, **params) -> CertificationReport:
-    """Adaptive strong certification; see :class:`AdaptiveCertify`."""
-    return _fit_report(AdaptiveCertify, weak, strong, k, params)
-
-
-def ace_w(weak, strong, k, **params) -> CertificationReport:
-    """Fully adaptive two-phase certification; see :class:`AdaptiveCertifyWeak`."""
-    return _fit_report(AdaptiveCertifyWeak, weak, strong, k, params)
-
-
-def ta_certify(weak, strong, k, **params) -> CertificationReport:
-    """Sorted verification with weak-interval stopping; see :class:`ThresholdCertify`."""
-    return _fit_report(ThresholdCertify, weak, strong, k, params)
-
-
-def brute_force_certify(strong, k) -> CertificationReport:
-    """Strong-query all items; see :class:`BruteForceCertify`."""
-    return BruteForceCertify(k).fit(None, strong).report_

@@ -26,6 +26,7 @@ from .core import (
     _stable_argsort,
     ambiguous_set,
     coverage_event_holds,
+    epsilon_max,
     near_tie_mass,
     true_top_k,
 )
@@ -303,7 +304,7 @@ def _coverage_row(cfg, seed, instance) -> ExperimentRow:
     state = certifier._weak_phase(weak, None, instance.n, instance.k)
     return _config_row(
         "coverage", "coverage", cfg, seed, instance, strong_calls=0, weak_pulls=weak.total_pulls,
-        eps_max=float(state.radius().max()), coverage_held=coverage_event_holds(instance, state),
+        eps_max=epsilon_max(state), coverage_held=coverage_event_holds(instance, state),
     )
 
 

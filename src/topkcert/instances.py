@@ -40,11 +40,14 @@ class GapInstanceSpec:
     """Parameters of the gap-structured synthetic instance.
 
     ``near_ties`` defaults to ``2 * k``; near-tie items split between the two
-    boundary levels (at most ``k - 1`` on the top side, the rest at the
-    bottom), and each equals its level exactly: the top ones the k-th value,
-    the bottom ones the (k+1)-th.  ``tail_fraction`` of the background forms
-    the thinning slope between the bulk band and the near-tie band; the rest
-    is uniform on the bulk band.
+    boundary levels, half of them but at most ``k - 1`` on the top side and
+    the rest but at most ``n - k - 1`` at the bottom, and each equals its
+    level exactly: the top ones the k-th value, the bottom ones the (k+1)-th.
+    The caps bind without a warning: at the default every top-k item ties,
+    and once k >= n/2 - 1 so does every other item, which leaves no slope or
+    bulk.  ``tail_fraction`` of the background forms the thinning slope
+    between the bulk band and the near-tie band; the rest is uniform on the
+    bulk band.
     """
 
     n: int

@@ -21,7 +21,7 @@ from scipy.stats import beta as beta_dist
 
 from topkcert.confidence import epoch_delta
 from topkcert.core import coverage_event_holds, near_tie_mass, true_top_k
-from topkcert.certify import ace, stc
+from topkcert.certify import AdaptiveCertify, AdaptiveCertifyWeak, ScreenThenCertify
 from topkcert.harness import BASE_DEFAULTS, SweepSpec, run_replicate, run_sweep, rows_to_csv_text
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import StrongOracle, WeakOracle
@@ -154,8 +154,8 @@ class TestCriterion6LowerBoundWitness:
         for m in (50, 100, 200):
             spec = PackingSpec(n=500, k=10, m=m, level=0.5, radius=0.05, separation=0.2)
             instance, state = generate_packing_instance(spec, seed=m)
-            calls_stc = stc(None, StrongOracle(instance), k=10, initial_state=state).strong_calls
-            calls_ace = ace(None, StrongOracle(instance), k=10, initial_state=state).strong_calls
+            calls_stc = ScreenThenCertify(10).fit(None, StrongOracle(instance), state).report_.strong_calls
+            calls_ace = AdaptiveCertify(10).fit(None, StrongOracle(instance), state).report_.strong_calls
             results[m] = (calls_stc, calls_ace)
         ok = all(v == (m, m) for m, v in results.items())
         report_line("6", "lower-bound witness", ok, f"(one-shot, adaptive) calls by m: {results}")
@@ -223,9 +223,7 @@ class TestCriterion9WeakBudgetDiscipline:
         # a dedicated run with a binding per-item cap
         instance = generate_gap_instance(GapInstanceSpec(n=300, k=30, seed=9))
         weak = WeakOracle(instance, sigma=0.1, seed=9)
-        from topkcert.certify import ace_w
-
-        ace_w(weak, StrongOracle(instance), k=30, weak_budget=300 * 12, w_min=6, w_max=16)
+        AdaptiveCertifyWeak(30, weak_budget=300 * 12, w_min=6, w_max=16).fit(weak, StrongOracle(instance))
         capped_max = int(weak.pulls_per_item.max())
         ok = over_budget == 0 and over_cap == 0 and capped_max <= 16 and weak.total_pulls <= 300 * 12
         report_line(

@@ -21,11 +21,6 @@ from topkcert.certify import (
     _KthLargestOfRising,
     _leading,
     _WeakPlan,
-    ace,
-    ace_w,
-    brute_force_certify,
-    stc,
-    ta_certify,
 )
 from topkcert.confidence import (
     AnytimeEmpiricalBernstein,
@@ -79,20 +74,20 @@ class TestZeroNoise:
 
     def test_stc_queries_exactly_the_threshold_item(self):
         weak, strong = self._oracles()
-        report = stc(weak, strong, k=6, **self.kwargs)
+        report = ScreenThenCertify(6, **self.kwargs).fit(weak, strong).report_
         assert report.ambiguous_initial == 1
         assert report.strong_calls == 1
         assert report.selected == _truth(self.inst)
 
     def test_ace_needs_zero_strong_calls(self):
         weak, strong = self._oracles()
-        report = ace(weak, strong, k=6, **self.kwargs)
+        report = AdaptiveCertify(6, **self.kwargs).fit(weak, strong).report_
         assert report.strong_calls == 0
         assert report.selected == _truth(self.inst)
 
     def test_ta_stops_after_k_calls(self):
         weak, strong = self._oracles()
-        report = ta_certify(weak, strong, k=6, **self.kwargs)
+        report = ThresholdCertify(6, **self.kwargs).fit(weak, strong).report_
         assert report.strong_calls == 6
         assert report.selected == _truth(self.inst)
 
@@ -102,8 +97,8 @@ class TestPackingInstances:
     def test_one_shot_and_adaptive_query_all_packed_items(self, m):
         inst, state = generate_packing_instance(PackingSpec(n=400, k=10, m=m), seed=m)
         truth = _truth(inst)
-        rep_stc = stc(None, StrongOracle(inst), k=10, initial_state=state)
-        rep_ace = ace(None, StrongOracle(inst), k=10, initial_state=state)
+        rep_stc = ScreenThenCertify(10).fit(None, StrongOracle(inst), state).report_
+        rep_ace = AdaptiveCertify(10).fit(None, StrongOracle(inst), state).report_
         assert rep_stc.strong_calls == m
         assert rep_ace.strong_calls == m
         assert rep_stc.selected == rep_ace.selected == truth
@@ -119,7 +114,7 @@ class TestScreenThenCertify:
         for seed in range(30):
             inst = generate_gap_instance(GapInstanceSpec(n=250, k=25, seed=seed))
             weak, strong = WeakOracle(inst, sigma=0.1, seed=seed), StrongOracle(inst)
-            report = stc(weak, strong, k=25)
+            report = ScreenThenCertify(25).fit(weak, strong).report_
             assert report.strong_calls == report.ambiguous_initial
             assert report.strong_calls == ambiguous_set(report.weak_state, 25).size
             assert sorted(report.trace) == list(ambiguous_set(report.weak_state, 25))
@@ -128,7 +123,7 @@ class TestScreenThenCertify:
         for seed in range(30):
             inst = _random_instance(seed, n=60, k=12)
             weak, strong = WeakOracle(inst, sigma=0.05, seed=seed), StrongOracle(inst)
-            report = stc(weak, strong, k=12)
+            report = ScreenThenCertify(12).fit(weak, strong).report_
             if coverage_event_holds(inst, report.weak_state):
                 assert report.selected == _truth(inst)
 
@@ -206,7 +201,7 @@ class TestAdaptiveCertify:
         for seed in range(25):
             inst = generate_gap_instance(GapInstanceSpec(n=200, k=20, seed=seed))
             weak, strong = WeakOracle(inst, sigma=0.1, seed=seed), StrongOracle(inst)
-            report = ace(weak, strong, k=20)
+            report = AdaptiveCertify(20).fit(weak, strong).report_
             amb = set(int(x) for x in ambiguous_set(report.weak_state, 20))
             assert set(report.trace) <= amb
             assert len(set(report.trace)) == len(report.trace)
@@ -216,9 +211,9 @@ class TestAdaptiveCertify:
             inst = generate_gap_instance(GapInstanceSpec(n=200, k=20, seed=seed))
             weak = WeakOracle(inst, sigma=0.1, seed=seed)
             strong = StrongOracle(inst)
-            rep_stc = stc(weak, strong, k=20)
+            rep_stc = ScreenThenCertify(20).fit(weak, strong).report_
             snapshot_and_reset(weak, strong)
-            rep_ace = ace(weak, strong, k=20)
+            rep_ace = AdaptiveCertify(20).fit(weak, strong).report_
             assert rep_ace.strong_calls <= rep_stc.strong_calls
             # identical weak phases is what makes the comparison paired
             np.testing.assert_array_equal(rep_ace.weak_state.lower, rep_stc.weak_state.lower)
@@ -227,7 +222,7 @@ class TestAdaptiveCertify:
         for seed in range(20):
             inst = _random_instance(seed, n=80, k=15)
             weak, strong = WeakOracle(inst, sigma=0.08, seed=seed), StrongOracle(inst)
-            report = ace(weak, strong, k=15)
+            report = AdaptiveCertify(15).fit(weak, strong).report_
             lower, upper = _final_state_from(report, inst)
             inside = np.asarray(report.selected)
             outside = np.setdiff1d(np.arange(inst.n), inside)
@@ -252,7 +247,7 @@ class TestAdaptiveCertify:
             np.array([0.8, 0.6, 0.1]), np.array([0.9, 0.7, 0.2])
         )
         inst = Instance(values=np.array([0.85, 0.65, 0.15]), k=2)
-        report = ace(None, StrongOracle(inst), k=2, initial_state=state)
+        report = AdaptiveCertify(2).fit(None, StrongOracle(inst), state).report_
         assert report.strong_calls == 0
         assert report.selected == (0, 1)
 
@@ -470,11 +465,11 @@ def _assert_phase_one_matches_reference(case):
     )
     oracle = dict(noise=case["noise"], sigma=0.1, seed=case["seed"], clamp=case["clamp"])
     recording = _RecordingWeakOracle(instance, **oracle)
-    ace_w(recording, StrongOracle(instance), k=case["k"], **params)
+    AdaptiveCertifyWeak(case["k"], **params).fit(recording, StrongOracle(instance))
     assert recording.single_pull_log == ref_seq
     # the plain oracle pulls each batch in one numpy pass
     weak = WeakOracle(instance, **oracle)
-    state = ace_w(weak, StrongOracle(instance), k=case["k"], **params).weak_state
+    state = AdaptiveCertifyWeak(case["k"], **params).fit(weak, StrongOracle(instance)).report_.weak_state
     np.testing.assert_array_equal(state.lower, np.asarray(ref_lo))
     np.testing.assert_array_equal(state.upper, np.asarray(ref_hi))
     np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
@@ -508,7 +503,7 @@ class TestAdaptiveCertifyWeak:
                 inst, seed, k=10, delta=0.05, w_min=6, w_max=budget, budget=budget, sigma=0.1
             )
             weak = _RecordingWeakOracle(inst, sigma=0.1, seed=seed)
-            report = ace_w(weak, StrongOracle(inst), k=10, weak_budget=budget, w_min=6)
+            report = AdaptiveCertifyWeak(10, weak_budget=budget, w_min=6).fit(weak, StrongOracle(inst)).report_
             assert weak.single_pull_log == ref_seq
             np.testing.assert_array_equal(report.weak_state.lower, np.asarray(ref_lo))
             np.testing.assert_array_equal(report.weak_state.upper, np.asarray(ref_hi))
@@ -536,9 +531,8 @@ class TestAdaptiveCertifyWeak:
                 sigma=0.1, method=method, clamp=clamp,
             )
             weak = _RecordingWeakOracle(inst, sigma=0.1, seed=seed, clamp=clamp)
-            report = ace_w(
-                weak, StrongOracle(inst), k=k, weak_budget=budget, w_min=6, ci_method=method
-            )
+            certifier = AdaptiveCertifyWeak(k, weak_budget=budget, w_min=6, ci_method=method)
+            report = certifier.fit(weak, StrongOracle(inst)).report_
             assert weak.single_pull_log == ref_seq
             np.testing.assert_array_equal(report.weak_state.lower, np.asarray(ref_lo))
             np.testing.assert_array_equal(report.weak_state.upper, np.asarray(ref_hi))
@@ -557,10 +551,8 @@ class TestAdaptiveCertifyWeak:
                 sigma=0.1, method=method, clamp=True,
             )
             weak = _RecordingWeakOracle(inst, sigma=0.1, seed=seed, clamp=True)
-            report = ace_w(
-                weak, StrongOracle(inst), k=10, weak_budget=budget, w_min=6, w_max=w_max,
-                ci_method=method,
-            )
+            certifier = AdaptiveCertifyWeak(10, weak_budget=budget, w_min=6, w_max=w_max, ci_method=method)
+            report = certifier.fit(weak, StrongOracle(inst)).report_
             assert weak.single_pull_log == ref_seq
             state = report.weak_state
             np.testing.assert_array_equal(state.lower, np.asarray(ref_lo))
@@ -582,11 +574,10 @@ class TestAdaptiveCertifyWeak:
         asked = []
         inst = generate_gap_instance(GapInstanceSpec(n=60, k=10, seed=0))
         weak = Recording(inst, sigma=0.1, seed=0, clamp=True)
-        got = ace_w(weak, StrongOracle(inst), k=10, weak_budget=60 * 9, w_min=6, ci_method=method)
-        want = ace_w(
-            WeakOracle(inst, sigma=0.1, seed=0, clamp=True), StrongOracle(inst),
-            k=10, weak_budget=60 * 9, w_min=6, ci_method=method,
-        )
+        certifier = AdaptiveCertifyWeak(10, weak_budget=60 * 9, w_min=6, ci_method=method)
+        got = certifier.fit(weak, StrongOracle(inst)).report_
+        plain = WeakOracle(inst, sigma=0.1, seed=0, clamp=True)
+        want = certifier.fit(plain, StrongOracle(inst)).report_
         assert asked == [(6, variance)]
         assert got.trace == want.trace
         assert got.weak_state.lower.tobytes() == want.weak_state.lower.tobytes()
@@ -599,13 +590,14 @@ class TestAdaptiveCertifyWeak:
 
         inst = generate_gap_instance(GapInstanceSpec(n=60, k=10, seed=0))
         with pytest.raises(RuntimeError, match="did not return the draws"):
-            ace_w(Drifting(inst, sigma=0.1, seed=0), StrongOracle(inst), k=10, w_min=6)
+            AdaptiveCertifyWeak(10, w_min=6).fit(Drifting(inst, sigma=0.1, seed=0), StrongOracle(inst))
 
     def test_budget_and_per_item_cap(self):
         inst = generate_gap_instance(GapInstanceSpec(n=120, k=12, seed=4))
         weak = WeakOracle(inst, sigma=0.1, seed=4)
         budget = 120 * 12
-        report = ace_w(weak, StrongOracle(inst), k=12, weak_budget=budget, w_min=6, w_max=9)
+        certifier = AdaptiveCertifyWeak(12, weak_budget=budget, w_min=6, w_max=9)
+        report = certifier.fit(weak, StrongOracle(inst)).report_
         assert weak.total_pulls <= budget
         assert report.weak_pulls == weak.total_pulls
         assert weak.pulls_per_item.max() <= 9
@@ -615,14 +607,14 @@ class TestAdaptiveCertifyWeak:
         inst = generate_gap_instance(GapInstanceSpec(n=100, k=10, seed=5))
         weak = WeakOracle(inst, sigma=0.1, seed=5)
         budget = 100 * 10
-        ace_w(weak, StrongOracle(inst), k=10, weak_budget=budget, w_min=6)
+        AdaptiveCertifyWeak(10, weak_budget=budget, w_min=6).fit(weak, StrongOracle(inst))
         # the ambiguous set never empties, so an uncapped phase spends everything
         assert weak.total_pulls == budget
 
     def test_degenerate_budget_equals_adaptive_on_warm_start(self):
         inst = generate_gap_instance(GapInstanceSpec(n=150, k=15, seed=6))
         weak = WeakOracle(inst, sigma=0.1, seed=6)
-        rep_w = ace_w(weak, StrongOracle(inst), k=15, weak_budget=150 * 6, w_min=6)
+        rep_w = AdaptiveCertifyWeak(15, weak_budget=150 * 6, w_min=6).fit(weak, StrongOracle(inst)).report_
         weak.reset()
         # the warm start: 6 pulls each, radii on the anytime schedule
         means, _ = weak.pull_all_moments(6)
@@ -631,14 +623,14 @@ class TestAdaptiveCertifyWeak:
         state = IntervalState.from_bounds(
             np.clip(means - radii, 0.0, 1.0), np.clip(means + radii, 0.0, 1.0)
         )
-        rep_a = ace(None, StrongOracle(inst), k=15, initial_state=state)
+        rep_a = AdaptiveCertify(15).fit(None, StrongOracle(inst), state).report_
         assert rep_w.trace == rep_a.trace
         assert rep_w.selected == rep_a.selected
 
     def test_reports_ambiguous_radius_at_freeze(self):
         inst = generate_gap_instance(GapInstanceSpec(n=150, k=15, seed=7))
         weak = WeakOracle(inst, sigma=0.1, seed=7)
-        report = ace_w(weak, StrongOracle(inst), k=15, weak_budget=150 * 12, w_min=6)
+        report = AdaptiveCertifyWeak(15, weak_budget=150 * 12, w_min=6).fit(weak, StrongOracle(inst)).report_
         amb = ambiguous_set(report.weak_state, 15)
         assert report.eps_max_ambiguous == epsilon_max(report.weak_state, amb)
         assert report.eps_max == epsilon_max(report.weak_state)
@@ -648,19 +640,14 @@ class TestAdaptiveCertifyWeak:
         inst = _random_instance(0, n=30, k=5)
         weak = WeakOracle(inst, sigma=0.1, seed=0)
         with pytest.raises(ValueError):
-            ace_w(weak, StrongOracle(inst), k=5, weak_budget=100, w_min=6)
+            AdaptiveCertifyWeak(5, weak_budget=100, w_min=6).fit(weak, StrongOracle(inst))
 
     def test_prescribed_intervals_rejected(self):
         inst, state = generate_packing_instance(PackingSpec(n=50, k=5, m=20))
         certifier = AdaptiveCertifyWeak(k=5)
-        with pytest.raises(ValueError):
-            certifier.fit(WeakOracle(inst, seed=0), StrongOracle(inst), initial_state=state)
-
-    def test_functional_form_rejects_prescribed_intervals_like_fit(self):
-        inst, state = generate_packing_instance(PackingSpec(n=50, k=5, m=20))
         strong = StrongOracle(inst)
         with pytest.raises(ValueError, match="live oracle access"):
-            ace_w(WeakOracle(inst, seed=0), strong, k=5, initial_state=state)
+            certifier.fit(WeakOracle(inst, seed=0), strong, initial_state=state)
         assert strong.calls == 0
 
 
@@ -703,7 +690,7 @@ class TestThresholdCertify:
         values = 0.4 + 0.2 * rng.random(30)
         inst = Instance(values=values, k=5)
         state = IntervalState.from_bounds(np.full(30, 0.3), np.full(30, 0.7))
-        report = ta_certify(None, StrongOracle(inst), k=5, initial_state=state)
+        report = ThresholdCertify(5).fit(None, StrongOracle(inst), state).report_
         assert report.strong_calls == 30
         assert report.selected == _truth(inst)
 
@@ -711,7 +698,7 @@ class TestThresholdCertify:
         for seed in range(20):
             inst = generate_gap_instance(GapInstanceSpec(n=200, k=20, seed=seed))
             weak, strong = WeakOracle(inst, sigma=0.1, seed=seed), StrongOracle(inst)
-            report = ta_certify(weak, strong, k=20)
+            report = ThresholdCertify(20).fit(weak, strong).report_
             assert 20 <= report.strong_calls <= 200
             if coverage_event_holds(inst, report.weak_state):
                 assert report.selected == _truth(inst)
@@ -722,7 +709,7 @@ class TestThresholdCertify:
         means = np.round(rng.random(50), 1)
         inst = Instance(values=rng.random(50), k=5)
         state = IntervalState.from_bounds(np.zeros(50), np.ones(50), means=means)
-        report = ta_certify(None, StrongOracle(inst), k=5, initial_state=state)
+        report = ThresholdCertify(5).fit(None, StrongOracle(inst), state).report_
         assert report.trace == tuple(sorted(range(50), key=lambda x: (-means[x], x)))
 
     def test_initial_state_with_too_few_means_is_rejected_before_any_call(self):
@@ -730,7 +717,7 @@ class TestThresholdCertify:
         strong = StrongOracle(inst)
         with pytest.raises(ValueError, match=r"means has shape \(3,\), the bounds \(100,\)"):
             state = IntervalState.from_bounds(np.zeros(100), np.ones(100), means=[0.5, 0.2, 0.9])
-            ta_certify(None, strong, k=5, initial_state=state)
+            ThresholdCertify(5).fit(None, strong, state)
         assert strong.calls == 0
 
     @pytest.mark.parametrize("k, seed, nan_share", [(1, 0, 0.0), (4, 1, 0.0), (9, 2, 0.0), (8, 3, 0.8)])
@@ -757,7 +744,7 @@ class TestThresholdCertify:
         # unverified weak upper bound
         inst = generate_gap_instance(GapInstanceSpec(n=150, k=15, seed=9))
         weak, strong = WeakOracle(inst, sigma=0.1, seed=9), StrongOracle(inst)
-        report = ta_certify(weak, strong, k=15)
+        report = ThresholdCertify(15).fit(weak, strong).report_
         if report.strong_calls < inst.n:
             verified = np.asarray(report.trace)
             unverified = np.setdiff1d(np.arange(inst.n), verified)
@@ -863,7 +850,7 @@ def test_ta_blocks_match_the_rule_at_every_strong_cap():
     # of about six blocks
     inst, state = _ta_screen()
     n, k = inst.n, inst.k
-    calls = ta_certify(None, StrongOracle(inst), k=k, initial_state=state).strong_calls
+    calls = ThresholdCertify(k).fit(None, StrongOracle(inst), state).report_.strong_calls
     assert 3 * k < calls < n
     for cap in range(calls + 2):
         _assert_ta_matches_reference(inst, state, k, cap)
@@ -910,7 +897,7 @@ def test_ta_head_ends_inside_a_tie_with_the_largest_bound_just_past_it(n):
     assert (_head_pool(-means, 2 * k) is not None) == (n >= 16384)
     state = IntervalState.from_bounds(lower, upper, means=means)
     _assert_ta_matches_reference(Instance(values=values, k=k), state, k, None)
-    report = ta_certify(None, StrongOracle(Instance(values=values, k=k)), k=k, initial_state=state)
+    report = ThresholdCertify(k).fit(None, StrongOracle(Instance(values=values, k=k)), state).report_
     assert report.strong_calls == 2 * k + 1
 
 
@@ -936,7 +923,7 @@ def test_a_nan_strong_value_ends_ta_in_the_error_of_its_reveal(position):
         _reference_ta_phase(state, 10, _NanAtStrongOracle(inst, item))
     strong = _NanAtStrongOracle(inst, item)
     with pytest.raises(ValueError) as fit_error:
-        ta_certify(None, strong, k=10, initial_state=state)
+        ThresholdCertify(10).fit(None, strong, state)
     interval = f"[{state.lower[item]}, {state.upper[item]}]"
     assert str(fit_error.value) == f"non-monotone update of item {item}: {interval} -> [nan, nan]"
     # the phase ends with the NaN's block, at most k items long
@@ -1017,11 +1004,11 @@ def test_a_missing_strong_oracle_is_rejected_before_any_pull(name):
     assert weak.total_pulls == 0
     if name == "brute":
         with pytest.raises(ValueError, match="needs a strong oracle, got None"):
-            brute_force_certify(None, 3)
+            BruteForceCertify(3).fit(None, None)
     else:
         # k = 0 and k = n need no strong call
         for k in (0, 200):
-            assert ALGORITHMS[name](k).fit(weak, None).selected_ == tuple(range(k))
+            assert ALGORITHMS[name](k).fit(weak, None).report_.selected == tuple(range(k))
 
 
 @pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta"])
@@ -1047,14 +1034,14 @@ class TestBruteForce:
     def test_matches_true_top_k(self):
         for seed in range(20):
             inst = _random_instance(seed, n=25, k=7)
-            report = brute_force_certify(StrongOracle(inst), k=7)
+            report = BruteForceCertify(7).fit(None, StrongOracle(inst)).report_
             assert report.selected == _truth(inst)
             assert report.strong_calls == 25
             assert report.trace == tuple(range(25))
 
     def test_always_queries_everything(self):
         inst = _random_instance(5, n=12, k=12)
-        assert brute_force_certify(StrongOracle(inst), k=12).strong_calls == 12
+        assert BruteForceCertify(12).fit(None, StrongOracle(inst)).report_.strong_calls == 12
 
 
 class TestEdgeCases:
@@ -1071,7 +1058,7 @@ class TestEdgeCases:
     def test_k_larger_than_n_rejected(self):
         inst = _random_instance(12, n=10, k=3)
         with pytest.raises(ValueError):
-            stc(WeakOracle(inst, seed=0), StrongOracle(inst), k=11)
+            ScreenThenCertify(11).fit(WeakOracle(inst, seed=0), StrongOracle(inst))
 
 
 class TestBoundedNoisePath:
@@ -1091,66 +1078,110 @@ class TestBoundedNoisePath:
 
     def test_one_shot_screens_with_bernstein_intervals(self):
         weak, strong = self._oracles()
-        report = stc(weak, strong, k=15, **self.kwargs)
+        report = ScreenThenCertify(15, **self.kwargs).fit(weak, strong).report_
         assert 0 < report.strong_calls < self.inst.n
         if coverage_event_holds(self.inst, report.weak_state):
             assert report.selected == _truth(self.inst)
 
     def test_adaptive_dominates_one_shot_under_bernstein(self):
         weak, strong = self._oracles()
-        rep_stc = stc(weak, strong, k=15, **self.kwargs)
+        rep_stc = ScreenThenCertify(15, **self.kwargs).fit(weak, strong).report_
         snapshot_and_reset(weak, strong)
-        rep_ace = ace(weak, strong, k=15, **self.kwargs)
+        rep_ace = AdaptiveCertify(15, **self.kwargs).fit(weak, strong).report_
         assert rep_ace.strong_calls <= rep_stc.strong_calls
 
     def test_adaptive_weak_phase_with_bernstein_sequence(self):
         weak, strong = self._oracles()
-        report = ace_w(
-            weak,
-            strong,
-            k=15,
-            weak_budget=150 * 800,
-            w_min=400,
-            ci_method="empirical_bernstein",
-            ci_range=1.0,
+        certifier = AdaptiveCertifyWeak(
+            15, weak_budget=150 * 800, w_min=400, ci_method="empirical_bernstein", ci_range=1.0
         )
+        report = certifier.fit(weak, strong).report_
         assert weak.total_pulls <= 150 * 800
         if coverage_event_holds(self.inst, report.weak_state):
             assert report.selected == _truth(self.inst)
 
     def test_anytime_method_as_fixed_construction(self):
         weak, strong = self._oracles()
-        report = stc(weak, strong, k=15, n_weak=600, ci_method="anytime_empirical_bernstein")
-        fixed = stc(*self._oracles(), k=15, **self.kwargs)
+        certifier = ScreenThenCertify(15, n_weak=600, ci_method="anytime_empirical_bernstein")
+        report = certifier.fit(weak, strong).report_
+        fixed = ScreenThenCertify(15, **self.kwargs).fit(*self._oracles()).report_
         assert report.strong_calls >= fixed.strong_calls
         if coverage_event_holds(self.inst, report.weak_state):
             assert report.selected == _truth(self.inst)
 
 
 class TestEstimatorInterface:
-    def test_get_and_set_params_roundtrip(self):
-        certifier = AdaptiveCertify(k=10, delta=0.01, n_weak=20)
-        params = certifier.get_params()
-        assert params["k"] == 10 and params["delta"] == 0.01 and params["n_weak"] == 20
-        certifier.set_params(delta=0.1)
-        assert certifier.delta == 0.1
-        clone = AdaptiveCertify(**certifier.get_params())
-        assert clone.get_params() == certifier.get_params()
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError):
-            ScreenThenCertify(k=3).set_params(bogus=1)
-
     def test_fit_sets_attributes(self):
         inst = _random_instance(13, n=30, k=6)
-        certifier = ThresholdCertify(k=6).fit(
-            WeakOracle(inst, sigma=0.1, seed=1), StrongOracle(inst)
-        )
-        assert certifier.selected_ == certifier.report_.selected
-        assert len(certifier.selected_) == 6
+        certifier = ThresholdCertify(k=6)
+        assert certifier.fit(WeakOracle(inst, sigma=0.1, seed=1), StrongOracle(inst)) is certifier
+        assert len(certifier.report_.selected) == 6
 
-    def test_repr_shows_params(self):
-        assert "k=4" in repr(BruteForceCertify(k=4))
+    @pytest.mark.parametrize(
+        "name, params, text",
+        [
+            (
+                "stc",
+                {},
+                "ScreenThenCertify(k=5, delta=0.05, n_weak=12, ci_method='subgaussian', ci_sigma=0.1, "
+                "ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "stc",
+                {"delta": 0.1},
+                "ScreenThenCertify(k=5, delta=0.1, n_weak=12, ci_method='subgaussian', ci_sigma=0.1, "
+                "ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "ace",
+                {},
+                "AdaptiveCertify(k=5, delta=0.05, n_weak=12, ci_method='subgaussian', ci_sigma=0.1, "
+                "ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "ace",
+                {"ci_method": "empirical_bernstein"},
+                "AdaptiveCertify(k=5, delta=0.05, n_weak=12, ci_method='empirical_bernstein', ci_sigma=0.1, "
+                "ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "ace_w",
+                {},
+                "AdaptiveCertifyWeak(k=5, delta=0.05, weak_budget=None, w_min=6, w_max=None, "
+                "ci_method='subgaussian', ci_sigma=0.1, ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "ace_w",
+                {"w_max": 40, "ci_sigma": 0.03},
+                "AdaptiveCertifyWeak(k=5, delta=0.05, weak_budget=None, w_min=6, w_max=40, "
+                "ci_method='subgaussian', ci_sigma=0.03, ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "ta",
+                {},
+                "ThresholdCertify(k=5, delta=0.05, n_weak=12, ci_method='subgaussian', ci_sigma=0.1, "
+                "ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            (
+                "ta",
+                {"n_weak": 20},
+                "ThresholdCertify(k=5, delta=0.05, n_weak=20, ci_method='subgaussian', ci_sigma=0.1, "
+                "ci_range=1.0, delta_weak_fraction=1.0)",
+            ),
+            ("brute", {}, "BruteForceCertify(k=5)"),
+        ],
+        ids=["stc", "stc-delta", "ace", "ace-ci_method", "ace_w", "ace_w-w_max-ci_sigma", "ta", "ta-n_weak", "brute"],
+    )
+    def test_repr_shows_params(self, name, params, text):
+        """Every constructor parameter in signature order, before and after fit."""
+        certifier = ALGORITHMS[name](5, **params)
+        assert repr(certifier) == text
+        inst = _random_instance(13, n=30, k=6)
+        certifier.fit(WeakOracle(inst, sigma=0.1, seed=1), StrongOracle(inst))
+        assert repr(certifier) == text
+        inst = _random_instance(13, n=30, k=6)
+        certifier.fit(WeakOracle(inst, sigma=0.1, seed=1), StrongOracle(inst))
+        assert repr(certifier) == text
 
     def test_registry_names(self):
         assert set(ALGORITHMS) == {"stc", "ace", "ace_w", "ta", "brute"}
@@ -1166,9 +1197,9 @@ def test_an_overriding_query_sees_every_batched_query(name):
         reports = []
         for strong in (recording, StrongOracle(inst)):
             if name == "stc":
-                reports.append(stc(WeakOracle(inst, sigma=0.1, seed=seed), strong, k=20))
+                reports.append(ScreenThenCertify(20).fit(WeakOracle(inst, sigma=0.1, seed=seed), strong).report_)
             else:
-                reports.append(brute_force_certify(strong, k=20))
+                reports.append(BruteForceCertify(20).fit(None, strong).report_)
             assert strong.trace == list(reports[-1].trace)
         recorded, plain = reports
         expected = ambiguous_set(recorded.weak_state, 20) if name == "stc" else np.arange(300)
@@ -1182,7 +1213,7 @@ def test_stc_breaks_tied_reveals_by_index():
     rng = np.random.default_rng(3)
     for n, k in ((50, 1), (50, 17), (400, 40), (400, 399)):
         inst = Instance(values=rng.integers(0, 4, n) / 4, k=k)
-        report = stc(None, StrongOracle(inst), k=k, initial_state=IntervalState.full_range(n))
+        report = ScreenThenCertify(k).fit(None, StrongOracle(inst), IntervalState.full_range(n)).report_
         assert report.trace == tuple(range(n))
         assert report.selected == _truth(inst)
 

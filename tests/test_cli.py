@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from topkcert import cli
-from topkcert.certify import stc
+from topkcert.certify import ScreenThenCertify
 from topkcert.cli import main
 from topkcert.harness import COLUMNS
 from topkcert.instances import GapInstanceSpec, generate_gap_instance, load_instance
@@ -41,7 +41,7 @@ class TestRun:
         assert lines[0] == ",".join(COLUMNS) and len(lines) == 2
         inst = generate_gap_instance(GapInstanceSpec(n=300, k=30, seed=0))
         weak, strong = WeakOracle(inst, sigma=0.1, seed=0), StrongOracle(inst)
-        conflicts = stc(weak, strong, k=30, ci_sigma=0.01).interval_conflicts
+        conflicts = ScreenThenCertify(30, ci_sigma=0.01).fit(weak, strong).report_.interval_conflicts
         assert conflicts > 0
         assert captured.err == f"interval conflicts: {conflicts}\n"
 

@@ -15,7 +15,7 @@ from topkcert.confidence import (
     ci_method_from_config,
     epoch_delta,
 )
-from topkcert.certify import ScreenThenCertify, stc
+from topkcert.certify import ScreenThenCertify
 from topkcert.core import Instance, coverage_event_holds
 from topkcert.oracles import StrongOracle, WeakOracle
 from topkcert._hashing import gaussian_rows, item_keys
@@ -333,7 +333,7 @@ class TestSharedScreen:
         weak.reset()
         # strong values far from the weak ones fall outside many intervals
         flipped = Instance(values=1.0 - np.random.default_rng(3).random(400), k=10)
-        report = stc(weak, StrongOracle(flipped), k=10, ci_sigma=0.2)
+        report = ScreenThenCertify(10, ci_sigma=0.2).fit(weak, StrongOracle(flipped)).report_
         assert report.weak_state is screen and report.interval_conflicts > 0
         assert screen.conflicts == 0
         weak.reset()

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from topkcert import GapInstanceSpec, StrongOracle, WeakOracle, ace_w, generate_gap_instance
+from topkcert import AdaptiveCertifyWeak, GapInstanceSpec, StrongOracle, WeakOracle, generate_gap_instance
 
 SHAPES = {
     "subgaussian_n5000": (
@@ -45,7 +45,7 @@ SHAPES = {
 def _run(n, k, seed, clamp, params):
     inst = generate_gap_instance(GapInstanceSpec(n=n, k=k, seed=seed))
     weak = WeakOracle(inst, sigma=0.1, seed=seed, clamp=clamp)
-    report = ace_w(weak, StrongOracle(inst), k=k, **params)
+    report = AdaptiveCertifyWeak(k, **params).fit(weak, StrongOracle(inst)).report_
     return report, weak
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from topkcert import harness
-from topkcert.certify import brute_force_certify
+from topkcert.certify import BruteForceCertify
 from topkcert.core import IntervalState, near_tie_mass, true_top_k
 from topkcert.harness import (
     BASE_DEFAULTS,
@@ -32,14 +32,14 @@ def instance():
 
 class TestComputeMetrics:
     def test_brute_force_metrics(self, instance):
-        report = brute_force_certify(StrongOracle(instance), k=20)
+        report = BruteForceCertify(20).fit(None, StrongOracle(instance)).report_
         metrics = compute_metrics(report, instance)
         assert metrics["correct"] is True
         assert metrics["coverage_held"] is True
         assert metrics["rho"] == pytest.approx(instance.n / near_tie_mass(instance, 0.0))
 
     def test_forced_wrong_set_is_flagged(self, instance):
-        report = brute_force_certify(StrongOracle(instance), k=20)
+        report = BruteForceCertify(20).fit(None, StrongOracle(instance)).report_
         wrong = dataclasses.replace(report, selected=tuple(range(20)))
         truth = set(int(x) for x in true_top_k(instance))
         if truth != set(range(20)):
@@ -56,7 +56,7 @@ class TestComputeMetrics:
     def test_ambiguity_bound_guard_fires_only_on_covered_states(self, instance):
         values = instance.values
         report = dataclasses.replace(
-            brute_force_certify(StrongOracle(instance), k=20),
+            BruteForceCertify(20).fit(None, StrongOracle(instance)).report_,
             weak_state=IntervalState.from_bounds(values, values),
             eps_max=0.0,
             ambiguous_initial=near_tie_mass(instance, 0.0) + 1,
