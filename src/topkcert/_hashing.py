@@ -78,13 +78,13 @@ def gaussian_scalar(key: int, t: int, sigma: float) -> float:
 
 
 def gaussian_rows(
-    keys: np.ndarray, starts, count: int, sigma: float, offsets: np.ndarray | None = None
+    keys: np.ndarray, starts, count: int, sigma: float, offsets: np.ndarray
 ) -> np.ndarray:
     """(m, count) matrix of per-row draws: row r holds offsets[r] + sigma * N(0, 1)
     for pulls starts[r] .. starts[r]+count-1 of the item whose key is keys[r].
 
     ``starts`` is an array of m positions, or one int at which every row
-    starts; ``offsets`` defaults to zero.
+    starts.
     """
     m = keys.size
     out = np.empty((m, count))
@@ -94,8 +94,7 @@ def gaussian_rows(
     for lo in range(0, m, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, m)
         first = starts if starts.size == 1 else starts[lo:hi]
-        block_offsets = None if offsets is None else offsets[lo:hi]
-        _draw_block(out[lo:hi], bits[: hi - lo], keys[lo:hi], first + steps, sigma, block_offsets)
+        _draw_block(out[lo:hi], bits[: hi - lo], keys[lo:hi], first + steps, sigma, offsets[lo:hi])
     return out
 
 
@@ -136,7 +135,7 @@ def row_moments(
 
 def _draw_block(
     out: np.ndarray, bits: np.ndarray, keys: np.ndarray, positions: np.ndarray, sigma: float,
-    offsets: np.ndarray | None,
+    offsets: np.ndarray,
 ) -> None:
     """Write offsets[r] + sigma * N(0, 1) for row r's pull indexes `positions`
     into out[r]; `bits` is uint64 scratch of out's shape.
@@ -152,5 +151,4 @@ def _draw_block(
     out *= _INV_2_53
     ndtri(out, out=out)
     out *= sigma
-    if offsets is not None:
-        out += offsets[:, None]
+    out += offsets[:, None]

@@ -72,8 +72,8 @@ class CertificationReport:
 
 
 def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[int], list[float]]:
-    """Adaptive strong-query loop on an interval state, which it only reads;
-    returns the selected items, the queried items and their values.
+    """Adaptive strong-query loop on an interval state, which it only reads,
+    for 0 < k < n; returns the selected items, the queried items and their values.
 
     Each iteration either certifies the optimistic top-k set or collapses the
     wider of the critical pair; every strong query lands on a distinct item,
@@ -96,8 +96,6 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     n = state.n
     trace: list[int] = []
     values: list[float] = []
-    if k == n:
-        return np.arange(n), trace, values
     order = _stable_argsort(-state.upper)
     lower, upper = state.lower.tolist(), state.upper.tolist()
     top = order[:k].tolist()

@@ -215,12 +215,16 @@ def run_replicate(
 ) -> list[ReplicateResult]:
     """Run several algorithms on one instance with shared weak substreams.
 
-    A config rejection raises ``ValueError`` before the first pull or query
-    and becomes an error result.  A ``ValueError`` raised after oracle access
-    is an algorithm fault and propagates.
+    A config the oracles reject (``ValueError`` or ``TypeError``), or that a
+    certifier rejects with ``ValueError`` before its first pull or query,
+    becomes an error result.  A ``ValueError`` raised after oracle access is
+    an algorithm fault and propagates.
     """
-    weak = _weak_oracle(instance, seed, cfg) if initial_state is None else None
-    strong = StrongOracle(instance, cap=cfg["oracle.strong_cap"])
+    try:
+        weak = _weak_oracle(instance, seed, cfg) if initial_state is None else None
+        strong = StrongOracle(instance, cap=cfg["oracle.strong_cap"])
+    except (ValueError, TypeError) as err:
+        return [ReplicateResult(name, None, None, None, error=str(err)) for name in algorithms]
     results = []
     for name in algorithms:
         certifier = _certifier(name, instance.k, instance.n, cfg)
@@ -298,10 +302,18 @@ def run_row(experiment: str, cfg, seed, result: ReplicateResult, instance, truth
 
 
 def _coverage_row(cfg, seed, instance) -> ExperimentRow:
-    weak = _weak_oracle(instance, seed, cfg)
-    # the uniform weak phase every fixed-interval certifier runs
-    certifier = _certifier("stc", instance.k, instance.n, cfg)
-    state = certifier._weak_phase(weak, None, instance.n, instance.k)
+    """The uniform weak phase's coverage row, or an error row for a config
+    the oracle or the phase rejects before any pull, as in ``run_replicate``."""
+    weak = None
+    try:
+        weak = _weak_oracle(instance, seed, cfg)
+        # the uniform weak phase every fixed-interval certifier runs
+        certifier = _certifier("stc", instance.k, instance.n, cfg)
+        state = certifier._weak_phase(weak, None, instance.n, instance.k)
+    except (ValueError, TypeError) as err:
+        if weak is not None and weak.total_pulls:
+            raise
+        return _config_row("coverage", "coverage", cfg, seed, instance, status="error", note=str(err))
     return _config_row(
         "coverage", "coverage", cfg, seed, instance, strong_calls=0, weak_pulls=weak.total_pulls,
         eps_max=epsilon_max(state), coverage_held=coverage_event_holds(instance, state),

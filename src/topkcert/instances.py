@@ -10,8 +10,9 @@ leaving the boundary crowd itself small.
 
 The packing generator builds the adversarial lower-bound construction: m
 items share one interval straddling the threshold, so no algorithm can
-certify the top-k without strong-querying essentially all of them.  It
-returns both the hidden values and the prescribed interval state.
+certify the top-k without strong-querying essentially all of them.  Its
+geometry is fixed, and a seed picks which k packed items are the true top-k.
+It returns both the hidden values and the prescribed interval state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Instance, IntervalState
-from .validation import check_int, check_k, check_positive, check_probability
+from .validation import check_int, check_k, check_positive
 
 
 # The gap generator's fixed shape: the boundary levels sit at _ANCHOR +- gap/2,
@@ -33,6 +34,12 @@ _ANCHOR = 0.5
 _TAIL_MARGIN = 0.02
 _BULK_BAND = (0.05, 0.12)
 _TOP_HIGH = 0.98
+
+# The packing construction's fixed geometry: the packed items share an interval
+# of half-width _PACK_RADIUS around _PACK_LEVEL; the rest sit _PACK_SEPARATION below.
+_PACK_LEVEL = 0.5
+_PACK_RADIUS = 0.05
+_PACK_SEPARATION = 0.2
 
 
 @dataclass(frozen=True)
@@ -109,55 +116,38 @@ class PackingSpec:
     """Parameters of the lower-bound packing construction.
 
     ``m`` items (the packed set S) carry one shared interval of half-width
-    ``radius`` around ``level``; the hidden values inside S sit at
-    ``level +- radius / 2`` and everything else at ``level - separation``.
+    0.05 around 0.5; the hidden values inside S sit at 0.5 +- 0.025 and
+    everything else at 0.3.
     """
 
     n: int
     k: int
     m: int
-    level: float = 0.5
-    radius: float = 0.05
-    separation: float = 0.2
 
     def __post_init__(self):
         n = check_int(self.n, "n", minimum=1)
         m = check_int(self.m, "m", minimum=1, maximum=n)
         check_k(self.k, m)
-        radius = check_positive(self.radius, "radius")
-        level = check_probability(self.level, "level")
-        if self.separation <= 2.0 * radius:
-            raise ValueError("separation must exceed twice the radius")
-        if level - 2.0 * radius <= 0.0 or level + 2.0 * radius >= 1.0:
-            raise ValueError("[level - 2r, level + 2r] must fit inside (0, 1)")
-        if level - self.separation - 2.0 * radius <= 0.0:
-            raise ValueError("level - separation - 2r must stay positive")
 
 
-def generate_packing_instance(
-    spec: PackingSpec, seed: Optional[int] = None
-) -> tuple[Instance, IntervalState]:
+def generate_packing_instance(spec: PackingSpec, seed: int) -> tuple[Instance, IntervalState]:
     """Build the packing instance and its prescribed interval state.
 
-    The true top-k are k packed items drawn from ``seed``, or the first k
-    packed items when it is omitted.  The prescribed intervals cover the true
-    values by construction and certify every item outside the packed set as
-    OUT.
+    The true top-k are k packed items drawn from ``seed``.  The prescribed
+    intervals cover the true values by construction and certify every item
+    outside the packed set as OUT.
     """
     n, k, m = spec.n, spec.k, spec.m
-    if seed is None:
-        target = np.arange(k)
-    else:
-        target = np.random.default_rng(seed).choice(m, size=k, replace=False)
+    target = np.random.default_rng(check_int(seed, "seed")).choice(m, size=k, replace=False)
 
-    values = np.full(n, spec.level - spec.separation)
-    values[:m] = spec.level - 0.5 * spec.radius
-    values[target] = spec.level + 0.5 * spec.radius
+    values = np.full(n, _PACK_LEVEL - _PACK_SEPARATION)
+    values[:m] = _PACK_LEVEL - 0.5 * _PACK_RADIUS
+    values[target] = _PACK_LEVEL + 0.5 * _PACK_RADIUS
 
-    lower = np.full(n, spec.level - spec.separation - 0.5 * spec.radius)
-    upper = np.full(n, spec.level - spec.separation + 0.5 * spec.radius)
-    lower[:m] = spec.level - spec.radius
-    upper[:m] = spec.level + spec.radius
+    lower = np.full(n, _PACK_LEVEL - _PACK_SEPARATION - 0.5 * _PACK_RADIUS)
+    upper = np.full(n, _PACK_LEVEL - _PACK_SEPARATION + 0.5 * _PACK_RADIUS)
+    lower[:m] = _PACK_LEVEL - _PACK_RADIUS
+    upper[:m] = _PACK_LEVEL + _PACK_RADIUS
     state = IntervalState.from_bounds(lower, upper)
     return Instance(values=values, k=k), state
 

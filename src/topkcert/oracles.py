@@ -43,6 +43,7 @@ harness code can record partial runs instead of crashing a sweep.
 
 from __future__ import annotations
 
+import math
 import mmap
 import operator
 from dataclasses import dataclass
@@ -125,12 +126,12 @@ class WeakOracle:
     ):
         if noise not in _NOISE_MODELS:
             raise ValueError(f"noise must be one of {_NOISE_MODELS}, got {noise!r}")
-        if noise == "gaussian":
-            check_non_negative(sigma, "sigma")
+        if noise == "gaussian" and not math.isfinite(check_non_negative(sigma, "sigma")):
+            raise ValueError(f"sigma must be finite, got {sigma}")
         self._instance = instance
         self.noise = noise
         self.sigma = float(sigma)
-        self.seed = int(seed)
+        self.seed = check_int(seed, "seed")
         self.clamp = bool(clamp)
         self.max_pulls = None if max_pulls is None else check_int(max_pulls, "max_pulls", minimum=0)
         self._keys = _hashing.item_keys(self.seed, instance.n)

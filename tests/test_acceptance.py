@@ -152,7 +152,7 @@ class TestCriterion6LowerBoundWitness:
     def test_packing_instances_force_m_strong_calls(self):
         results = {}
         for m in (50, 100, 200):
-            spec = PackingSpec(n=500, k=10, m=m, level=0.5, radius=0.05, separation=0.2)
+            spec = PackingSpec(n=500, k=10, m=m)
             instance, state = generate_packing_instance(spec, seed=m)
             calls_stc = ScreenThenCertify(10).fit(None, StrongOracle(instance), state).report_.strong_calls
             calls_ace = AdaptiveCertify(10).fit(None, StrongOracle(instance), state).report_.strong_calls

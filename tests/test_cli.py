@@ -229,6 +229,58 @@ class TestSweep:
         assert "1 errors" in stdout
 
 
+class TestOracleConfigErrors:
+    """A config the oracles reject exits 1 with error rows or problem lines,
+    as other config errors do, and raises nothing."""
+
+    @pytest.mark.parametrize("args, note", [
+        (["--sigma", "-1"], "sigma must be >= 0, got -1.0"),
+        (["--strong-cap", "-1"], "cap must be >= 0, got -1"),
+    ])
+    def test_run_writes_an_error_row(self, capsys, args, note):
+        code, out = run_cli(["run", "--algo", "ace", "--n", "200", "--k", "10", *args], capsys)
+        assert code == 1
+        [row] = csv.DictReader(out.splitlines())
+        assert (row["status"], row["note"]) == ("error", note)
+
+    def test_run_with_an_unknown_noise_model_writes_an_error_row(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOPKCERT_ORACLE_NOISE", "bogus")
+        code, out = run_cli(["run", "--algo", "stc", "--n", "200", "--k", "10"], capsys)
+        assert code == 1
+        [row] = csv.DictReader(out.splitlines())
+        assert row["status"] == "error" and row["note"].startswith("noise must be one of")
+
+    @pytest.mark.parametrize("experiment, args", [
+        ("scaling_n", ["--sigma", "-1"]),
+        ("coverage", ["--sigma", "-1"]),
+        ("coverage", ["--n-weak", "0"]),
+    ])
+    def test_sweep_writes_error_rows(self, capsys, tmp_path, experiment, args):
+        out = tmp_path / "rows.csv"
+        code, stdout = run_cli(
+            ["sweep", "--experiment", experiment, "--grid", "200", "--replicates", "1",
+             "--k", "10", "--out", str(out), *args],
+            capsys,
+        )
+        assert code == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows and {row["status"] for row in rows} == {"error"}
+
+    def test_verify_prints_one_problem_per_algorithm_and_seed(self, capsys):
+        code = main(["verify", "--seeds", "0..2", "--n", "200", "--k", "10", "--sigma", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "verified 2 seeds: 8 problems\n"
+        assert captured.err.splitlines()[0] == "seed 0: stc failed: sigma must be >= 0, got -1.0"
+
+    def test_no_traceback_reaches_stderr(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "topkcert.cli", "verify", "--seeds", "0..2", "--sigma", "-1"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+
+
 class TestVerify:
     def test_clean_range_exits_zero(self, capsys):
         code, out = run_cli(["verify", "--seeds", "0..3", "--n", "120", "--k", "12"], capsys)

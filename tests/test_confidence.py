@@ -220,7 +220,7 @@ class TestBuildFixedIntervals:
         seed, n_pulls, delta = 11, 6, 0.05
         weak = WeakOracle(inst, sigma=0.2, seed=seed)
         state = build_fixed_intervals(weak, n_pulls, delta / 3, SubGaussian(0.2))
-        raw = values[:, None] + gaussian_rows(item_keys(seed, 3), 0, n_pulls, 0.2)
+        raw = values[:, None] + gaussian_rows(item_keys(seed, 3), 0, n_pulls, 0.2, np.zeros(3))
         means = raw.mean(axis=1)
         radius = 0.2 * math.sqrt(2 * math.log(2 / (delta / 3)) / n_pulls)
         np.testing.assert_allclose(state.lower, np.clip(means - radius, 0, 1))
@@ -369,9 +369,11 @@ class TestSharedScreen:
         assert later.pulls[0] == 12 and shorter.pulls[0] == 6
 
     def test_a_screen_is_checked_when_built(self):
-        # infinite noise makes every mean NaN, so every bound is NaN
+        # infinite noise makes every mean NaN, so every bound is NaN; the
+        # constructor rejects it, so it is set afterwards
         inst = Instance(values=np.array([0.1, 0.5, 0.9]), k=1)
-        weak = WeakOracle(inst, sigma=math.inf, seed=0)
+        weak = WeakOracle(inst, seed=0)
+        weak.sigma = math.inf
         for _ in range(2):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN bound"):
                 build_fixed_intervals(weak, 4, 0.05 / 3, SubGaussian(0.1))

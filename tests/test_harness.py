@@ -132,6 +132,36 @@ class TestRunSweep:
         assert all(r.coverage_held in (True, False) for r in rows)
         assert all(r.strong_calls == 0 for r in rows)
 
+    @pytest.mark.parametrize("base, message", [
+        ({"oracle.sigma": -1.0}, "sigma must be >= 0, got -1.0"),
+        ({"n_weak": 0}, "n_pulls must be >= 1, got 0"),
+    ])
+    def test_coverage_config_errors_become_error_rows(self, base, message):
+        spec = SweepSpec(experiment="coverage", grid=[150], replicates=2, base={"k": 15, **base})
+        rows = run_sweep(spec)
+        assert [(r.kind, r.status) for r in rows] == [("run", "error")] * 2 + [("summary", "error")]
+        assert [r.note for r in rows[:2]] == [message] * 2
+
+
+class TestOracleConfigErrors:
+    """A config the oracles reject gives one error result per algorithm."""
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"oracle.sigma": -1.0}, "sigma must be >= 0, got -1.0"),
+        ({"oracle.sigma": float("inf")}, "sigma must be finite, got inf"),
+        ({"oracle.strong_cap": -1}, "cap must be >= 0, got -1"),
+        ({"oracle.noise": "bogus"}, "noise must be one of ('gaussian', 'exact'), got 'bogus'"),
+    ])
+    def test_each_algorithm_gets_an_error_result(self, instance, cfg, message):
+        results = run_replicate(instance, 0, ("stc", "ace_w", "ta"), {**BASE_DEFAULTS, **cfg})
+        assert [r.algorithm for r in results] == ["stc", "ace_w", "ta"]
+        for result in results:
+            assert (result.report, result.stats, result.error) == (None, None, message)
+
+    def test_a_non_integer_seed_gives_error_results(self, instance):
+        results = run_replicate(instance, 1.5, ("stc", "ace"), BASE_DEFAULTS)
+        assert [r.error for r in results] == ["seed must be an integer, got 1.5"] * 2
+
 
 class TestDeterminism:
     def test_identical_sweeps_emit_identical_csv(self):

@@ -122,6 +122,18 @@ class TestWeakOracle:
         with pytest.raises(ValueError):
             WeakOracle(instance, noise="cauchy")
 
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_seed_must_be_an_integer(self, instance, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            WeakOracle(instance, seed=seed)
+
+    @pytest.mark.parametrize("sigma, message", [
+        (np.inf, "sigma must be finite"), (-0.1, "sigma must be >= 0"), (np.nan, "sigma must be >= 0"),
+    ])
+    def test_sigma_must_be_finite_and_non_negative(self, instance, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            WeakOracle(instance, sigma=sigma)
+
 
 class _RecordingPullAllOracle(WeakOracle):
     """Records the count of every call of an overriding ``pull_all``."""
