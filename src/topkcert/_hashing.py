@@ -35,6 +35,10 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _ITEM_SALT = 0xD1B54A32D192ED03
 _INV_2_53 = 2.0**-53
+# the top 53 bits of a hash, capped here: (2**53 - 1) + 0.5 rounds to 2**53,
+# a uniform of exactly 1.0 and an infinite draw; (2**53 - 2) + 0.5 rounds to
+# 2**53 - 2, so the cap moves that one value and no other
+_TOP_BITS = 2**53 - 2
 ROW_BLOCK = 2048
 
 
@@ -72,9 +76,12 @@ def item_keys(seed: int, n: int) -> np.ndarray:
 
 
 def gaussian_scalar(key: int, t: int, sigma: float) -> float:
-    """sigma * standard normal for pull index t, via inverse-CDF of a uniform in (0, 1)."""
+    """sigma * standard normal for pull index t, via inverse-CDF of a uniform in (0, 1).
+
+    The uniform lies in [2**-54, 1 - 2**-52], so the standard normal lies in
+    [-8.30, 8.13]."""
     z = mix64(key ^ t)
-    return sigma * float(ndtri(((z >> 11) + 0.5) * _INV_2_53))
+    return sigma * float(ndtri((min(z >> 11, _TOP_BITS) + 0.5) * _INV_2_53))
 
 
 def gaussian_rows(
@@ -147,6 +154,7 @@ def _draw_block(
     np.bitwise_xor(keys[:, None], positions, out=bits)
     mix64_array(bits, out=bits)
     bits >>= np.uint64(11)
+    np.minimum(bits, np.uint64(_TOP_BITS), out=bits)
     np.add(bits, 0.5, out=out)
     out *= _INV_2_53
     ndtri(out, out=out)

@@ -423,16 +423,25 @@ class _WeakPlan:
     for a few), then merges and pulls them (``_commit``).  Its frontier is
     the smallest key of a step not previewed that may still be pulled: every
     step below it is final, and is checked for liveness and the budget and
-    pulled through one ``pull_many``; the steps above it are dropped and
-    previewed again later.  So how far each item is previewed decides only
-    the cost, never the result:
+    pulled through one ``pull_many``.  The steps above it are carried to the
+    next level with their draws, bounds, moments and conflict flags, and an
+    item walks on from the end of its carried steps, so no step is previewed
+    twice.  A step depends only on its item's draws and its bounds before it,
+    so a carried step is the one a fresh preview would compute, bit for bit.
+    A carried step whose bounds before it are no longer ambiguous is dead,
+    with every later step of its item, and is dropped: l_k only rises and u_k
+    only falls.  So how far each item is previewed decides only the cost,
+    never the result:
 
     - Most levels take the ``m`` live items with the smallest keys, each
       until its key passes the next item's, so that level's steps all lie
       below the frontier.  ``m`` aims at ``target`` steps from the steps per
-      item of the last level.
+      item the last level previewed, unless a cap cut it short.  Only these
+      items' carried steps, and the next item's, can lie below the frontier,
+      so only they are merged; the rest wait, in (item, count) order.
     - When ``m`` covers every live item, each passes the narrowest key and
-      takes ``extra`` more steps, keeping items that step in turn in step.
+      takes ``extra`` more steps, its carried steps included, keeping items
+      that step in turn in step.
     - Items tied at the narrowest width (a run at width 1 or 0 may never
       end) are left to later levels, and an item whose run kept the last
       level from committing much is previewed alone.
@@ -481,6 +490,7 @@ class _WeakPlan:
         live = np.arange(self.lower.size)
         target = self.target
         per_item, alone = 1.0, False
+        carried = _no_steps()
         while budget_left > 0:
             l_k, u_k = self.kth_lower.threshold, -self.kth_neg_upper.threshold
             lower, upper = self.lower[live], self.upper[live]
@@ -508,31 +518,46 @@ class _WeakPlan:
                 bound = lead[-1]
             active = live[lead[:m]]
             limit = (float(widths[bound]), int(live[bound]))
-            steps, stop_w, stop_x, short = self._walk(
-                active, limit, extra, cap, budget_left, per_item, l_k, u_k
+            # any other item's carried steps lie above the limit's key
+            mine, rest = _split(carried, live[lead[: m + 1]], self.lower.size)
+            del carried
+            parts, stop_w, stop_x, short = self._walk(
+                active, limit, extra, cap, budget_left, per_item, l_k, u_k, mine
             )
             if m < live.size:
                 stop_w, stop_x = np.append(stop_w, limit[0]), np.append(stop_x, limit[1])
             frontier = _widest(stop_w, stop_x) if stop_x.size else None
+            walked = sum(part[0].size for part in parts)
+            if len(parts) == 1 and not mine[0].size:
+                steps = parts[0]
+            else:
+                steps = tuple(np.concatenate(columns) for columns in zip(mine, *parts))
+            del parts, mine
             previewed = steps[0].size
-            kept, budget_left = self._commit(steps, frontier, budget_left)
+            kept, budget_left, above = self._commit(steps, frontier, budget_left)
             # free this level's steps before the next level previews its own
             del steps
-            per_item = max(1.0, previewed / m) * (2 if short else 1)
+            if budget_left:
+                carried = self._carry(rest, above)
+            del rest, above
+            # a level cut short leaves its surplus carried, not lost, so the
+            # estimate it would give (too high) is not taken
+            per_item = per_item if short else max(1.0, walked / m)
             alone = short and frontier[1] == active[0] and 2 * kept < previewed
 
-    def _walk(self, active, limit, extra, cap, budget, per_item, l_k, u_k):
-        """Preview the steps of `active` (by ascending key): each item steps
-        until its key (-width, item) passes `limit` and then `extra` more
-        times, for `cap` steps in all.  An item stops early at w_max, once
-        its bounds clear the current l_k or u_k (it is dead from then on),
-        or, among several, at width zero (its key can never grow).  No item
-        takes more than `budget` steps.
+    def _walk(self, active, limit, extra, cap, budget, per_item, l_k, u_k, carried):
+        """Preview the steps of `active` (by ascending key) that follow the
+        steps `carried` holds for them: each item steps until its key
+        (-width, item) passes `limit` and then `extra` more times, for `cap`
+        steps in all.  An item stops early at w_max, once its bounds clear the
+        current l_k or u_k (it is dead from then on), or, among several, at
+        width zero (its key can never grow).  No item takes more than `budget`
+        steps.  An item whose carried steps already pass `limit` takes none.
 
-        Returns the steps as arrays (item, count, bounds before, bounds after,
-        mean, m2, draw, whether it conflicts); the next width and the index
-        of each item that may still be pulled after its last step; and
-        whether an item stopped short of `limit`.
+        Returns the steps as a list of column tuples (item, count, bounds
+        before, bounds after, mean, m2, draw, whether it conflicts); the next
+        width and the index of each item that may still be pulled after its
+        last step; and whether an item stopped short of `limit`.
         """
         w_lim, x_lim = limit
         w_max = self.w_max
@@ -540,17 +565,52 @@ class _WeakPlan:
         lo, hi, mu, m2 = self.lower[x], self.upper[x], self.means[x], self.m2[x]
         c = self.counts[x]
         # an item's key is below the limit while its width is above its bar
-        bar = np.where(x < x_lim, np.nextafter(w_lim, -np.inf), w_lim)
-        # steps left once past the limit; -1 before
-        left = np.where(x == x_lim, extra, -1) if extra else None
-        top = int(c.max())
-        several = x.size > 1
+        edge = np.nextafter(w_lim, -np.inf)
+        bar = np.where(x < x_lim, edge, w_lim)
         parts: list[tuple] = []
         stops: list[tuple] = []
+        # steps left once past the limit; -1 before
+        left = np.where(x == x_lim, extra, -1) if extra else None
+        held = carried[0]
+        if held.size:
+            # carried steps are by (item, count), so an item's are one run,
+            # whose last step ends its trajectory: the item walks on from
+            # there, and stops there if the run passed the limit (and, with
+            # `extra`, took that many steps past it) or ended dead or at w_max
+            bounds = np.flatnonzero(np.r_[True, held[1:] != held[:-1], True])
+            run = np.full(self.lower.size, -1)
+            run[held[bounds[:-1]]] = np.arange(bounds.size - 1)
+            run = run[x]
+            has = run >= 0
+            if has.any():
+                first, ends = bounds[run[has]], bounds[run[has] + 1]
+                lo[has], hi[has], mu[has], m2[has], c[has] = (
+                    carried[i][ends - 1] for i in (4, 5, 6, 7, 1)
+                )
+                w = hi - lo
+                beyond = w <= bar
+                if extra:
+                    # the steps that began past the limit end each run
+                    past = carried[3] - carried[2] <= np.where(held < x_lim, edge, w_lim)
+                    past = np.r_[0, np.cumsum(past)]
+                    spent = np.zeros(x.size, dtype=np.int64)
+                    spent[has] = past[ends] - past[first]
+                    left = np.where(beyond, extra - spent, -1)
+                    beyond &= left <= 0
+                over = (c >= w_max) | (lo > u_k) | (hi < l_k)
+                stop = beyond & ~over
+                stops.append((w[stop], x[stop]))
+                walk = ~(over | beyond)
+                x, lo, hi, mu, m2, c, bar = (a[walk] for a in (x, lo, hi, mu, m2, c, bar))
+                if extra:
+                    left = left[walk]
+        top = int(c.max(initial=0))
+        several = active.size > 1
         short = False
         total = step = 0
-        chunk = min(64, int(per_item) + extra + 2)
-        block = self.weak._draws(x, self.base + c, chunk)
+        # about the steps an item took at the last level
+        chunk = min(64, int(per_item) + extra)
+        block = self.weak._draws(x, self.base + c, chunk) if x.size else None
         rows, column = np.arange(x.size), 0
         # The arrays hold a power of two of items: those that stop stay,
         # masked out of `going`, until half have stopped, and the rest pad
@@ -580,9 +640,12 @@ class _WeakPlan:
                     left = left[keep]
                 going = np.arange(x.size) < walking
             if column == block.shape[1]:
-                chunk *= 2
-                block = self.weak._draws(x, self.base + c, chunk)
-                rows, column = np.arange(x.size), 0
+                # the next draws of the items still walking, and of no other,
+                # as many as the level has walked: at most twice the steps
+                now = np.flatnonzero(going)
+                block = self.weak._draws(x[now], self.base + c[now], step)
+                rows, column = np.zeros(x.size, dtype=np.int64), 0
+                rows[now] = np.arange(now.size)
             value = block[rows, column]
             column += 1
             step += 1
@@ -637,8 +700,7 @@ class _WeakPlan:
             mask = np.concatenate(masks)
             parts.append(tuple(np.concatenate(a)[mask] for a in zip(*columns)))
         stop_w, stop_x = (np.concatenate(a) for a in zip(*stops)) if stops else (np.zeros(0),) * 2
-        steps = parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
-        return steps, stop_w, stop_x, short
+        return parts, stop_w, stop_x, short
 
     def _rows(self, x, lo, hi, mu, m2, c, left, limit, extra, cap, budget, block, several,
               l_k, u_k, parts, stops) -> bool:
@@ -743,16 +805,21 @@ class _WeakPlan:
     def _commit(self, steps, frontier, budget_left):
         """Merge the steps below the frontier, pull the live ones within the
         budget, and take their results; returns (steps below the frontier,
-        budget left)."""
+        budget left, the steps above it in (item, count) order)."""
         x, c, lo_b, hi_b, lo_a, hi_a, mu, m2, value, conflict = steps
         width = hi_b - lo_b
+        # the steps in (item, count) order, which no two share, split at the
+        # frontier; those below it by ascending (-width, item, count)
+        by_step = _stable_argsort(x * (int(c.max(initial=0)) + 1) + c)
         if frontier is None:
-            below = np.arange(x.size)
+            below = np.ones(x.size, dtype=bool)
         else:
             w_f, x_f = frontier
-            below = np.flatnonzero(((width == w_f) & (x <= x_f)) | (width > w_f))
-        order = below[_pull_order(width[below], x[below], c[below])]
-        del width
+            below = ((width == w_f) & (x <= x_f)) | (width > w_f)
+        below = below[by_step]
+        above, order = by_step[~below], by_step[below]
+        order = order[_stable_argsort(-width[order])]
+        del width, by_step
         items, before_lo, before_hi = x[order], lo_b[order], hi_b[order]
         l_k = self.kth_lower.rise_many(items, before_lo, lo_a[order])
         live = before_hi >= l_k
@@ -772,15 +839,52 @@ class _WeakPlan:
         self.lower[ends], self.upper[ends] = lo_a[last], hi_a[last]
         self.means[ends], self.m2[ends] = mu[last], m2[last]
         self.conflicts += int(np.count_nonzero(conflict[taken]))
-        return order.size, budget_left - items.size
+        above = tuple(a[above] for a in steps) if above.size else _no_steps()
+        return order.size, budget_left - items.size, above
+
+    def _carry(self, rest, above):
+        """The steps of `rest` and `above`, each in (item, count) order and
+        sharing no item, merged in that order, less the dead ones: a step
+        whose bounds before it are no longer ambiguous is dead, and so is
+        every later step of its item, since l_k only rises and u_k only falls."""
+        l_k, u_k = self.kth_lower.threshold, -self.kth_neg_upper.threshold
+
+        def live(steps):
+            keep = (steps[2] <= u_k) & (steps[3] >= l_k)
+            return steps if keep.all() else tuple(a[keep] for a in steps)
+
+        rest, above = live(rest), live(above)
+        if not rest[0].size or not above[0].size:
+            return above if not rest[0].size else rest
+        at = np.searchsorted(rest[0], above[0]) + np.arange(above[0].size)
+        from_rest = np.ones(rest[0].size + above[0].size, dtype=bool)
+        from_rest[at] = False
+        merged = []
+        for old, new in zip(rest, above):
+            column = np.empty(from_rest.size, dtype=old.dtype)
+            column[from_rest] = old
+            column[at] = new
+            merged.append(column)
+        return tuple(merged)
 
 
-def _pull_order(widths, items, counts) -> np.ndarray:
-    """The order of steps by ascending (-width, item, count): the steps put
-    in (item, count) order, which no two share, then by -width, equal widths
-    kept in that order."""
-    by_step = _stable_argsort(items * (int(counts.max(initial=0)) + 1) + counts)
-    return by_step[_stable_argsort(-widths[by_step])]
+def _split(steps: tuple, items: np.ndarray, n: int) -> tuple[tuple, tuple]:
+    """The steps of `items` (of n), and the rest, from steps in (item, count)
+    order; both keep that order."""
+    if not steps[0].size:
+        return steps, steps
+    mine = np.zeros(n, dtype=bool)
+    mine[items] = True
+    mine = mine[steps[0]]
+    if mine.all():
+        return steps, _no_steps()
+    return tuple(a[mine] for a in steps), tuple(a[~mine] for a in steps)
+
+
+def _no_steps() -> tuple:
+    """The step columns of ``_WeakPlan`` with no steps in them."""
+    ints, floats = np.zeros(0, dtype=np.int64), np.zeros(0)
+    return (ints, ints) + (floats,) * 7 + (np.zeros(0, dtype=bool),)
 
 
 def _widest(widths: np.ndarray, items: np.ndarray) -> tuple[float, int]:
@@ -802,6 +906,9 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
     the merge of per-item interval trajectories, computed in numpy over many
     items at once and pulled in counted batches (see ``_WeakPlan``); the pulls,
     bounds and conflicts are those of the pull-by-pull rule, bit for bit.
+    Each planned step, with its draw, is computed once: a step planned past
+    one batch waits for a later one.  Every batch is still pulled through
+    ``pull_many``, and a draw that differs from the plan's raises.
     """
 
     def __init__(

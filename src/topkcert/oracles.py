@@ -55,6 +55,10 @@ from .core import Instance, _stable_argsort
 from .validation import check_int, check_non_negative
 
 _NOISE_MODELS = ("gaussian", "exact")
+# A gaussian draw is a value in [0, 1] plus sigma times a standard normal
+# within [-8.30, 8.13], so at this sigma or below a draw, its square, and any
+# sum of them a screen or a mean can hold stay finite.
+SIGMA_MAX = 1e100
 
 
 def _zeroed(count: int, typecode: str) -> memoryview:
@@ -128,6 +132,11 @@ class WeakOracle:
             raise ValueError(f"noise must be one of {_NOISE_MODELS}, got {noise!r}")
         if noise == "gaussian" and not math.isfinite(check_non_negative(sigma, "sigma")):
             raise ValueError(f"sigma must be finite, got {sigma}")
+        if noise == "gaussian" and sigma > SIGMA_MAX:
+            raise ValueError(
+                f"sigma must be at most {SIGMA_MAX:g}, where draws and their sums stay finite; "
+                f"got {sigma}"
+            )
         self._instance = instance
         self.noise = noise
         self.sigma = float(sigma)

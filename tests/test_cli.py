@@ -236,6 +236,9 @@ class TestOracleConfigErrors:
     @pytest.mark.parametrize("args, note", [
         (["--sigma", "-1"], "sigma must be >= 0, got -1.0"),
         (["--strong-cap", "-1"], "cap must be >= 0, got -1"),
+        # its draws would overflow to +-inf and the screen's means to NaN
+        (["--sigma", "1e308"],
+         "sigma must be at most 1e+100, where draws and their sums stay finite; got 1e+308"),
     ])
     def test_run_writes_an_error_row(self, capsys, args, note):
         code, out = run_cli(["run", "--algo", "ace", "--n", "200", "--k", "10", *args], capsys)
@@ -276,6 +279,14 @@ class TestOracleConfigErrors:
     def test_no_traceback_reaches_stderr(self):
         done = subprocess.run(
             [sys.executable, "-m", "topkcert.cli", "verify", "--seeds", "0..2", "--sigma", "-1"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+
+    def test_an_overflowing_sigma_exits_without_a_traceback(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "topkcert.cli", "run", "--algo", "stc", "--n", "200",
+             "--k", "10", "--sigma", "1e308"],
             capture_output=True, text=True,
         )
         assert done.returncode == 1 and "Traceback" not in done.stderr

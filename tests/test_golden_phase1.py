@@ -6,13 +6,16 @@ trace and selected set of one ``ace_w`` run, as the program produced them
 when phase one was a scalar loop of one heap pop and one pull per adaptive
 pull, or, for the shape with k above n / 2, when phase one was planned and
 its k-th largest trackers kept a heap from one batch to the next.  The
-shapes are large enough that phase one is planned in many levels.
+shapes are large enough that phase one is planned in many levels; on two of
+them the planner is also counted (``plan_probe.counting``): it previews each
+step once, and its draws per pull stay under a stated bound.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from plan_probe import counting
 
 from topkcert import AdaptiveCertifyWeak, GapInstanceSpec, StrongOracle, WeakOracle, generate_gap_instance
 
@@ -72,3 +75,20 @@ def test_uncovered_shape_reaches_the_conflict_path():
     kwargs, _ = SHAPES["uncovered_ci_sigma_0.02"]
     report, _ = _run(**kwargs)
     assert report.interval_conflicts > 0
+
+
+# The planner's draws per adaptive pull on the two shapes below are 2.34 and
+# 1.56 with each planned step carried to the next level; they were 3.26 and
+# 1.57 when the steps above a level's frontier were planned again.
+DRAWS_PER_PULL = 2.5
+
+
+@pytest.mark.parametrize("name", ["subgaussian_n5000", "anytime_eb_clamped_wmax60"])
+def test_each_planned_step_is_previewed_once(name):
+    kwargs, digest = SHAPES[name]
+    with counting() as counts:
+        report, weak = _run(**kwargs)
+    assert _digest(report, weak) == digest
+    assert counts.pulls == weak.total_pulls - kwargs["n"] * 6 > 0
+    assert counts.repeats() == 0
+    assert counts.draws <= DRAWS_PER_PULL * counts.pulls

@@ -151,6 +151,9 @@ class TestOracleConfigErrors:
         ({"oracle.sigma": float("inf")}, "sigma must be finite, got inf"),
         ({"oracle.strong_cap": -1}, "cap must be >= 0, got -1"),
         ({"oracle.noise": "bogus"}, "noise must be one of ('gaussian', 'exact'), got 'bogus'"),
+        # finite, but its draws overflow to +-inf and the screen's means to NaN
+        ({"oracle.sigma": 1e308},
+         "sigma must be at most 1e+100, where draws and their sums stay finite; got 1e+308"),
     ])
     def test_each_algorithm_gets_an_error_result(self, instance, cfg, message):
         results = run_replicate(instance, 0, ("stc", "ace_w", "ta"), {**BASE_DEFAULTS, **cfg})

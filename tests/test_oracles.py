@@ -1,5 +1,6 @@
 """Tests for oracle determinism, counters, and budget enforcement."""
 
+import math
 import os
 import struct
 import tracemalloc
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from topkcert import _hashing
 from topkcert._hashing import ROW_BLOCK
 from topkcert.core import Instance
 from topkcert.oracles import (
+    SIGMA_MAX,
     BudgetExceededError,
     OracleStats,
     StrongOracle,
@@ -129,10 +132,21 @@ class TestWeakOracle:
 
     @pytest.mark.parametrize("sigma, message", [
         (np.inf, "sigma must be finite"), (-0.1, "sigma must be >= 0"), (np.nan, "sigma must be >= 0"),
+        # its draws overflow to +-inf and a screen's means to NaN
+        (1e308, r"sigma must be at most 1e\+100"),
+        (np.nextafter(SIGMA_MAX, np.inf), r"at most 1e\+100"),
     ])
     def test_sigma_must_be_finite_and_non_negative(self, instance, sigma, message):
         with pytest.raises(ValueError, match=message):
             WeakOracle(instance, sigma=sigma)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_the_largest_sigma_gives_finite_screens_and_reveals(self, clamp):
+        instance = Instance(values=np.linspace(0.0, 1.0, 40), k=5)
+        weak = WeakOracle(instance, sigma=SIGMA_MAX, seed=3, clamp=clamp)
+        means, variances = weak.pull_all_moments(12, variance=True)
+        assert np.isfinite(means).all() and np.isfinite(variances).all()
+        assert np.isfinite(weak.pull_many(np.arange(40))).all()
 
 
 class _RecordingPullAllOracle(WeakOracle):
@@ -806,3 +820,56 @@ def test_boolean_items_are_rejected_on_every_path(instance, item):
         with pytest.raises(TypeError):
             access()
     assert weak.total_pulls == 0 and strong.calls == 0
+
+
+def _unmix64(z: int) -> int:
+    """The input whose ``mix64`` is z: splitmix64's finalizer, step by step
+    backwards (each xorshift and each odd multiplier is invertible)."""
+
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = (z * pow(_hashing._MUL2, -1, 1 << 64)) & _hashing._MASK
+    z = unshift(z, 27)
+    z = (z * pow(_hashing._MUL1, -1, 1 << 64)) & _hashing._MASK
+    z = unshift(z, 30)
+    return (z - _hashing._GAMMA) & _hashing._MASK
+
+
+class TestTopHash:
+    """The hash whose top 53 bits are all set once made a uniform of exactly
+    1.0 and an infinite draw; it now draws what the next value down draws."""
+
+    T = 5
+    TOP = _unmix64(((1 << 53) - 1) << 11) ^ T
+    BELOW = _unmix64(((1 << 53) - 2) << 11) ^ T
+
+    def test_the_keys_hash_to_the_top_values(self):
+        assert _hashing.mix64(self.TOP ^ self.T) >> 11 == (1 << 53) - 1
+        assert _hashing.mix64(self.BELOW ^ self.T) >> 11 == (1 << 53) - 2
+
+    def test_scalar_and_block_paths_agree_and_stay_finite(self):
+        keys = np.array([self.TOP, self.BELOW], dtype=np.uint64)
+        block = _hashing.gaussian_rows(keys, self.T, 1, 1.0, np.zeros(2))[:, 0]
+        scalar = [_hashing.gaussian_scalar(int(key), self.T, 1.0) for key in keys]
+        assert block.tolist() == scalar
+        # the largest standard normal the grid can give, at u = 1 - 2**-52
+        assert scalar == [ndtri(1.0 - 2.0**-52)] * 2 and math.isfinite(scalar[0])
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_pull_pull_many_and_the_screen_agree_and_stay_finite(self, clamp):
+        weak = WeakOracle(Instance(values=np.array([0.5, 0.25]), k=1), sigma=0.1, clamp=clamp)
+        weak._keys = np.array([self.TOP, self.BELOW], dtype=np.uint64)
+        scalar = [[weak.pull(x) for _ in range(self.T + 1)] for x in (0, 1)]
+        weak.reset()
+        batch = weak.pull_many([0] * (self.T + 1) + [1] * (self.T + 1)).reshape(2, -1)
+        weak.reset()
+        block = weak.pull_all(self.T + 1)
+        assert batch.tolist() == block.tolist() == scalar
+        assert np.isfinite(block).all()
+        expected = 1.0 if clamp else 0.5 + 0.1 * ndtri(1.0 - 2.0**-52)
+        assert block[0, self.T] == expected
