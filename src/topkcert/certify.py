@@ -430,21 +430,35 @@ class _WeakPlan:
     so a carried step is the one a fresh preview would compute, bit for bit.
     A carried step whose bounds before it are no longer ambiguous is dead,
     with every later step of its item, and is dropped: l_k only rises and u_k
-    only falls.  So how far each item is previewed decides only the cost,
-    never the result:
+    only falls.  Dropping all of an item's carried steps only means they are
+    previewed again.  So how far each item is previewed decides only the
+    cost, never the result:
 
     - Most levels take the ``m`` live items with the smallest keys, each
       until its key passes the next item's, so that level's steps all lie
-      below the frontier.  ``m`` aims at ``target`` steps from the steps per
-      item the last level previewed, unless a cap cut it short.  Only these
-      items' carried steps, and the next item's, can lie below the frontier,
-      so only they are merged; the rest wait, in (item, count) order.
+      below the frontier.  ``m`` is sized by steps and by items: it aims at
+      ``target`` steps from the steps per item the last level previewed,
+      unless a cap cut it short, and while the budget lasts it is at least
+      ``WIDTH``, with the steps aimed at and the cap raised to match.  A
+      numpy column of the walk costs the same few dozen calls however many
+      items it holds, so items that each run for many steps are walked many
+      at a time.  Only these items' carried steps, and the next item's, can
+      lie below the frontier, so only they are merged; the rest wait, in
+      (item, count) order.
     - When ``m`` covers every live item, each passes the narrowest key and
       takes ``extra`` more steps, its carried steps included, keeping items
       that step in turn in step.
     - Items tied at the narrowest width (a run at width 1 or 0 may never
       end) are left to later levels, and an item whose run kept the last
-      level from committing much is previewed alone.
+      level from committing much is previewed alone.  That level's per-item
+      estimate was far too low, so it walked far more items than later
+      levels will take: it carries the steps of its ``WIDTH`` leading items
+      only.
+
+    A level holds one copy of its steps: ``_walk`` assembles its columns
+    once, the carried steps first, freeing each column once copied, and
+    ``_commit`` splits off the steps above the frontier and frees the
+    level's columns before it pulls.
     """
 
     # steps a level aims at (n / 4 at large n), and the active sets walked
@@ -452,6 +466,8 @@ class _WeakPlan:
     # scalar step for each item
     TARGET = 8192
     NARROW = 32
+    # the fewest items a level of some live items takes
+    WIDTH = 16 * NARROW
 
     def __init__(self, weak, method, delta_x, k, w_min, w_max, lower, upper, means, m2):
         n = lower.size
@@ -509,6 +525,13 @@ class _WeakPlan:
                 tied = int(np.count_nonzero(widths == widths.min()))
                 extra = min(target, cap) // live.size - 1 if tied == 1 else 0
                 m = live.size if extra > 0 else max(1, live.size - tied)
+            elif not alone:
+                # some of them: at least WIDTH while the budget lasts, so that
+                # a column of the walk holds enough items to pay for its numpy
+                # calls; the steps aimed at, and the cap, rise to match
+                aim = max(target, min(int(self.WIDTH * per_item), budget_left))
+                cap = min(2 * aim, max(64, 2 * budget_left))
+                m = min(live.size - 1, int(max(1, min(aim, cap, budget_left * per_item) // per_item)))
             if m < live.size:
                 # the m widest, each until its key passes the next one's
                 lead = _leading(-widths, m + 1)
@@ -521,29 +544,28 @@ class _WeakPlan:
             # any other item's carried steps lie above the limit's key
             mine, rest = _split(carried, live[lead[: m + 1]], self.lower.size)
             del carried
-            parts, stop_w, stop_x, short = self._walk(
+            steps, walked, stop_w, stop_x, short = self._walk(
                 active, limit, extra, cap, budget_left, per_item, l_k, u_k, mine
             )
+            del mine
             if m < live.size:
                 stop_w, stop_x = np.append(stop_w, limit[0]), np.append(stop_x, limit[1])
             frontier = _widest(stop_w, stop_x) if stop_x.size else None
-            walked = sum(part[0].size for part in parts)
-            if len(parts) == 1 and not mine[0].size:
-                steps = parts[0]
-            else:
-                steps = tuple(np.concatenate(columns) for columns in zip(mine, *parts))
-            del parts, mine
             previewed = steps[0].size
+            # _commit empties `steps`, freeing the level before the next one
             kept, budget_left, above = self._commit(steps, frontier, budget_left)
-            # free this level's steps before the next level previews its own
-            del steps
-            if budget_left:
-                carried = self._carry(rest, above)
-            del rest, above
             # a level cut short leaves its surplus carried, not lost, so the
             # estimate it would give (too high) is not taken
             per_item = per_item if short else max(1.0, walked / m)
             alone = short and frontier[1] == active[0] and 2 * kept < previewed
+            if alone:
+                # its estimate was far too low, so it walked far more items
+                # than later levels will take: keep the steps of the WIDTH
+                # leading ones, which the level after next takes first
+                above = _split(above, active[: self.WIDTH], self.lower.size)[0]
+            if budget_left:
+                carried = self._carry(rest, above)
+            del rest, above
 
     def _walk(self, active, limit, extra, cap, budget, per_item, l_k, u_k, carried):
         """Preview the steps of `active` (by ascending key) that follow the
@@ -554,10 +576,11 @@ class _WeakPlan:
         width zero (its key can never grow).  No item takes more than `budget`
         steps.  An item whose carried steps already pass `limit` takes none.
 
-        Returns the steps as a list of column tuples (item, count, bounds
-        before, bounds after, mean, m2, draw, whether it conflicts); the next
-        width and the index of each item that may still be pulled after its
-        last step; and whether an item stopped short of `limit`.
+        Returns the level's steps, the carried ones first, as one list of
+        columns (item, count, bounds before, bounds after, mean, m2, draw,
+        whether it conflicts); how many of them are new; the next width and
+        the index of each item that may still be pulled after its last step;
+        and whether an item stopped short of `limit`.
         """
         w_lim, x_lim = limit
         w_max = self.w_max
@@ -696,11 +719,31 @@ class _WeakPlan:
                 stops.append((w[held], x[held]))
                 going = going & ~stop
                 walking = int(np.count_nonzero(going))
-        if columns:
-            mask = np.concatenate(masks)
-            parts.append(tuple(np.concatenate(a)[mask] for a in zip(*columns)))
+        # one copy of the level's steps: the carried ones, the columns' (less
+        # the rows of items that had stopped) and the scalar walk's; each
+        # field of the columns is freed once copied
+        del block
+        fields = list(zip(*columns))
+        del columns
+        # where the columns hold an item still walking
+        stepped = np.flatnonzero(np.concatenate(masks)) if masks else np.zeros(0, dtype=np.int64)
+        del masks
+        walked = stepped.size + sum(part[0].size for part in parts)
+        steps = []
+        for i, held in enumerate(carried):
+            out = np.empty(held.size + walked, dtype=held.dtype)
+            out[: held.size] = held
+            at = held.size + stepped.size
+            if fields:
+                # every index is in range, and "clip" takes straight into `out`
+                np.take(np.concatenate(fields[i]), stepped, out=out[held.size : at], mode="clip")
+                fields[i] = None
+            for part in parts:
+                out[at : at + part[i].size] = part[i]
+                at += part[i].size
+            steps.append(out)
         stop_w, stop_x = (np.concatenate(a) for a in zip(*stops)) if stops else (np.zeros(0),) * 2
-        return parts, stop_w, stop_x, short
+        return steps, walked, stop_w, stop_x, short
 
     def _rows(self, x, lo, hi, mu, m2, c, left, limit, extra, cap, budget, block, several,
               l_k, u_k, parts, stops) -> bool:
@@ -804,13 +847,20 @@ class _WeakPlan:
 
     def _commit(self, steps, frontier, budget_left):
         """Merge the steps below the frontier, pull the live ones within the
-        budget, and take their results; returns (steps below the frontier,
-        budget left, the steps above it in (item, count) order)."""
+        budget, and take their results; returns (how many steps lie below the
+        frontier, budget left, the steps above it in (item, count) order).
+
+        `steps` is a list of the level's step columns, which this empties:
+        the steps above the frontier are split off first, and each column
+        is freed once it is no longer needed, all before the pull."""
         x, c, lo_b, hi_b, lo_a, hi_a, mu, m2, value, conflict = steps
+        steps.clear()
         width = hi_b - lo_b
         # the steps in (item, count) order, which no two share, split at the
         # frontier; those below it by ascending (-width, item, count)
-        by_step = _stable_argsort(x * (int(c.max(initial=0)) + 1) + c)
+        by_step = x * (int(c.max(initial=0)) + 1)
+        by_step += c
+        by_step = _stable_argsort(by_step)
         if frontier is None:
             below = np.ones(x.size, dtype=bool)
         else:
@@ -818,29 +868,43 @@ class _WeakPlan:
             below = ((width == w_f) & (x <= x_f)) | (width > w_f)
         below = below[by_step]
         above, order = by_step[~below], by_step[below]
-        order = order[_stable_argsort(-width[order])]
-        del width, by_step
+        del by_step, below
+        width = width[order]
+        np.negative(width, out=width)
+        order = order[_stable_argsort(width)]
+        del width
+        columns = (x, c, lo_b, hi_b, lo_a, hi_a, mu, m2, value, conflict)
+        above = tuple(a[above] for a in columns) if above.size else _no_steps()
+        del columns
         items, before_lo, before_hi = x[order], lo_b[order], hi_b[order]
+        del x, lo_b, hi_b
         l_k = self.kth_lower.rise_many(items, before_lo, lo_a[order])
         live = before_hi >= l_k
         del l_k
-        u_k = -self.kth_neg_upper.rise_many(items, -before_hi, -hi_a[order])
-        live &= before_lo <= u_k
-        del u_k, items, before_lo, before_hi
-        taken = order[np.flatnonzero(live)[:budget_left]]
-        items = x[taken]
-        observed = self.weak.pull_many(items)
-        if observed.tobytes() != value[taken].tobytes():
-            raise RuntimeError("the weak oracle did not return the draws its streams define")
-        counts = c[taken]
+        # negated in place: the u_k tracker keeps -upper, which only rises
+        after = hi_a[order]
+        u_k = self.kth_neg_upper.rise_many(
+            items, np.negative(before_hi, out=before_hi), np.negative(after, out=after)
+        )
+        del before_hi, after
+        live &= before_lo <= np.negative(u_k, out=u_k)
+        del u_k, before_lo
+        kept = order.size
+        at = np.flatnonzero(live)[:budget_left]
+        taken, items = order[at], items[at]
+        del live, order, at
+        counts, planned = c[taken], value[taken]
+        self.conflicts += int(np.count_nonzero(conflict[taken]))
         np.maximum.at(self.counts, items, counts)
-        last = taken[counts == self.counts[items]]
-        ends = x[last]
+        last = counts == self.counts[items]
+        ends, last = items[last], taken[last]
         self.lower[ends], self.upper[ends] = lo_a[last], hi_a[last]
         self.means[ends], self.m2[ends] = mu[last], m2[last]
-        self.conflicts += int(np.count_nonzero(conflict[taken]))
-        above = tuple(a[above] for a in steps) if above.size else _no_steps()
-        return order.size, budget_left - items.size, above
+        del c, lo_a, hi_a, mu, m2, value, conflict, taken, counts, ends, last
+        observed = self.weak.pull_many(items)
+        if observed.tobytes() != planned.tobytes():
+            raise RuntimeError("the weak oracle did not return the draws its streams define")
+        return kept, budget_left - items.size, above
 
     def _carry(self, rest, above):
         """The steps of `rest` and `above`, each in (item, count) order and

@@ -214,8 +214,9 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
       ``bits`` holds any position; the stable sort where that overflows int64;
     - float keys: one sort, then each run of equal keys (NaNs equal each
       other and sort last, -0.0 equals 0.0) put in position order by the same
-      tie-free sort of ``run << bits | position``.  Other dtypes take the
-      stable sort.
+      tie-free sort of ``run << bits | position``; when more than half tie at
+      the smallest key, as clamped bounds do, only the others are sorted.
+      Other dtypes take the stable sort.
     """
     keys = np.asarray(keys)
     size = keys.size
@@ -223,30 +224,47 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     if keys.dtype.kind == "i" and size:
         low = int(keys.min())
         if (int(keys.max()) - low + 1) << bits <= 1 << 63:
-            return _by_key_then_position(keys.astype(np.int64) - low, np.arange(size), bits)
+            return _by_key_then_position(np.subtract(keys, low, dtype=np.int64), np.arange(size), bits)
     if keys.dtype.kind != "f" or not 0 < size <= 1 << 31:
         return np.argsort(keys, kind="stable")
+    least = keys == keys.min()
+    if 2 * np.count_nonzero(least) > size:
+        # most tie at the smallest key (with a NaN, none do): those come
+        # first in position order, and only the rest is sorted
+        rest = np.flatnonzero(~least)
+        return np.concatenate((np.flatnonzero(least), rest[_stable_argsort(keys[rest])]))
+    del least
     order = np.argsort(keys)
     ranked = keys[order]
     tied = ranked[1:] == ranked[:-1]
     if ranked[-1] != ranked[-1]:
         # NaNs sort last, so a NaN short of the end ties with the next entry
         tied |= np.isnan(ranked[:-1])
+    del ranked
     if tied.any():
         member = np.zeros(size, dtype=bool)
         member[1:] = tied
         member[:-1] |= tied
         at = np.flatnonzero(member)
+        # a run's number counts the runs that start up to it: its entries
+        # are consecutive in `at`, and its first is not tied to the one before
+        member[1:] = ~tied
+        del tied
+        runs = np.cumsum(member[at])
         # run numbers are at most size <= 2**31, so run << bits fits int64
-        runs = np.cumsum(np.concatenate(([True], ~tied)))[at]
         order[at] = _by_key_then_position(runs, order[at], bits)
     return order
 
 
 def _by_key_then_position(keys: np.ndarray, positions: np.ndarray, bits: int) -> np.ndarray:
     """`positions` (below ``1 << bits``) by ascending (key, position), for
-    non-negative int64 keys with ``(max key + 1) << bits`` within int64."""
-    return np.sort((keys << bits) | positions) & ((1 << bits) - 1)
+    non-negative int64 keys with ``(max key + 1) << bits`` within int64;
+    sorts in the memory of `keys`, which it returns."""
+    keys <<= bits
+    keys |= positions
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return keys
 
 
 def true_top_k(instance: Instance) -> np.ndarray:

@@ -138,18 +138,25 @@ class WeakOracle:
                 f"got {sigma}"
             )
         self._instance = instance
-        self.noise = noise
-        self.sigma = float(sigma)
-        self.seed = check_int(seed, "seed")
-        self.clamp = bool(clamp)
+        self._noise = noise
+        self._sigma = float(sigma)
+        self._seed = check_int(seed, "seed")
+        self._clamp = bool(clamp)
         self.max_pulls = None if max_pulls is None else check_int(max_pulls, "max_pulls", minimum=0)
-        self._keys = _hashing.item_keys(self.seed, instance.n)
+        self._keys = _hashing.item_keys(self._seed, instance.n)
         self._n = instance.n
         # (shared position, count) -> pull_all's block;
         # ((shared position, count), key) -> pull_all_screen's result
         self._block_cache: dict[tuple[int, int], np.ndarray] = {}
         self._screen_cache: dict[tuple, object] = {}
         self.reset()
+
+    # Read-only: the streams, the cached blocks and the cached screens are
+    # all fixed by these at construction, so none may change after it.
+    noise = property(lambda self: self._noise)
+    sigma = property(lambda self: self._sigma)
+    seed = property(lambda self: self._seed)
+    clamp = property(lambda self: self._clamp)
 
     @property
     def n_items(self) -> int:
@@ -175,10 +182,10 @@ class WeakOracle:
         t = positions[x]
         positions[x] = t + 1
         value = self._instance.values.item(x)
-        if self.noise == "exact":
+        if self._noise == "exact":
             return value
-        value += _hashing.gaussian_scalar(self._keys.item(x), t, self.sigma)
-        if self.clamp:
+        value += _hashing.gaussian_scalar(self._keys.item(x), t, self._sigma)
+        if self._clamp:
             value = min(1.0, max(0.0, value))
         return value
 
@@ -218,12 +225,12 @@ class WeakOracle:
     def _draws(self, items, starts, count: int) -> np.ndarray:
         """The observations `pull` returns for `count` positions from each start;
         uncharged, so never returned by a public method."""
-        if self.noise == "exact":
+        if self._noise == "exact":
             return np.repeat(self._instance.values[items].reshape(-1, 1), count, axis=1)
         rows = _hashing.gaussian_rows(
-            self._keys[items], starts, count, self.sigma, self._instance.values[items]
+            self._keys[items], starts, count, self._sigma, self._instance.values[items]
         )
-        if self.clamp:
+        if self._clamp:
             np.clip(rows, 0.0, 1.0, out=rows)
             # clip keeps -0.0, which the scalar path's max(0.0, v) turns into 0.0
             rows += 0.0
@@ -242,11 +249,11 @@ class WeakOracle:
         if cached is None:
             t0, count = key
             values = self._instance.values
-            if self.noise == "exact":
+            if self._noise == "exact":
                 cached = np.tile(values[:, None], (1, count))
             else:
-                cached = _hashing.gaussian_rows(self._keys, t0, count, self.sigma, values)
-                if self.clamp:
+                cached = _hashing.gaussian_rows(self._keys, t0, count, self._sigma, values)
+                if self._clamp:
                     np.clip(cached, 0.0, 1.0, out=cached)
             cached.flags.writeable = False
             self._block_cache[key] = cached
@@ -292,9 +299,9 @@ class WeakOracle:
     def _moments(self, key: tuple[int, int], variance: bool):
         """The read-only moments of the block at `key`, (shared position, count)."""
         t0, count = key
-        keys = None if self.noise == "exact" else self._keys
+        keys = None if self._noise == "exact" else self._keys
         moments = _hashing.row_moments(
-            keys, t0, count, self.sigma, self._instance.values, self.clamp, variance
+            keys, t0, count, self._sigma, self._instance.values, self._clamp, variance
         )
         for array in moments:
             if array is not None:

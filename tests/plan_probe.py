@@ -12,7 +12,10 @@ replicates are.  For all fits together it prints the adaptive pulls, the
 planner's levels, the steps ``_WeakPlan._walk`` (and ``_rows`` inside it)
 previewed and how many (item, count) pairs repeat one previewed before, the
 steps the levels merged (in all, and at most in one level), the most steps
-carried from one level to the next, and the draws the planner computed.
+carried from one level to the next, the draws the planner computed, and the
+numpy columns ``_walk`` stepped with the items walking in each (those
+``_rows`` steps in scalar floats are not in a column).  It then fits the first
+seed once more under ``tracemalloc`` and prints the peak of that fit.
 ``counting`` is the helper; ``tests/test_golden_phase1.py`` uses it.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +43,8 @@ class PlanCounts:
     merged: int = 0
     largest_level: int = 0
     largest_carry: int = 0
+    columns: int = 0
+    row_steps: int = 0
     # the (item, count) pairs previewed, one array of keys per fit
     previewed: list = field(default_factory=list)
 
@@ -53,6 +59,7 @@ def counting():
     levels, previewed steps and draws; yields the ``PlanCounts``."""
     counts = PlanCounts()
     run, walk, commit, carry = _WeakPlan.run, _WeakPlan._walk, _WeakPlan._commit, _WeakPlan._carry
+    tables, rows = _WeakPlan._tables, _WeakPlan._rows
 
     def counted_run(self, budget_left):
         before = self.weak.total_pulls
@@ -75,14 +82,15 @@ def counting():
 
         self.weak._draws = counted_draws
         try:
-            steps = walk(self, *args)
+            result = walk(self, *args)
         finally:
             del self.weak._draws
-        for part in steps[0]:
-            items, pulls = part[0], part[1]
-            counts.steps += items.size
-            counts.previewed[-1].append(items * (int(self.w_max) + 1) + pulls)
-        return steps
+        # the new steps follow the carried ones
+        steps, new = result[0], result[1]
+        items, pulls = (column[column.size - new :] for column in steps[:2])
+        counts.steps += new
+        counts.previewed[-1].append(items * (int(self.w_max) + 1) + pulls)
+        return result
 
     def counted_commit(self, steps, *args):
         counts.levels += 1
@@ -95,12 +103,28 @@ def counting():
         counts.largest_carry = max(counts.largest_carry, carried[0].size)
         return carried
 
-    wrapped = (counted_run, counted_walk, counted_commit, counted_carry)
-    _WeakPlan.run, _WeakPlan._walk, _WeakPlan._commit, _WeakPlan._carry = wrapped
+    def counted_tables(self, top):
+        # ``_walk`` looks up the radius terms once per column
+        counts.columns += 1
+        return tables(self, top)
+
+    def counted_rows(self, *args):
+        parts = args[-2]
+        before = len(parts)
+        short = rows(self, *args)
+        counts.row_steps += sum(part[0].size for part in parts[before:])
+        return short
+
+    names = ("run", "_walk", "_commit", "_carry", "_tables", "_rows")
+    originals = (run, walk, commit, carry, tables, rows)
+    wrapped = (counted_run, counted_walk, counted_commit, counted_carry, counted_tables, counted_rows)
+    for name, function in zip(names, wrapped):
+        setattr(_WeakPlan, name, function)
     try:
         yield counts
     finally:
-        _WeakPlan.run, _WeakPlan._walk, _WeakPlan._commit, _WeakPlan._carry = run, walk, commit, carry
+        for name, function in zip(names, originals):
+            setattr(_WeakPlan, name, function)
 
 
 def main() -> None:
@@ -112,23 +136,38 @@ def main() -> None:
     parser.add_argument("--clamp", action="store_true", help="clamp the weak draws to [0, 1]")
     args = parser.parse_args()
     first, last = (int(s) for s in args.seeds.split(".."))
+    fits = last - first
+
+    def fitter(seed):
+        inst = generate_gap_instance(GapInstanceSpec(n=args.n, k=args.k, seed=seed))
+        weak = WeakOracle(inst, sigma=0.1, seed=seed, clamp=args.clamp)
+        certifier = AdaptiveCertifyWeak(args.k, weak_budget=12 * args.n, ci_method=args.ci_method)
+        return lambda: certifier.fit(weak, StrongOracle(inst))
+
     seconds = 0.0
     with counting() as counts:
         for seed in range(first, last):
-            inst = generate_gap_instance(GapInstanceSpec(n=args.n, k=args.k, seed=seed))
-            weak = WeakOracle(inst, sigma=0.1, seed=seed, clamp=args.clamp)
-            certifier = AdaptiveCertifyWeak(args.k, weak_budget=12 * args.n, ci_method=args.ci_method)
+            fit = fitter(seed)
             start = time.perf_counter()
-            certifier.fit(weak, StrongOracle(inst))
+            fit()
             seconds += time.perf_counter() - start
+    fit = fitter(first)
+    tracemalloc.start()
+    fit()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     pulls = max(counts.pulls, 1)
-    print(f"fits {last - first}, adaptive pulls {counts.pulls}, levels {counts.levels}")
+    print(f"fits {fits}, adaptive pulls {counts.pulls}, levels {counts.levels}")
     print(f"previewed steps {counts.steps} ({counts.steps / pulls:.3f} per pull), "
           f"repeated {counts.repeats()}")
     print(f"merged steps {counts.merged} ({counts.merged / pulls:.3f} per pull), "
           f"largest level {counts.largest_level} steps, largest carry {counts.largest_carry}")
     print(f"planner draws {counts.draws} ({counts.draws / pulls:.3f} per pull) "
           f"in {counts.draw_calls} calls")
+    column_steps = counts.steps - counts.row_steps
+    print(f"walk columns {counts.columns / fits:.1f} per fit, "
+          f"{column_steps / max(counts.columns, 1):.1f} walkers per column")
+    print(f"tracemalloc peak of one fit (seed {first}) {peak / 1e6:.2f} MB")
     print(f"fit time {seconds:.3f} s (counting included)")
 
 

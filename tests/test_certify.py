@@ -485,12 +485,13 @@ def test_planned_phase_one_matches_reference(case):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_phase_one_cases(), st.integers(1, 64), st.integers(1, 8))
-def test_planned_phase_one_matches_reference_in_small_levels(case, target, narrow):
-    # levels of a few steps: many levels, caps, column walks at n <= 40
+@given(_phase_one_cases(), st.integers(1, 64), st.integers(1, 8), st.integers(1, 48))
+def test_planned_phase_one_matches_reference_in_small_levels(case, target, narrow, width):
+    # levels of a few steps: many levels, caps, column walks at n <= 40, and
+    # levels of some items widened to `width` of them
     with mock.patch.object(_WeakPlan, "TARGET", target), mock.patch.object(
         _WeakPlan, "NARROW", narrow
-    ):
+    ), mock.patch.object(_WeakPlan, "WIDTH", width):
         _assert_phase_one_matches_reference(case)
 
 

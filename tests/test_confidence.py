@@ -369,12 +369,15 @@ class TestSharedScreen:
         assert later.pulls[0] == 12 and shorter.pulls[0] == 6
 
     def test_a_screen_is_checked_when_built(self):
-        # infinite noise makes every mean NaN, so every bound is NaN; the
-        # constructor rejects it, so it is set afterwards
+        # a method whose radii are NaN makes every bound NaN; a screen that
+        # fails its check is not cached, so each build checks it again
+        class NanRadius(SubGaussian):
+            def _run_terms(self, counts, delta, anytime):
+                return [0.0] * len(counts), [math.nan] * len(counts)
+
         inst = Instance(values=np.array([0.1, 0.5, 0.9]), k=1)
         weak = WeakOracle(inst, seed=0)
-        weak.sigma = math.inf
         for _ in range(2):
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN bound"):
-                build_fixed_intervals(weak, 4, 0.05 / 3, SubGaussian(0.1))
+            with pytest.raises(ValueError, match="NaN bound"):
+                build_fixed_intervals(weak, 4, 0.05 / 3, NanRadius(0.1))
             weak.reset()

@@ -78,6 +78,16 @@ class TestStableArgsort:
         assert order.dtype == expected.dtype
         np.testing.assert_array_equal(order, expected)
 
+    @pytest.mark.parametrize("least", [-1.0, -0.0, 0.0, -np.inf])
+    def test_keys_mostly_tied_at_the_smallest_match_the_stable_sort(self, least):
+        # clamped bounds: most keys tie at the smallest, and only the rest
+        # are sorted; a NaN among them leaves the smallest untied
+        rng = np.random.default_rng(5)
+        keys = rng.choice(np.array([least, 0.25, 0.5, 0.5, 1.0]), size=5000, p=[0.7, 0.1, 0.1, 0.05, 0.05])
+        keys[rng.integers(0, keys.size, 40)] = -0.0 if least == 0.0 else least
+        for case in (keys, np.r_[keys, np.nan, keys[:100]]):
+            np.testing.assert_array_equal(_stable_argsort(case), np.argsort(case, kind="stable"))
+
     def test_int64_extremes(self):
         info = np.iinfo(np.int64)
         keys = np.array([info.max, info.min, 0, info.max, info.min])

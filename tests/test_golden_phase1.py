@@ -8,16 +8,20 @@ pull, or, for the shape with k above n / 2, when phase one was planned and
 its k-th largest trackers kept a heap from one batch to the next.  The
 shapes are large enough that phase one is planned in many levels; on two of
 them the planner is also counted (``plan_probe.counting``): it previews each
-step once, and its draws per pull stay under a stated bound.
+step once, and its draws per pull stay under a stated bound.  The long-run
+shape was pinned when no level was sized by ``_WeakPlan.WIDTH``, and stays
+the same at any width.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from plan_probe import counting
 
 from topkcert import AdaptiveCertifyWeak, GapInstanceSpec, StrongOracle, WeakOracle, generate_gap_instance
+from topkcert.certify import _WeakPlan
 
 SHAPES = {
     "subgaussian_n5000": (
@@ -92,3 +96,24 @@ def test_each_planned_step_is_previewed_once(name):
     assert counts.pulls == weak.total_pulls - kwargs["n"] * 6 > 0
     assert counts.repeats() == 0
     assert counts.draws <= DRAWS_PER_PULL * counts.pulls
+
+
+# Anytime empirical-Bernstein bounds on clamped draws stay at width 1 for
+# about 60 pulls each, so each level takes some of the live items, and n is
+# 8 times the default width: a level of WIDTH items leaves most items out.
+LONG_RUNS = (
+    dict(n=4096, k=40, seed=2, clamp=True, params={"ci_method": "anytime_empirical_bernstein"}),
+    "32b0f6907f981198971c3ac38d23a75f6a977ca656f089185752bd1fb32a01a3",
+)
+
+
+def test_long_runs_match_golden_digest_at_any_width():
+    kwargs, digest = LONG_RUNS
+    levels = {}
+    for width in (1, 64, 512, 4096):
+        with mock.patch.object(_WeakPlan, "WIDTH", width), counting() as counts:
+            report, weak = _run(**kwargs)
+        assert _digest(report, weak) == digest
+        levels[width] = counts.levels
+    # the width binds above the steps' own sizing (8192 / 60, about 136 items)
+    assert levels[1] == levels[64] > levels[512]

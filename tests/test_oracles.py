@@ -140,6 +140,19 @@ class TestWeakOracle:
         with pytest.raises(ValueError, match=message):
             WeakOracle(instance, sigma=sigma)
 
+    @pytest.mark.parametrize("name, value", [
+        ("noise", "exact"), ("sigma", 0.3), ("seed", 7), ("clamp", True),
+    ])
+    def test_stream_settings_are_read_only(self, instance, name, value):
+        # the streams and the cached blocks and screens are fixed by these at
+        # construction, so a later change would replay stale draws
+        weak = WeakOracle(instance, sigma=0.1, seed=3)
+        before = getattr(weak, name)
+        with pytest.raises(AttributeError):
+            setattr(weak, name, value)
+        assert getattr(weak, name) == before
+        assert (weak.noise, weak.sigma, weak.seed, weak.clamp) == ("gaussian", 0.1, 3, False)
+
     @pytest.mark.parametrize("clamp", [False, True])
     def test_the_largest_sigma_gives_finite_screens_and_reveals(self, clamp):
         instance = Instance(values=np.linspace(0.0, 1.0, 40), k=5)
