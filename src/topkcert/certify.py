@@ -420,19 +420,19 @@ class _WeakPlan:
       -upper), kept by ``_KthLargestOfRising`` over the batch.
 
     A level previews the steps of some live items (``_walk``, or ``_rows``
-    for a few), then merges and pulls them (``_commit``).  Its frontier is
+    for a few), then merges and charges them (``_commit``).  Its frontier is
     the smallest key of a step not previewed that may still be pulled: every
     step below it is final, and is checked for liveness and the budget and
-    pulled through one ``pull_many``.  The steps above it are carried to the
-    next level with their draws, bounds, moments and conflict flags, and an
-    item walks on from the end of its carried steps, so no step is previewed
-    twice.  A step depends only on its item's draws and its bounds before it,
-    so a carried step is the one a fresh preview would compute, bit for bit.
-    A carried step whose bounds before it are no longer ambiguous is dead,
-    with every later step of its item, and is dropped: l_k only rises and u_k
-    only falls.  Dropping all of an item's carried steps only means they are
-    previewed again.  So how far each item is previewed decides only the
-    cost, never the result:
+    charged through one ``WeakOracle._charge``.  The steps above it are
+    carried to the next level with their draws, bounds, moments and conflict
+    flags, and an item walks on from the end of its carried steps, so no step
+    is previewed twice.  A step depends only on its item's draws and its
+    bounds before it, so a carried step is the one a fresh preview would
+    compute, bit for bit.  A carried step whose bounds before it are no
+    longer ambiguous is dead, with every later step of its item, and is
+    dropped: l_k only rises and u_k only falls.  Dropping all of an item's
+    carried steps only means they are previewed again.  So how far each item
+    is previewed decides only the cost, never the result:
 
     - Most levels take the ``m`` live items with the smallest keys, each
       until its key passes the next item's, so that level's steps all lie
@@ -458,7 +458,10 @@ class _WeakPlan:
     A level holds one copy of its steps: ``_walk`` assembles its columns
     once, the carried steps first, freeing each column once copied, and
     ``_commit`` splits off the steps above the frontier and frees the
-    level's columns before it pulls.
+    level's columns before it charges.  The library's own oracle charges a
+    level by stream position, without drawing it again; a source that
+    overrides ``pull`` or ``pull_many`` is pulled, and its values are
+    compared with the planned draws bit for bit.
     """
 
     # steps a level aims at (n / 4 at large n), and the active sets walked
@@ -846,13 +849,13 @@ class _WeakPlan:
         return short
 
     def _commit(self, steps, frontier, budget_left):
-        """Merge the steps below the frontier, pull the live ones within the
+        """Merge the steps below the frontier, charge the live ones within the
         budget, and take their results; returns (how many steps lie below the
         frontier, budget left, the steps above it in (item, count) order).
 
         `steps` is a list of the level's step columns, which this empties:
         the steps above the frontier are split off first, and each column
-        is freed once it is no longer needed, all before the pull."""
+        is freed once it is no longer needed, all before the charge."""
         x, c, lo_b, hi_b, lo_a, hi_a, mu, m2, value, conflict = steps
         steps.clear()
         width = hi_b - lo_b
@@ -900,10 +903,9 @@ class _WeakPlan:
         ends, last = items[last], taken[last]
         self.lower[ends], self.upper[ends] = lo_a[last], hi_a[last]
         self.means[ends], self.m2[ends] = mu[last], m2[last]
-        del c, lo_a, hi_a, mu, m2, value, conflict, taken, counts, ends, last
-        observed = self.weak.pull_many(items)
-        if observed.tobytes() != planned.tobytes():
-            raise RuntimeError("the weak oracle did not return the draws its streams define")
+        del c, lo_a, hi_a, mu, m2, value, conflict, taken, ends, last
+        # a step of count c reads its item's stream at position base + c - 1
+        self.weak._charge(items, counts + (self.base - 1), planned)
         return kept, budget_left - items.size, above
 
     def _carry(self, rest, above):
@@ -971,8 +973,11 @@ class AdaptiveCertifyWeak(AdaptiveCertify):
     items at once and pulled in counted batches (see ``_WeakPlan``); the pulls,
     bounds and conflicts are those of the pull-by-pull rule, bit for bit.
     Each planned step, with its draw, is computed once: a step planned past
-    one batch waits for a later one.  Every batch is still pulled through
-    ``pull_many``, and a draw that differs from the plan's raises.
+    one batch waits for a later one.  A batch is charged to the weak oracle by
+    stream position, and a batch that does not start at each item's stream
+    position raises; a source that overrides ``pull`` or ``pull_many`` has
+    each batch pulled through ``pull_many`` instead, and a value that differs
+    from the plan's draw raises.
     """
 
     def __init__(

@@ -26,10 +26,12 @@ class Instance:
 
     Ties everywhere are broken by ascending item index, so the top-k set,
     the threshold (k-th largest value) and the gap are all deterministic.
+    ``near_ties`` keeps m(eta) per eta; see :func:`near_tie_mass`.
     """
 
     values: np.ndarray
     k: int
+    near_ties: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = check_values(self.values)
@@ -281,9 +283,18 @@ def true_top_k(instance: Instance) -> np.ndarray:
 
 
 def near_tie_mass(instance: Instance, eta: float) -> int:
-    """m(eta): how many items sit within eta of the threshold (inclusive)."""
+    """m(eta): how many items sit within eta of the threshold (inclusive).
+
+    The values never change, so each eta's count is kept in
+    ``instance.near_ties``: the certifiers of a replicate that screen one
+    block report one eps_max, and their metrics count it once.
+    """
     eta = check_non_negative(eta, "eta")
-    return int(np.count_nonzero(np.abs(instance.values - instance.threshold) <= eta))
+    mass = instance.near_ties.get(eta)
+    if mass is None:
+        mass = int(np.count_nonzero(np.abs(instance.values - instance.threshold) <= eta))
+        instance.near_ties[eta] = mass
+    return mass
 
 
 def ambiguous_set(state: IntervalState, k: int) -> np.ndarray:

@@ -172,8 +172,8 @@ def _weak_budget(cfg: dict, n: int) -> int:
     return cfg["weak_budget"] if cfg["weak_budget"] is not None else cfg["n_weak"] * n
 
 
-def _weak_oracle(instance: Instance, seed: int, cfg: dict) -> WeakOracle:
-    return WeakOracle(
+def _weak_oracle(instance: Instance, seed: int, cfg: dict, kind=WeakOracle) -> WeakOracle:
+    return kind(
         instance, noise=cfg["oracle.noise"], sigma=cfg["oracle.sigma"], seed=seed, clamp=cfg["ci.clamp"]
     )
 
@@ -439,6 +439,41 @@ def _ta_trace(state: IntervalState, values: np.ndarray, k: int) -> tuple[int, ..
     return tuple(order)
 
 
+class _PulledWeakOracle(WeakOracle):
+    """The weak oracle, with a ``pull`` of its own: ``ace_w`` pulls each of its
+    planned batches from it through ``pull_many`` and compares the values with
+    its plan's draws, where it charges the plain oracle by stream position."""
+
+    def pull(self, x: int) -> float:
+        return super().pull(x)
+
+
+def _fit_bytes(report: CertificationReport, weak_pulls_total: int, weak_pulls_per_item) -> tuple:
+    """Every field of a report, its weak state's arrays and the weak oracle's
+    counters, in a form equal for two fits exactly when they match bit for bit."""
+    state = report.weak_state
+    scalars = [getattr(report, f.name) for f in fields(report) if f.name != "weak_state"]
+    arrays = (state.lower, state.upper, state.pulls, state.means, np.asarray(weak_pulls_per_item))
+    return (repr((scalars, state.conflicts, weak_pulls_total)),
+            *(None if a is None else (a.dtype.str, a.tobytes()) for a in arrays))
+
+
+def _pulled_fit_problems(instance: Instance, seed: int, cfg: dict, result: ReplicateResult) -> list[str]:
+    """``ace_w`` fitted again through ``_PulledWeakOracle``: a problem unless the
+    fit matches `result`, ``ace_w``'s fit on the plain oracle, bit for bit."""
+    weak = _weak_oracle(instance, seed, cfg, _PulledWeakOracle)
+    certifier = _certifier("ace_w", instance.k, instance.n, cfg)
+    try:
+        certifier.fit(weak, StrongOracle(instance, cap=cfg["oracle.strong_cap"]))
+    except RuntimeError as err:
+        return [f"seed {seed}: ace_w failed with its weak pulls drawn and compared: {err}"]
+    pulled = _fit_bytes(certifier.report_, weak.total_pulls, weak.pulls_per_item)
+    stats = result.stats
+    if pulled != _fit_bytes(result.report, stats.weak_pulls_total, stats.weak_pulls_per_item):
+        return [f"seed {seed}: ace_w's charged and drawn-and-compared weak pulls differ"]
+    return []
+
+
 def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[str]:
     """Run the structural invariant battery over a seed range.
 
@@ -447,8 +482,10 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
     initial ambiguous set; every uniform-screen certifier reports
     bit-identical weak bounds; traces are duplicate-free; ta's trace is the
     shortest prefix of its order at which its stopping rule fires; the
-    adaptive weak phase respects its budget and per-item cap; covered runs
-    recover the exact top-k and satisfy the ambiguity bound.  Returns
+    adaptive weak phase respects its budget and per-item cap, and fitting it
+    again with each planned batch drawn and compared, not charged by stream
+    position, gives the same report and oracle counters bit for bit; covered
+    runs recover the exact top-k and satisfy the ambiguity bound.  Returns
     human-readable problem strings; empty means all invariants hold.
     """
     full = _with_defaults(cfg)
@@ -500,4 +537,5 @@ def verify_invariants(seeds: Sequence[int], cfg: Optional[dict] = None) -> list[
                 problems.append(f"seed {seed}: adaptive weak phase overspent its budget")
             if acew_res.stats.weak_pulls_per_item.max() > w_max:
                 problems.append(f"seed {seed}: adaptive weak phase exceeded the per-item cap")
+            problems += _pulled_fit_problems(instance, seed, full, acew_res)
     return problems

@@ -12,7 +12,9 @@ computes the draws in one vectorized pass; a caller that wants speed batches.
 Because a draw depends on nothing but (seed, x, t), it may be computed before
 it is pulled: ``AdaptiveCertifyWeak`` plans its adaptive pulls from the draws
 ``_draws`` computes, which are never charged and which no public method
-returns, and then pulls them through ``pull_many``.
+returns.  ``_charge`` then charges them by stream position, drawing nothing
+again; a subclass that overrides ``pull`` or ``pull_many`` is pulled instead,
+and its values are compared with the plan's.
 
 After construction, ``reset`` or ``pull_all`` every item sits at one shared
 position, held in one integer.  The first ``pull`` or ``pull_many`` after that
@@ -221,6 +223,44 @@ class WeakOracle:
         if error is not None:
             raise error
         return values
+
+    def _charge(self, items: np.ndarray, positions: np.ndarray, draws: np.ndarray) -> None:
+        """Charge the planned pulls of `items`, in pull order, which a plan
+        read from ``_draws`` as `draws` at the stream `positions`; a plan
+        puts each item's pulls at consecutive positions, rising in pull order.
+
+        This oracle draws nothing again: a draw is a function of (seed, item,
+        position), so a pull returns its planned draw exactly when it lands
+        where the plan put it.  Each item's lowest planned position must be
+        its stream position, or ``RuntimeError`` is raised before anything
+        is charged; then every item moves past its highest.  At the budget
+        the pulls that fit, in pull order, are charged, and then the same
+        error as ``pull_many``'s is raised.
+
+        A subclass that overrides ``pull`` or ``pull_many`` has the batch
+        pulled through ``pull_many``, and a value that differs from its
+        planned draw by a single bit raises ``RuntimeError``.
+        """
+        if type(self).pull is not WeakOracle.pull or type(self).pull_many is not WeakOracle.pull_many:
+            if self.pull_many(items).tobytes() != draws.tobytes():
+                raise RuntimeError("the weak oracle did not return the draws its streams define")
+            return
+        count, error = _served(items, self._n, "weak", self.max_pulls, self.total_pulls)
+        if count:
+            items, positions = items[:count], positions[:count]
+            stream = np.frombuffer(self._positions or self._start_positions(), np.int64)
+            at = stream[items]
+            # each item's lowest planned position, found in its own slot,
+            # which holds its stream position again where the two agree
+            stream[items] = np.iinfo(np.int64).max
+            np.minimum.at(stream, items, positions)
+            if not np.array_equal(stream[items], at):
+                stream[items] = at
+                raise RuntimeError("the weak oracle's streams are not where the plan put its pulls")
+            np.maximum.at(stream, items, positions + 1)
+            self.total_pulls += count
+        if error is not None:
+            raise error
 
     def _draws(self, items, starts, count: int) -> np.ndarray:
         """The observations `pull` returns for `count` positions from each start;

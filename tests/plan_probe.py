@@ -12,10 +12,13 @@ replicates are.  For all fits together it prints the adaptive pulls, the
 planner's levels, the steps ``_WeakPlan._walk`` (and ``_rows`` inside it)
 previewed and how many (item, count) pairs repeat one previewed before, the
 steps the levels merged (in all, and at most in one level), the most steps
-carried from one level to the next, the draws the planner computed, and the
-numpy columns ``_walk`` stepped with the items walking in each (those
-``_rows`` steps in scalar floats are not in a column).  It then fits the first
-seed once more under ``tracemalloc`` and prints the peak of that fit.
+carried from one level to the next, the draws the planner computed, every
+draw the adaptive phase computed (the planner's, and any the weak oracle
+computed to pull the planned steps: none where it charges them by stream
+position), and the numpy columns ``_walk`` stepped with the items walking in
+each (those ``_rows`` steps in scalar floats are not in a column).  It then
+fits the first seed once more under ``tracemalloc`` and prints the peak of
+that fit.
 ``counting`` is the helper; ``tests/test_golden_phase1.py`` uses it.
 """
 
@@ -40,6 +43,9 @@ class PlanCounts:
     steps: int = 0
     draws: int = 0
     draw_calls: int = 0
+    # every draw the adaptive phase computed: the planner's, and any the
+    # weak oracle computed to pull the planned steps
+    phase_draws: int = 0
     merged: int = 0
     largest_level: int = 0
     largest_carry: int = 0
@@ -60,31 +66,37 @@ def counting():
     counts = PlanCounts()
     run, walk, commit, carry = _WeakPlan.run, _WeakPlan._walk, _WeakPlan._commit, _WeakPlan._carry
     tables, rows = _WeakPlan._tables, _WeakPlan._rows
+    walking = False
 
     def counted_run(self, budget_left):
         before = self.weak.total_pulls
         counts.previewed.append([])
+        draws = self.weak._draws
+
+        def counted_draws(items, starts, count):
+            block = draws(items, starts, count)
+            counts.phase_draws += block.size
+            if walking:
+                counts.draws += block.size
+                counts.draw_calls += 1
+            return block
+
+        self.weak._draws = counted_draws
         try:
             return run(self, budget_left)
         finally:
+            del self.weak._draws
             counts.pulls += self.weak.total_pulls - before
             keys = counts.previewed.pop()
             counts.previewed.append(np.concatenate(keys) if keys else np.zeros(0, np.int64))
 
     def counted_walk(self, *args):
-        draws = self.weak._draws
-
-        def counted_draws(items, starts, count):
-            block = draws(items, starts, count)
-            counts.draws += block.size
-            counts.draw_calls += 1
-            return block
-
-        self.weak._draws = counted_draws
+        nonlocal walking
+        walking = True
         try:
             result = walk(self, *args)
         finally:
-            del self.weak._draws
+            walking = False
         # the new steps follow the carried ones
         steps, new = result[0], result[1]
         items, pulls = (column[column.size - new :] for column in steps[:2])
@@ -163,7 +175,8 @@ def main() -> None:
     print(f"merged steps {counts.merged} ({counts.merged / pulls:.3f} per pull), "
           f"largest level {counts.largest_level} steps, largest carry {counts.largest_carry}")
     print(f"planner draws {counts.draws} ({counts.draws / pulls:.3f} per pull) "
-          f"in {counts.draw_calls} calls")
+          f"in {counts.draw_calls} calls; all draws of the adaptive phase "
+          f"{counts.phase_draws} ({counts.phase_draws / pulls:.3f} per pull)")
     column_steps = counts.steps - counts.row_steps
     print(f"walk columns {counts.columns / fits:.1f} per fit, "
           f"{column_steps / max(counts.columns, 1):.1f} walkers per column")

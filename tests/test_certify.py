@@ -36,10 +36,12 @@ from topkcert.core import (
     kth_largest,
     true_top_k,
 )
+from topkcert.harness import _fit_bytes, _PulledWeakOracle
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import BudgetExceededError, StrongOracle, WeakOracle, snapshot_and_reset
 
 from test_core import _assert_read_only, _reference_counts, _report_counts, _reveal_point
+from test_golden_phase1 import LONG_RUNS, SHAPES, _digest
 from test_oracles import _RecordingPullAllOracle, _RecordingStrongOracle
 
 
@@ -650,6 +652,81 @@ class TestAdaptiveCertifyWeak:
         with pytest.raises(ValueError, match="live oracle access"):
             certifier.fit(WeakOracle(inst, seed=0), strong, initial_state=state)
         assert strong.calls == 0
+
+
+# The plain weak oracle charges ace_w's planned pulls by stream position; a
+# subclass that overrides ``pull`` has them pulled and compared instead.
+_CHARGE_CASES = {
+    **SHAPES,
+    "long_runs": LONG_RUNS,
+    "anytime_eb_clamped_wmax20": (
+        dict(n=300, k=20, seed=4, clamp=True,
+             params={"ci_method": "anytime_empirical_bernstein", "w_max": 20,
+                     "weak_budget": 40 * 300}),
+        None,
+    ),
+    "subgaussian_wmax8": (
+        dict(n=300, k=20, seed=6, clamp=False, params={"w_max": 8}), None,
+    ),
+}
+
+
+def _ace_w_fit(kind, n, k, seed, clamp, params, max_pulls=None):
+    """A weak oracle of class `kind` on a gap instance, and a call that fits
+    ``ace_w`` through it and returns the report."""
+    inst = generate_gap_instance(GapInstanceSpec(n=n, k=k, seed=seed))
+    weak = kind(inst, sigma=0.1, seed=seed, clamp=clamp, max_pulls=max_pulls)
+    return weak, lambda: AdaptiveCertifyWeak(k, **params).fit(weak, StrongOracle(inst)).report_
+
+
+@pytest.mark.parametrize("name", sorted(_CHARGE_CASES))
+def test_charged_and_pulled_phase_one_agree_bit_for_bit(name):
+    kwargs, digest = _CHARGE_CASES[name]
+    fits = []
+    for kind in (WeakOracle, _PulledWeakOracle):
+        weak, fit = _ace_w_fit(kind, **kwargs)
+        fits.append((fit(), weak))
+    charged, pulled = (_fit_bytes(report, weak.total_pulls, weak.pulls_per_item)
+                       for report, weak in fits)
+    assert charged == pulled
+    if digest is not None:
+        assert [_digest(*fit) for fit in fits] == [digest, digest]
+
+
+@pytest.mark.parametrize("name", ["subgaussian_wmax8", "anytime_eb_clamped_wmax20"])
+def test_a_weak_cap_inside_phase_one_stops_both_paths_alike(name):
+    kwargs, _ = _CHARGE_CASES[name]
+    warm = kwargs["n"] * 6
+    weak, fit = _ace_w_fit(WeakOracle, **kwargs)
+    fit()
+    spent = weak.total_pulls
+    assert spent > warm + 2
+    for cap in (warm + 1, (warm + spent) // 2, spent - 1):
+        outcomes = []
+        for kind in (WeakOracle, _PulledWeakOracle):
+            weak, fit = _ace_w_fit(kind, **kwargs, max_pulls=cap)
+            with pytest.raises(BudgetExceededError) as raised:
+                fit()
+            outcomes.append((str(raised.value), weak.total_pulls, weak.pulls_per_item.tobytes()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == cap
+
+
+def test_a_plan_shifted_by_one_position_raises_before_charging():
+    init = _WeakPlan.__init__
+
+    def shifted(self, *args):
+        init(self, *args)
+        self.base += 1
+
+    inst = generate_gap_instance(GapInstanceSpec(n=200, k=10, seed=0))
+    weak = WeakOracle(inst, sigma=0.1, seed=0)
+    with mock.patch.object(_WeakPlan, "__init__", shifted):
+        with pytest.raises(RuntimeError, match="not where the plan put"):
+            AdaptiveCertifyWeak(10, w_min=6).fit(weak, StrongOracle(inst))
+    # the warm start, and no planned pull
+    assert weak.total_pulls == 200 * 6
+    assert (weak.pulls_per_item == 6).all()
 
 
 @pytest.mark.parametrize("name", ["stc", "ace", "ace_w", "ta"])

@@ -167,6 +167,20 @@ class TestNearTieMass:
         with pytest.raises(ValueError):
             near_tie_mass(inst, -0.1)
 
+    def test_kept_per_eta_and_equal_to_a_fresh_count(self):
+        rng = np.random.default_rng(4)
+        values = np.round(rng.random(200), 2)
+        inst = Instance(values=values, k=30)
+        etas = [0.0, 0.01, 0.05, 0.05, np.float64(0.2), 1]
+        masses = [near_tie_mass(inst, eta) for eta in etas]
+        # every eta counted once, each kept under its float value
+        assert inst.near_ties == dict(zip(map(float, etas), masses))
+        assert masses == [near_tie_mass(inst, eta) for eta in etas]
+        for eta, mass in zip(etas, masses):
+            fresh = Instance(values=values.copy(), k=30)
+            assert mass == int(np.count_nonzero(np.abs(values - fresh.threshold) <= eta))
+            assert mass == near_tie_mass(fresh, eta)
+
 
 def _state(bounds):
     lower = np.array([b[0] for b in bounds], dtype=float)

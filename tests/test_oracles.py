@@ -825,6 +825,69 @@ class TestPullMany:
         assert weak.total_pulls == 3
 
 
+def _planned(weak, items):
+    """The draws of `items` pulled in order from `weak`'s streams, and their
+    stream positions, as a plan computes them; nothing is charged."""
+    start, seen, positions = weak.pulls_per_item, {}, []
+    for x in items:
+        positions.append(start[x] + seen.get(x, 0))
+        seen[x] = seen.get(x, 0) + 1
+    items, positions = np.array(items, dtype=np.int64), np.array(positions, dtype=np.int64)
+    draws = [weak._draws([x], [t], 1)[0] for x, t in zip(items, positions)]
+    return items, positions, np.concatenate(draws)
+
+
+class TestCharge:
+    """``_charge``, which charges a plan's pulls by stream position."""
+
+    ITEMS = [5, 5, 0, 19, 5, 0, 7] * 3
+
+    def test_charges_what_pull_many_charges(self, instance):
+        weak, loop = (WeakOracle(instance, sigma=0.3, seed=4, clamp=True) for _ in range(2))
+        for oracle in (weak, loop):
+            oracle.pull_many([5, 0, 0])
+        items, positions, draws = _planned(weak, self.ITEMS)
+        weak._charge(items, positions, draws)
+        assert loop.pull_many(items).tobytes() == draws.tobytes()
+        assert weak.total_pulls == loop.total_pulls == 3 + len(self.ITEMS)
+        np.testing.assert_array_equal(weak.pulls_per_item, loop.pulls_per_item)
+        assert [weak.pull(x) for x in (5, 0, 1)] == [loop.pull(x) for x in (5, 0, 1)]
+
+    def test_at_the_budget_charges_the_pulls_that_fit(self, instance):
+        weak, loop = (WeakOracle(instance, sigma=0.1, seed=2, max_pulls=9) for _ in range(2))
+        items, positions, draws = _planned(weak, self.ITEMS)
+        with pytest.raises(BudgetExceededError) as charged:
+            weak._charge(items, positions, draws)
+        with pytest.raises(BudgetExceededError) as pulled:
+            loop.pull_many(items)
+        assert str(charged.value) == str(pulled.value)
+        assert weak.total_pulls == loop.total_pulls == 9
+        np.testing.assert_array_equal(weak.pulls_per_item, loop.pulls_per_item)
+
+    @pytest.mark.parametrize("shifted", [[0], [5], [0, 5, 7, 19]])
+    def test_a_plan_off_the_stream_positions_raises_before_charging(self, instance, shifted):
+        weak = WeakOracle(instance, sigma=0.1, seed=0)
+        weak.pull_many([5, 7])
+        before = weak.pulls_per_item
+        items, positions, draws = _planned(weak, self.ITEMS)
+        positions[np.isin(items, shifted)] += 1
+        with pytest.raises(RuntimeError, match="not where the plan put"):
+            weak._charge(items, positions, draws)
+        assert weak.total_pulls == 2
+        np.testing.assert_array_equal(weak.pulls_per_item, before)
+
+    def test_an_overriding_pull_is_pulled_and_compared(self, instance):
+        weak = _RecordingWeakOracle(instance, sigma=0.1, seed=3)
+        items, positions, draws = _planned(weak, self.ITEMS)
+        weak._charge(items, positions, draws)
+        assert weak.seen == self.ITEMS
+        # one bit off in the last draw
+        items, positions, draws = _planned(weak, self.ITEMS)
+        draws[-1] = np.nextafter(draws[-1], 2.0)
+        with pytest.raises(RuntimeError, match="did not return the draws"):
+            weak._charge(items, positions, draws)
+
+
 @pytest.mark.parametrize("item", [True, False, np.True_])
 def test_boolean_items_are_rejected_on_every_path(instance, item):
     weak, strong = WeakOracle(instance, sigma=0.1, seed=0), StrongOracle(instance)
