@@ -77,9 +77,17 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
 
     Each iteration either certifies the optimistic top-k set or collapses the
     wider of the critical pair; every strong query lands on a distinct item,
-    so the loop runs at most n iterations.
+    so the loop runs at most |A0| iterations.
 
-    The tentative-in set (the k largest upper bounds, ties to the lower index)
+    Only the items of the initial ambiguous set A0 take part.  A clear-in
+    item (lower > U_(k)) is in every tentative-in set and a clear-out item
+    (upper < L_(k)) in every tentative-out set; either one is critical only
+    at a step where the loop over all n items certifies anyway, as fewer than
+    k upper bounds exceed U_(k) and at least k lower bounds reach L_(k).  So
+    the loop runs over A0 with k - |clear-in| places, and clear-in joins its
+    selection; with no tentative-out item in A0 it certifies at once.
+
+    The tentative-in set (the largest upper bounds, ties to the lower index)
     is kept incrementally: a collapse only lowers one item's upper bound, so
     at most that item swaps places with the best tentative-out item.  The
     worst tentative-in item comes from a lazy heap of ``(lower, index)``.
@@ -87,30 +95,37 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
     one in the initial sort that was never queried, and so still has its
     initial bound, or the top of a lazy heap of items that were queried or
     swapped out.  Stale entries are recognised because bounds only ever move
-    inward.  Set-up costs one O(n log n) sort; each strong call costs
-    O(log n).
+    inward.  Set-up costs O(n) on the state's cached band and one
+    O(|A0| log |A0|) sort; each strong call costs O(log |A0|).
 
     The loop reads and writes the bounds as Python floats in lists; a reveal
     collapses an interval onto its value clipped to it, as in ``_report``.
     """
-    n = state.n
+    amb, _, clear_in = ambiguous_band(state, k)
+    need = k - clear_in.size
+    if need == amb.size:
+        # no tentative-out item in A0: every other item is clear-out
+        return np.sort(np.concatenate([clear_in, amb])), [], []
     trace: list[int] = []
     values: list[float] = []
-    order = _stable_argsort(-state.upper)
-    lower, upper = state.lower.tolist(), state.upper.tolist()
-    top = order[:k].tolist()
-    inside = bytearray(n)
-    queried = bytearray(n)
+    # the loop runs on positions in A0, which is ascending, so ties between
+    # positions go to the lower item
+    lower, upper = state.lower[amb], state.upper[amb]
+    order = _stable_argsort(-upper)
+    lower, upper, ids = lower.tolist(), upper.tolist(), amb.tolist()
+    top = order[:need].tolist()
+    inside = bytearray(amb.size)
+    queried = bytearray(amb.size)
     for x in top:
         inside[x] = 1
     in_heap = [(lower[x], x) for x in top]
     heapq.heapify(in_heap)
-    rest = order[k:].tolist()
+    rest = order[need:].tolist()
     n_rest = len(rest)
     head = 0
     out_heap: list[tuple[float, int]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
-    for _ in range(n + 1):
+    for _ in range(amb.size + 1):
         while not (inside[in_heap[0][1]] and in_heap[0][0] == lower[in_heap[0][1]]):
             heappop(in_heap)
         # an item passed over here is inside, or was queried and so entered
@@ -124,16 +139,18 @@ def _ace_loop(state: IntervalState, k: int, strong) -> tuple[np.ndarray, list[in
         if out_heap and out_heap[0] < (-upper[j], j):
             j = out_heap[0][1]
         if lower[i] >= upper[j]:
-            return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)), trace, values
+            chosen = amb[np.frombuffer(inside, dtype=bool)]
+            return np.sort(np.concatenate([clear_in, chosen])), trace, values
         x = i if (upper[i] - lower[i]) >= (upper[j] - lower[j]) else j
-        value = strong.query(x)
+        item = ids[x]
+        value = strong.query(item)
         lo, hi = lower[x], upper[x]
         point = lo if value < lo else hi if value > hi else value
         if point != point:
-            raise _nan_reveal(x, lo, hi)
+            raise _nan_reveal(item, lo, hi)
         lower[x] = upper[x] = point
         queried[x] = 1
-        trace.append(x)
+        trace.append(item)
         values.append(value)
         if not inside[x]:
             heappush(out_heap, (-point, x))
@@ -306,8 +323,8 @@ class ScreenThenCertify(BaseCertifier):
         revealed = strong.query_many(amb)
         need = k - clear_in.size
         assert 1 <= need <= amb.size
-        # amb is ascending, so the stable order breaks value ties by index
-        chosen = amb[_leading(-revealed, need)]
+        # amb is ascending, so value ties at the cut go to the lower item
+        chosen = amb[_smallest(-revealed, need)]
         return np.concatenate([clear_in, chosen]), amb, revealed
 
 
@@ -318,10 +335,11 @@ class AdaptiveCertify(BaseCertifier):
     (smallest lower bound among the k largest upper bounds) against the best
     tentative-out item (largest upper bound outside); collapse whichever of
     the two has the wider interval until dominance certifies the set.  Only
-    initially ambiguous items can ever be queried, each at most once.  Past
-    the weak phase, the strong loop costs one O(n log n) sort plus O(log n)
-    per strong call.  The loop works on the bounds as Python floats; the
-    strong oracle is called once per item, in trace order.
+    initially ambiguous items can ever be queried, each at most once, so the
+    loop works on A0 alone.  Past the weak phase, the strong loop costs O(n)
+    on the state's cached ambiguous band, one O(|A0| log |A0|) sort, and
+    O(log |A0|) per strong call.  The loop works on the bounds as Python
+    floats; the strong oracle is called once per item, in trace order.
     """
 
     def _strong_phase(self, weak_state: IntervalState, k: int, strong):
@@ -455,6 +473,10 @@ class _WeakPlan:
       levels will take: it carries the steps of its ``WIDTH`` leading items
       only.
 
+    A level takes its items as a set (``_smallest``): only its leading item,
+    the limit, and the ``WIDTH`` leading items of a level previewed alone
+    depend on the order of their keys, and ``_commit`` orders the steps.
+
     A level holds one copy of its steps: ``_walk`` assembles its columns
     once, the carried steps first, freeing each column once copied, and
     ``_commit`` splits off the steps above the frontier and frees the
@@ -535,18 +557,23 @@ class _WeakPlan:
                 aim = max(target, min(int(self.WIDTH * per_item), budget_left))
                 cap = min(2 * aim, max(64, 2 * budget_left))
                 m = min(live.size - 1, int(max(1, min(aim, cap, budget_left * per_item) // per_item)))
-            if m < live.size:
-                # the m widest, each until its key passes the next one's
-                lead = _leading(-widths, m + 1)
-                bound = lead[m]
-            else:
-                lead = _stable_argsort(-widths)
-                bound = lead[-1]
-            active = live[lead[:m]]
+            # the m widest, each until its key passes the next one's, as a
+            # set: live is ascending, so the largest key (-width, item) of the
+            # m + 1 smallest is the last of their narrowest, and the leading
+            # item the first of their widest; with all of them walked, the
+            # narrowest is walked too
+            lead = _smallest(-widths, m + 1)
+            lead_w = widths[lead]
+            bound = lead[lead_w == lead_w.min()].max()
+            first = int(live[lead[lead_w == lead_w.max()].min()])
             limit = (float(widths[bound]), int(live[bound]))
             # any other item's carried steps lie above the limit's key
-            mine, rest = _split(carried, live[lead[: m + 1]], self.lower.size)
+            mine, rest = _split(carried, live[lead], self.lower.size)
             del carried
+            if m < live.size:
+                ahead = lead != bound
+                lead, lead_w = lead[ahead], lead_w[ahead]
+            active = live[lead]
             steps, walked, stop_w, stop_x, short = self._walk(
                 active, limit, extra, cap, budget_left, per_item, l_k, u_k, mine
             )
@@ -560,19 +587,22 @@ class _WeakPlan:
             # a level cut short leaves its surplus carried, not lost, so the
             # estimate it would give (too high) is not taken
             per_item = per_item if short else max(1.0, walked / m)
-            alone = short and frontier[1] == active[0] and 2 * kept < previewed
+            alone = short and frontier[1] == first and 2 * kept < previewed
             if alone:
                 # its estimate was far too low, so it walked far more items
                 # than later levels will take: keep the steps of the WIDTH
-                # leading ones, which the level after next takes first
-                above = _split(above, active[: self.WIDTH], self.lower.size)[0]
+                # leading ones, which the level after next takes first (lead
+                # is in no order, so it is put in item order for the ties)
+                by_item = np.argsort(lead)
+                leading = active[by_item[_smallest(-lead_w[by_item], self.WIDTH)]]
+                above = _split(above, leading, self.lower.size)[0]
             if budget_left:
                 carried = self._carry(rest, above)
             del rest, above
 
     def _walk(self, active, limit, extra, cap, budget, per_item, l_k, u_k, carried):
-        """Preview the steps of `active` (by ascending key) that follow the
-        steps `carried` holds for them: each item steps until its key
+        """Preview the steps of the items `active`, in any order, that follow
+        the steps `carried` holds for them: each item steps until its key
         (-width, item) passes `limit` and then `extra` more times, for `cap`
         steps in all.  An item stops early at w_max, once its bounds clear the
         current l_k or u_k (it is dead from then on), or, among several, at
@@ -1063,21 +1093,30 @@ def _head_pool(keys: np.ndarray, count: int) -> np.ndarray | None:
 
 def _leading(keys: np.ndarray, size: int) -> np.ndarray:
     """``_stable_argsort(keys)[:size]``: the `size` smallest keys' indices,
-    by key and then index.  A `size` short of the whole array takes the
-    indices at or below a cut, and sorts only those; for a long array and a
-    small `size`, only the pool of ``_head_pool`` is partitioned."""
+    by key and then index.  Only the ``_smallest`` of them are sorted."""
     if 0 < size < keys.size:
-        pool = _head_pool(keys, size)
-        if pool is not None:
-            return pool[_leading(keys[pool], size)]
-        cut = np.partition(keys, size - 1)[size - 1]
-        # NaN sorts last and equals nothing; a NaN cut falls back to sorting
-        if cut == cut:
-            below = np.flatnonzero(keys < cut)
-            tied = np.flatnonzero(keys == cut)[: size - below.size]
-            chosen = np.sort(np.concatenate([below, tied]))
-            return chosen[_stable_argsort(keys[chosen])]
+        chosen = np.sort(_smallest(keys, size))
+        return chosen[_stable_argsort(keys[chosen])]
     return _stable_argsort(keys)[:size]
+
+
+def _smallest(keys: np.ndarray, size: int) -> np.ndarray:
+    """The indices of ``_stable_argsort(keys)[:size]`` in no stated order:
+    the `size` smallest keys, ties at the cut to the lower index.  The
+    indices at or below a cut are taken by partition; for a long array and
+    a small `size`, only the pool of ``_head_pool`` is partitioned."""
+    if not 0 < size < keys.size:
+        return np.arange(min(size, keys.size))
+    pool = _head_pool(keys, size)
+    if pool is not None:
+        return pool[_smallest(keys[pool], size)]
+    cut = np.partition(keys, size - 1)[size - 1]
+    # NaN sorts last and equals nothing; a NaN cut falls back to sorting
+    if cut != cut:
+        return _stable_argsort(keys)[:size]
+    below = np.flatnonzero(keys < cut)
+    tied = np.flatnonzero(keys == cut)[: size - below.size]
+    return np.concatenate([below, tied])
 
 
 class ThresholdCertify(BaseCertifier):
@@ -1158,7 +1197,7 @@ class BruteForceCertify(BaseCertifier):
         trace = list(range(n))
         values = strong.query_many(trace)
         state = IntervalState.from_bounds(values, values, means=values)
-        selected = _leading(-values, k)
+        selected = _smallest(-values, k)
         return self._report(k, selected, state, trace, values, tuple(trace), 0)
 
 

@@ -71,6 +71,12 @@ def generate_gap_instance(spec: GapInstanceSpec) -> Instance:
     Exactly k values exceed 0.5; the realized gap between the k-th and
     (k+1)-th values equals ``spec.gap``, which must be at most 0.36 so that
     the slope clears the bulk band.
+
+    The near-tie draws span zero width: eta is gap / 2, so the top ones are
+    drawn from [0.5 + eta, 0.5 + eta] and the bottom ones from
+    [0.5 - eta, 0.5 - eta], and each equals its boundary level exactly (the
+    draws only advance the generator).  Widening them would change every
+    instance, and with it every golden digest.
     """
     n = check_int(spec.n, "n", minimum=2)
     k = check_int(spec.k, "k")

@@ -20,6 +20,7 @@ from topkcert.certify import (
     _head_pool,
     _KthLargestOfRising,
     _leading,
+    _smallest,
     _WeakPlan,
 )
 from topkcert.confidence import (
@@ -30,6 +31,8 @@ from topkcert.confidence import (
 from topkcert.core import (
     Instance,
     IntervalState,
+    _stable_argsort,
+    ambiguous_band,
     ambiguous_set,
     coverage_event_holds,
     epsilon_max,
@@ -40,6 +43,7 @@ from topkcert.harness import _fit_bytes, _PulledWeakOracle
 from topkcert.instances import GapInstanceSpec, PackingSpec, generate_gap_instance, generate_packing_instance
 from topkcert.oracles import BudgetExceededError, StrongOracle, WeakOracle, snapshot_and_reset
 
+from plan_probe import counting
 from test_core import _assert_read_only, _reference_counts, _report_counts, _reveal_point
 from test_golden_phase1 import LONG_RUNS, SHAPES, _digest
 from test_oracles import _RecordingPullAllOracle, _RecordingStrongOracle
@@ -244,6 +248,59 @@ class TestAdaptiveCertify:
             state = build_fixed_intervals(weak, 12, 0.05 / 500, SubGaussian(0.1))
             _assert_ace_loop_matches_reference(state, k, inst.values)
 
+    @pytest.mark.parametrize("k", [1, 7, 29])
+    def test_loop_matches_reference_where_every_item_is_ambiguous(self, k):
+        # every interval holds 0.5, so A0 is every item; bounds and values tie
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            lower = rng.integers(0, 5, 30) / 10
+            upper = 0.5 + rng.integers(0, 6, 30) / 10
+            state = IntervalState.from_bounds(lower, upper)
+            assert ambiguous_set(state, k).size == 30
+            _assert_ace_loop_matches_reference(state, k, rng.integers(0, 11, 30) / 10)
+
+    def test_a0_with_as_many_items_as_places_certifies_without_a_call(self):
+        # item 1 is clear-in, items 0, 2 and 3 are A0 and fill the 3 places
+        # left, item 4 is clear-out
+        lower = np.array([0.4, 0.9, 0.5, 0.45, 0.0])
+        upper = np.array([0.8, 1.0, 0.7, 0.75, 0.1])
+        state = IntervalState.from_bounds(lower, upper)
+        amb, _, clear_in = ambiguous_band(state, 4)
+        assert amb.tolist() == [0, 2, 3] and clear_in.tolist() == [1]
+        selected, trace, values = _ace_loop(state, 4, StrongOracle(Instance(values=upper, k=4)))
+        assert (selected.tolist(), trace, values) == ([0, 1, 2, 3], [], [])
+        _assert_ace_loop_matches_reference(state, 4, upper)
+
+    @pytest.mark.parametrize("clear_first", [False, True])
+    def test_a_reveal_onto_a_clear_in_lower_bound_matches_reference(self, clear_first):
+        # k = 3: U_(3) = 0.7, so [0.8, 0.95] is clear-in; the first query
+        # reveals the A0 item [0.3, 0.9] at exactly 0.8, its lower bound
+        bounds = [(0.8, 0.95), (0.3, 0.9), (0.5, 0.7), (0.4, 0.6), (0.0, 0.1)]
+        values = [0.9, 0.8, 0.65, 0.45, 0.05]
+        if not clear_first:
+            bounds[:2], values[:2] = bounds[1::-1], values[1::-1]
+        state = IntervalState.from_bounds(*map(np.array, zip(*bounds)))
+        clear = 0 if clear_first else 1
+        assert ambiguous_band(state, 3)[2].tolist() == [clear]
+        _, trace, _ = _ace_loop(state, 3, StrongOracle(Instance(values=np.array(values), k=3)))
+        assert trace == [1 - clear, 2]
+        _assert_ace_loop_matches_reference(state, 3, np.array(values))
+
+    def test_reveals_onto_a_clear_out_upper_bound_match_reference(self):
+        # k = 2: L_(2) = 0.45, so item 0 ([0.0, 0.3]) is clear-out and item 5,
+        # whose upper bound is exactly L_(2), is in A0.  Items 4 and 3 are
+        # revealed at 0.3, and the best tentative-out item is then decided by
+        # index among three equal upper bounds, clear-out item 0 first.
+        lower = np.array([0.0, 0.5, 0.45, 0.2, 0.25, 0.1])
+        upper = np.array([0.3, 0.9, 0.8, 0.6, 0.65, 0.45])
+        values = np.array([0.1, 0.85, 0.7, 0.3, 0.3, 0.2])
+        state = IntervalState.from_bounds(lower, upper)
+        amb, _, clear_in = ambiguous_band(state, 2)
+        assert amb.tolist() == [1, 2, 3, 4, 5] and clear_in.size == 0
+        selected, trace, _ = _ace_loop(state, 2, StrongOracle(Instance(values=values, k=2)))
+        assert trace == [4, 3] and selected.tolist() == [1, 2]
+        _assert_ace_loop_matches_reference(state, 2, values)
+
     def test_separated_intervals_certify_for_free(self):
         state = IntervalState.from_bounds(
             np.array([0.8, 0.6, 0.1]), np.array([0.9, 0.7, 0.2])
@@ -399,6 +456,28 @@ def test_leading_is_the_head_of_the_stable_order(keys):
     expected = np.argsort(keys, kind="stable")
     for size in range(keys.size + 1):
         np.testing.assert_array_equal(_leading(keys, size), expected[:size])
+        np.testing.assert_array_equal(np.sort(_smallest(keys, size)), np.sort(expected[:size]))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        # ties at the cut of every size
+        [0.5, 0.2, 0.5, 0.2, 0.5, 0.9, 0.2, 0.5],
+        # all equal
+        [0.3] * 9,
+        # -0.0 and 0.0 are equal keys, taken by index
+        [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0],
+        # widths of the planner, negated: ties at 0 and at the widest
+        [-0.0, -0.25, -0.0, -0.5, -0.25, -0.5, -0.0],
+    ],
+)
+def test_smallest_holds_the_items_of_the_head_of_the_stable_order(keys):
+    keys = np.array(keys)
+    for size in (0, 1, 2, keys.size - 2, keys.size - 1, keys.size, keys.size + 1):
+        chosen = _smallest(keys, size)
+        assert chosen.dtype.kind == "i" and np.unique(chosen).size == chosen.size
+        np.testing.assert_array_equal(np.sort(chosen), np.sort(_stable_argsort(keys)[:size]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -422,6 +501,9 @@ def test_head_pool_holds_the_head_of_the_stable_order(seed, levels, nan_share, c
         assert pool.size >= count
         np.testing.assert_array_equal(pool, np.sort(np.argsort(keys, kind="stable")[: pool.size]))
     np.testing.assert_array_equal(_leading(keys, count), np.argsort(keys, kind="stable")[:count])
+    np.testing.assert_array_equal(
+        np.sort(_smallest(keys, count)), np.sort(np.argsort(keys, kind="stable")[:count])
+    )
 
 
 def test_head_pool_is_none_where_the_sample_misleads():
@@ -691,6 +773,55 @@ def test_charged_and_pulled_phase_one_agree_bit_for_bit(name):
     assert charged == pulled
     if digest is not None:
         assert [_digest(*fit) for fit in fits] == [digest, digest]
+
+
+def _reordered(how):
+    """``_smallest`` with its items put in another order, which nothing may
+    read: reversed, or shuffled by a seeded generator."""
+    rng = np.random.default_rng(0)
+
+    def smallest(keys, size):
+        chosen = _smallest(keys, size)
+        return chosen[::-1] if how == "reversed" else rng.permutation(chosen)
+
+    return smallest
+
+
+# clamped anytime empirical-Bernstein bounds at n = 10 000: a level is left
+# alone, and the WIDTH leading items it keeps are cut among tied widths
+_SET_CASES = {
+    **_CHARGE_CASES,
+    "alone_level_cut_among_ties": (
+        dict(n=10000, k=100, seed=0, clamp=True,
+             params={"ci_method": "anytime_empirical_bernstein"}),
+        None,
+    ),
+}
+
+
+def _counted_fit(kwargs):
+    """``ace_w``'s fit bytes on a plain weak oracle, and what its planner computed."""
+    weak, fit = _ace_w_fit(WeakOracle, **kwargs)
+    with counting() as counts:
+        report = fit()
+    counted = dataclasses.asdict(counts)
+    counted["previewed"] = counts.repeats()
+    return report, weak, _fit_bytes(report, weak.total_pulls, weak.pulls_per_item), counted
+
+
+@pytest.mark.parametrize("how", ["reversed", "shuffled"])
+@pytest.mark.parametrize("name", sorted(_SET_CASES))
+def test_phase_one_takes_each_levels_items_as_a_set(name, how):
+    # every level's items, and an alone level's leading ones, reach the walk
+    # and the split in another order: the reports stay bit-identical, and
+    # the planner previews and draws the same steps
+    kwargs, digest = _SET_CASES[name]
+    expected = _counted_fit(kwargs)[2:]
+    with mock.patch("topkcert.certify._smallest", _reordered(how)):
+        report, weak, *reordered = _counted_fit(kwargs)
+    assert reordered == list(expected)
+    if digest is not None:
+        assert _digest(report, weak) == digest
 
 
 @pytest.mark.parametrize("name", ["subgaussian_wmax8", "anytime_eb_clamped_wmax20"])
