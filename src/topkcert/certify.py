@@ -347,16 +347,21 @@ class AdaptiveCertify(BaseCertifier):
 
 
 class _KthLargestOfRising:
-    """The exact k-th largest of values that only ever rise, fed batches of rises.
+    """The exact k-th largest of values that only ever rise, fed batches of
+    rises, each with a probe to test against the threshold before it.
 
     Keeps the threshold and how many values lie strictly above it.  Only a
     rise across the threshold is counted, and only the one that brings that
     count to k moves the threshold, up to the smallest value above it.  Every
-    threshold of a batch lies between the one before it and the k-th largest
-    after it, so only the rises that start at or below that and end above
-    this can cross; they are replayed one by one and the rest are applied at
-    the end.  The smallest values above the threshold are found on one sorted
-    walk over every value an item holds in that band during the batch.
+    threshold of a batch lies between the one before it, t, and the k-th
+    largest after it, so a probe below t or at or above that is decided
+    without knowing which.  Only the probes in between are in doubt, and only
+    the rises before the last of them are replayed, one by one: those that
+    start at or below the k-th largest after the batch and end above t, the
+    only ones that can cross.  The smallest values above the threshold are
+    found on one sorted walk over every value an item holds in that band
+    until then.  The batch is applied to a copy of the values, which then
+    replaces them.
     """
 
     def __init__(self, values: np.ndarray, k: int):
@@ -365,12 +370,13 @@ class _KthLargestOfRising:
         self.threshold = kth_largest(values, k)
         self.above = int(np.count_nonzero(values > self.threshold))
 
-    def rise_many(self, items, old, new) -> np.ndarray:
+    def rise_many(self, items, old, new, probes) -> np.ndarray:
         """Record that values[items[i]] rose from old[i] to new[i], for each i
-        in order; returns the threshold in force before each rise."""
+        in order; returns whether probes[i] reaches (>=) the threshold in
+        force before rise i, for each i."""
         values, k, t = self.values, self.k, self.threshold
         if not items.size:
-            return np.zeros(0)
+            return np.zeros(0, dtype=bool)
         final = values.copy()
         # an item's rises arrive in order, so its last one is its largest
         np.maximum.at(final, items, new)
@@ -380,39 +386,49 @@ class _KthLargestOfRising:
         # zero does not matter
         n = final.size
         after = kth_largest(final, k) if 2 * k <= n else -kth_largest(-final, n - k + 1)
-        hits = np.flatnonzero((old <= after) & (new > t))
-        # each value an item holds in (t, after] during the batch, once: its
-        # value before the batch or the end of a strict rise
-        band = np.flatnonzero((values > t) & (values <= after))
-        ends = np.flatnonzero((new > t) & (new <= after) & (old < new))
-        ladder = np.concatenate([values[band], new[ends]])
-        holders = np.concatenate([band, items[ends]])
-        by_value = np.argsort(ladder)
-        ladder, holders = ladder[by_value].tolist(), holders[by_value].tolist()
-        step = 0
-        starts, thresholds = [0], [t]
-        above = self.above
-        for i, x, low, high in zip(
-            hits.tolist(), items[hits].tolist(), old[hits].tolist(), new[hits].tolist()
-        ):
-            values[x] = high
-            if low <= t < high:
-                above += 1
-                if above == k:
-                    # the smallest value above t, skipping entries whose item
-                    # does not hold that value now, and how many items hold it
-                    while ladder[step] <= t or values.item(holders[step]) != ladder[step]:
-                        step += 1
-                    t, held = ladder[step], 0
-                    while step < len(ladder) and ladder[step] == t:
-                        held += values.item(holders[step]) == t
-                        step += 1
-                    above = k - held
-                    starts.append(i + 1)
-                    thresholds.append(t)
-        self.threshold, self.above = t, above
-        values[:] = final
-        return np.repeat(thresholds, np.diff(starts + [items.size]))
+        reached = probes >= after
+        doubt = np.flatnonzero((probes >= t) & ~reached)
+        if doubt.size:
+            # the threshold before rise `last` depends on the rises before it
+            last = int(doubt[-1])
+            old, new = old[:last], new[:last]
+            hits = np.flatnonzero((old <= after) & (new > t))
+            # each value an item holds in (t, after] until then, once: its
+            # value before the batch or the end of a strict rise
+            band = np.flatnonzero((values > t) & (values <= after))
+            ends = np.flatnonzero((new > t) & (new <= after) & (old < new))
+            ladder = np.concatenate([values[band], new[ends]])
+            holders = np.concatenate([band, items[ends]])
+            by_value = np.argsort(ladder)
+            ladder, holders = ladder[by_value].tolist(), holders[by_value].tolist()
+            step = 0
+            starts, thresholds = [0], [t]
+            above = self.above
+            for i, x, low, high in zip(
+                hits.tolist(), items[hits].tolist(), old[hits].tolist(), new[hits].tolist()
+            ):
+                values[x] = high
+                if low <= t < high:
+                    above += 1
+                    if above == k:
+                        # the smallest value above t, skipping entries whose
+                        # item does not hold that value now, and how many
+                        # items hold it
+                        while ladder[step] <= t or values.item(holders[step]) != ladder[step]:
+                            step += 1
+                        t, held = ladder[step], 0
+                        while step < len(ladder) and ladder[step] == t:
+                            held += values.item(holders[step]) == t
+                            step += 1
+                        above = k - held
+                        starts.append(i + 1)
+                        thresholds.append(t)
+            # the threshold before each doubtful rise
+            before = np.asarray(thresholds)[np.searchsorted(starts, doubt, side="right") - 1]
+            reached[doubt] = probes[doubt] >= before
+        self.values, self.threshold = final, after
+        self.above = int(np.count_nonzero(final > after))
+        return reached
 
 
 class _WeakPlan:
@@ -435,7 +451,11 @@ class _WeakPlan:
       applied, and an item's steps are live exactly while their before-bounds
       pass the ambiguity test against them.
     - l_k and u_k are k-th largest of values that only rise (lower, and
-      -upper), kept by ``_KthLargestOfRising`` over the batch.
+      -upper), kept by ``_KthLargestOfRising`` over the batch.  Within a
+      level each moves one way only, between its value before the level and
+      its value after it, so a step whose bound lies outside that range is
+      live or dead whichever value it meets; the tracker replays the merge
+      only as far as the last step in between.
 
     A level previews the steps of some live items (``_walk``, or ``_rows``
     for a few), then merges and charges them (``_commit``).  Its frontier is
@@ -883,6 +903,11 @@ class _WeakPlan:
         budget, and take their results; returns (how many steps lie below the
         frontier, budget left, the steps above it in (item, count) order).
 
+        A merged step is live while its bounds before it pass the ambiguity
+        test against the l_k and u_k in force before it; each tracker answers
+        that for the whole merge, replaying it only as far as a step whose
+        answer is in doubt.
+
         `steps` is a list of the level's step columns, which this empties:
         the steps above the frontier are split off first, and each column
         is freed once it is no longer needed, all before the charge."""
@@ -911,17 +936,17 @@ class _WeakPlan:
         del columns
         items, before_lo, before_hi = x[order], lo_b[order], hi_b[order]
         del x, lo_b, hi_b
-        l_k = self.kth_lower.rise_many(items, before_lo, lo_a[order])
-        live = before_hi >= l_k
-        del l_k
+        # a step is live while before_hi >= l_k and -before_lo >= -u_k
+        live = self.kth_lower.rise_many(items, before_lo, lo_a[order], before_hi)
         # negated in place: the u_k tracker keeps -upper, which only rises
         after = hi_a[order]
-        u_k = self.kth_neg_upper.rise_many(
-            items, np.negative(before_hi, out=before_hi), np.negative(after, out=after)
+        live &= self.kth_neg_upper.rise_many(
+            items,
+            np.negative(before_hi, out=before_hi),
+            np.negative(after, out=after),
+            np.negative(before_lo, out=before_lo),
         )
-        del before_hi, after
-        live &= before_lo <= np.negative(u_k, out=u_k)
-        del u_k, before_lo
+        del before_hi, after, before_lo
         kept = order.size
         at = np.flatnonzero(live)[:budget_left]
         taken, items = order[at], items[at]

@@ -388,6 +388,58 @@ class _RecordingWeakOracle(WeakOracle):
         return super().pull(x)
 
 
+def _tracker_probes(expected, after):
+    """Probe arrays for one batch whose thresholds before each rise are
+    `expected`, rising from t = expected[0] to after: each rise probed at its threshold and
+    just below it, which pins the threshold; probes below t or at or above
+    after, decided without replay; those with only the first or only the last
+    probe in between; and those with only the probe just below the threshold
+    right after its first or its last move in between, which the rise just
+    before decides."""
+    below = np.nextafter(expected, -np.inf)
+    outside = np.resize(
+        [below[0], after, -np.inf, np.nextafter(after, np.inf), np.inf],
+        expected.size,
+    )
+    moves = np.flatnonzero(expected[1:] != expected[:-1]) + 1
+    probes = [expected, below, outside]
+    for at, probe in (
+        (0, expected), (0, below), (-1, expected), (-1, below),
+        *((moves[i], below) for i in (0, -1) if moves.size),
+    ):
+        edge = outside.copy()
+        edge[at] = probe[at]
+        probes.append(edge)
+    # as many arrays for every batch, one per tracker
+    return probes + [outside] * (9 - len(probes))
+
+
+def _assert_tracker_follows_sorting(start, k, batches):
+    """Feed `batches` of rises, (items, new values) of `start`, to one tracker
+    per kind of probe, and check each answer against the threshold before each
+    rise, found by sorting; after every batch, check each tracker's threshold,
+    count above it, and values."""
+    values = np.array(start, dtype=float)
+    n = values.size
+    trackers = [_KthLargestOfRising(values.copy(), k) for _ in range(9)]
+    for items, new in batches:
+        old, expected = [], []
+        for x, high in zip(items, new):
+            expected.append(np.sort(values)[n - k])
+            old.append(values[x])
+            values[x] = high
+        after = np.sort(values)[n - k]
+        expected = np.array(expected)
+        batch = (np.array(items, dtype=np.int64), np.array(old), np.array(new, dtype=float))
+        for tracker, probes in zip(trackers, _tracker_probes(expected, after)):
+            reached = tracker.rise_many(*batch, probes)
+            np.testing.assert_array_equal(reached, probes >= expected)
+            assert tracker.threshold == after
+            assert tracker.above == np.count_nonzero(values > after)
+            np.testing.assert_array_equal(tracker.values, values)
+    return trackers
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(0, 4), min_size=1, max_size=200),
@@ -398,24 +450,16 @@ class _RecordingWeakOracle(WeakOracle):
 def test_kth_largest_tracker_matches_sorting_under_tied_rises(start, rises, k, cuts):
     values = [level / 4 for level in start]
     k = min(k, len(values))
-    tracker = _KthLargestOfRising(np.array(values), k)
-    items, old, new, expected = [], [], [], []
+    items, new = [], []
     for x, step in rises:
         x %= len(values)
-        expected.append(sorted(values, reverse=True)[k - 1])
         items.append(x)
-        old.append(values[x])
         values[x] = min(1.0, values[x] + step / 4)
         new.append(values[x])
     # the rises arrive in batches split at the cuts
     bounds = sorted({0, len(items), *(min(cut, len(items)) for cut in cuts)})
-    before = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        batch = [np.array(column[lo:hi], dtype=dtype)
-                 for column, dtype in ((items, np.int64), (old, float), (new, float))]
-        before.extend(tracker.rise_many(*batch).tolist())
-    assert before == expected
-    assert tracker.threshold == sorted(values, reverse=True)[k - 1]
+    batches = [(items[lo:hi], new[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    _assert_tracker_follows_sorting([level / 4 for level in start], k, batches)
 
 
 def test_kth_largest_tracker_at_a_large_k_matches_sorting():
@@ -427,21 +471,18 @@ def test_kth_largest_tracker_at_a_large_k_matches_sorting():
     k = n - top + 1
     upper = np.round(np.minimum(rng.uniform(0.5, 1.005, n), 1.0), 3)
     values = -upper
-    tracker = _KthLargestOfRising(values.copy(), k)
-    start = tracker.threshold
     candidates = np.argsort(-upper, kind="stable")[:600]
+    batches = []
+    for _ in range(4):
+        items = rng.choice(candidates, 400)
+        new = []
+        for x in items:
+            values[x] = min(0.0, np.round(values[x] + rng.uniform(0.0, 0.03), 3))
+            new.append(values[x])
+        batches.append((items, new))
     with mock.patch("topkcert.certify.kth_largest", wraps=kth_largest) as spy:
-        for _ in range(4):
-            items = rng.choice(candidates, 400)
-            old, new, expected = [], [], []
-            for x in items:
-                expected.append(np.partition(values, n - k)[n - k])
-                old.append(values[x])
-                values[x] = min(0.0, np.round(values[x] + rng.uniform(0.0, 0.03), 3))
-                new.append(values[x])
-            before = tracker.rise_many(items, np.array(old), np.array(new))
-            np.testing.assert_array_equal(before, expected)
-    assert tracker.threshold == np.partition(values, n - k)[n - k] != start
+        trackers = _assert_tracker_follows_sorting(-upper, k, batches)
+    assert trackers[0].threshold != np.partition(-upper, n - k)[n - k]
     assert any(args[1] <= n // 64 for args, _ in spy.call_args_list)
 
 
@@ -645,6 +686,33 @@ class TestAdaptiveCertifyWeak:
             np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
             capped_full = (state.pulls == w_max) & (state.lower == 0.0) & (state.upper == 1.0)
             assert capped_full.any()
+
+    @pytest.mark.parametrize("n, k", [(1000, 50), (2000, 20)])
+    def test_phase_one_matches_reference_where_u_k_steps_are_in_doubt(self, n, k):
+        # a gap instance reflected, with n - k of n on top: steps whose test
+        # against u_k is in doubt, so the u_k tracker replays its rises, where
+        # on gap instances only the l_k tracker does
+        gap = generate_gap_instance(GapInstanceSpec(n=n, k=k, seed=0))
+        inst = Instance(values=1 - gap.values, k=n - k)
+        budget = 12 * n
+        ref_seq, ref_lo, ref_hi, ref_counts, ref_means, ref_conflicts = _reference_phase_one(
+            inst, 0, k=n - k, delta=0.05, w_min=6, w_max=budget, budget=budget, sigma=0.1
+        )
+        certifier = AdaptiveCertifyWeak(n - k, weak_budget=budget)
+        recording = _RecordingWeakOracle(inst, sigma=0.1, seed=0)
+        with counting() as counts:
+            certifier.fit(recording, StrongOracle(inst))
+        assert counts.doubtful["u_k"] > 0
+        assert recording.single_pull_log == ref_seq
+        # the plain oracle charges the planned pulls
+        weak = WeakOracle(inst, sigma=0.1, seed=0)
+        state = certifier.fit(weak, StrongOracle(inst)).report_.weak_state
+        np.testing.assert_array_equal(state.lower, np.asarray(ref_lo))
+        np.testing.assert_array_equal(state.upper, np.asarray(ref_hi))
+        np.testing.assert_array_equal(state.pulls, np.asarray(ref_counts))
+        np.testing.assert_array_equal(state.means, np.asarray(ref_means))
+        np.testing.assert_array_equal(weak.pulls_per_item, np.asarray(ref_counts))
+        assert state.conflicts == ref_conflicts
 
     @pytest.mark.parametrize(
         "method, variance",
